@@ -19,10 +19,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
@@ -30,8 +30,6 @@ import (
 	"dpspatial/internal/em"
 	"dpspatial/internal/fo"
 	"dpspatial/internal/grid"
-	"dpspatial/internal/metrics"
-	"dpspatial/internal/rangequery"
 	"dpspatial/internal/trace"
 )
 
@@ -132,9 +130,11 @@ const DedupWindow = 1 << 16
 // under any http.Server (or httptest.Server), and call Start/Close
 // around the serving lifetime to run the cadence loop.
 type Collector struct {
-	cfg     Config
-	mux     *http.ServeMux
-	handler http.Handler // mux behind the optional bearer-token gate
+	cfg Config
+	// engine serves the read path (estimate and query caches, decode
+	// spans and metrics, the cadence loop) over mergedState, and wraps
+	// every handler in the bearer gate, accounting and tracing.
+	engine *Engine
 
 	// mu guards the mutable collector state. Submissions hold it only
 	// for the merge itself, never during an EM decode.
@@ -143,11 +143,6 @@ type Collector struct {
 	pipeline   *Pipeline
 	agg        *fo.Aggregate
 	generation uint64
-	est        *grid.Hist2D // estimate decoded from estGen (nil until first decode)
-	estGen     uint64
-	estIters   int     // EM iterations of the decode that produced est
-	estWarm    bool    // whether that decode was warm-started
-	estN       float64 // report count of the aggregate est was decoded from
 	stats      Stats
 	acks       *AckLog // idempotency log: submission ID → original ack
 
@@ -158,32 +153,6 @@ type Collector struct {
 	// records it exactly once.
 	store             *durable.Store
 	pipelinePersisted bool
-
-	// queryTree caches the quadtree decode backing /v1/query range
-	// answers for TreeEstimator mechanisms, keyed by the generation it
-	// was decoded from — a merge bumps the generation, invalidating it.
-	queryTree    *rangequery.Quadtree
-	queryTreeGen uint64
-	queryTreeN   float64
-
-	// decodeMu serialises EM decodes so concurrent GET /v1/estimate
-	// requests do not duplicate work; submissions proceed meanwhile.
-	decodeMu sync.Mutex
-
-	// reg is the /metrics registry; met the shared instrument set
-	// registered on it. Instrument updates are lock-free, so they are
-	// bumped freely under mu; scrape-time funcs take mu themselves.
-	reg *metrics.Registry
-	met *ServiceMetrics
-
-	// tracer records per-request span trees into the bounded ring GET
-	// /v1/traces serves; nil when tracing is disabled (every span call
-	// no-ops on nil).
-	tracer *trace.Tracer
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // New builds a collector. Either cfg.Mechanism or cfg.Build must be set.
@@ -194,9 +163,24 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	c := &Collector{cfg: cfg, store: cfg.Store, stop: make(chan struct{}), acks: NewAckLog(DedupWindow)}
-	c.reg = metrics.New()
-	c.met = NewServiceMetrics(c.reg)
+	c := &Collector{cfg: cfg, store: cfg.Store, acks: NewAckLog(DedupWindow)}
+	c.engine = NewEngine(EngineConfig{
+		Tier: "collector", Service: "collector",
+		Source: c.mergedState,
+		Routes: map[string]http.HandlerFunc{
+			"/healthz":      MethodOnly(http.MethodGet, c.handleHealthz),
+			"/v1/report":    MethodOnly(http.MethodPost, c.handleReport),
+			"/v1/aggregate": c.handleAggregate,
+			"/v1/stats":     MethodOnly(http.MethodGet, c.handleStats),
+		},
+		Cadence:        cfg.Cadence,
+		AuthToken:      cfg.AuthToken,
+		DisableMetrics: cfg.DisableMetrics,
+		DisableTraces:  cfg.DisableTraces,
+		TraceCapacity:  cfg.TraceCapacity,
+		SlowLog:        cfg.SlowLog,
+		EnablePprof:    cfg.EnablePprof,
+	})
 	if cfg.Mechanism != nil {
 		c.mech = cfg.Mechanism
 		c.pipeline = cfg.Pipeline
@@ -210,84 +194,28 @@ func New(cfg Config) (*Collector, error) {
 	}
 	c.stats.CadenceMillis = cfg.Cadence.Milliseconds()
 	c.registerCollectorMetrics()
-	if !cfg.DisableTraces {
-		c.tracer = trace.NewTracer("collector", cfg.TraceCapacity)
-	}
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("/healthz", c.handleHealthz)
-	c.mux.HandleFunc("/v1/report", c.handleReport)
-	c.mux.HandleFunc("/v1/aggregate", c.handleAggregate)
-	c.mux.HandleFunc("/v1/estimate", c.handleEstimate)
-	c.mux.HandleFunc("/v1/query", c.handleQuery)
-	c.mux.HandleFunc("/v1/stats", c.handleStats)
-	if !cfg.DisableMetrics {
-		c.mux.Handle(MetricsPath, c.reg.Handler())
-	}
-	if c.tracer != nil {
-		c.mux.Handle(TracesPath, c.tracer.Handler())
-	}
-	if cfg.EnablePprof {
-		MountPprof(c.mux)
-	}
-	c.handler = trace.Middleware(c.tracer, cfg.SlowLog, UntracedPath,
-		InstrumentHTTP(c.met, RequireBearer(cfg.AuthToken, c.mux)))
 	return c, nil
-}
-
-// MountPprof routes net/http/pprof's handlers under PprofPathPrefix on
-// the mux. Both tiers mount it INSIDE their bearer gate — profiling
-// data leaks code layout and timing, so it gets the same secret as the
-// data endpoints — and outside their request accounting and tracing, so
-// enabling a profile run perturbs neither the /metrics series nor the
-// trace ring.
-func MountPprof(mux *http.ServeMux) {
-	mux.HandleFunc(PprofPathPrefix, pprof.Index)
-	mux.HandleFunc(PprofPathPrefix+"cmdline", pprof.Cmdline)
-	mux.HandleFunc(PprofPathPrefix+"profile", pprof.Profile)
-	mux.HandleFunc(PprofPathPrefix+"symbol", pprof.Symbol)
-	mux.HandleFunc(PprofPathPrefix+"trace", pprof.Trace)
 }
 
 // ServeHTTP implements http.Handler.
 func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.handler.ServeHTTP(w, r)
+	c.engine.ServeHTTP(w, r)
 }
 
 // Tracer exposes the collector's completed-trace ring — nil when the
 // collector was built with DisableTraces.
-func (c *Collector) Tracer() *trace.Tracer { return c.tracer }
+func (c *Collector) Tracer() *trace.Tracer { return c.engine.tracer }
 
 // Start launches the background merge-cadence loop. It is a no-op when
 // the configured cadence is zero.
-func (c *Collector) Start() {
-	if c.cfg.Cadence <= 0 {
-		return
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		ticker := time.NewTicker(c.cfg.Cadence)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-ticker.C:
-				// Refresh errors surface on the next GET; the loop only
-				// keeps the estimate warm. No request, so no trace.
-				_, _ = c.refresh(context.Background())
-			}
-		}
-	}()
-}
+func (c *Collector) Start() { c.engine.Start() }
 
 // Close stops the cadence loop and, on a durable collector, compacts
 // any WAL records into a final snapshot so the next start recovers from
 // the snapshot alone. The handler stays usable. A failed final snapshot
 // is harmless — the WAL still holds everything it would have covered.
 func (c *Collector) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	c.wg.Wait()
+	c.engine.Close()
 	c.mu.Lock()
 	if c.store != nil && c.mech != nil && c.store.RecordsSinceSnapshot() > 0 {
 		_ = c.snapshotLocked()
@@ -295,31 +223,29 @@ func (c *Collector) Close() {
 	c.mu.Unlock()
 }
 
-// resolveMechanism returns the mechanism a submission carrying pipeline
-// metadata p (which may be nil) should validate against — the installed
-// one, or a candidate freshly built from p when the collector is still
-// unlocked. A candidate (adopted=true) is NOT installed here: callers
-// commit it with adoptLocked only after the whole submission validates,
-// so a rejected shard can never lock the collector to its mechanism.
-func (c *Collector) resolveMechanism(p *Pipeline) (mech Estimator, adopted bool, err error) {
-	c.mu.Lock()
-	installed, pipeline := c.mech, c.pipeline
-	c.mu.Unlock()
+// ResolveMechanism returns the mechanism a submission carrying pipeline
+// metadata p (which may be nil) should validate against: the installed
+// one, checked against p and the pinned pipeline, or — while the tier
+// (named in refusals) has none — a candidate built from p. A candidate
+// (adopted=true) is NOT installed here: callers commit it only after
+// the whole submission validated, so a rejected shard can never lock a
+// tier to its mechanism.
+func ResolveMechanism(tier string, installed Estimator, pinned, p *Pipeline, build func(*Pipeline) (Estimator, error)) (mech Estimator, adopted bool, err error) {
 	if installed != nil {
 		if p != nil && p.Scheme != "" && p.Scheme != installed.Scheme() {
-			return nil, false, fmt.Errorf("submission scheme %q does not match collector scheme %q", p.Scheme, installed.Scheme())
+			return nil, false, fmt.Errorf("submission scheme %q does not match %s scheme %q", p.Scheme, tier, installed.Scheme())
 		}
-		if p != nil && pipeline != nil {
-			if err := pipeline.Compatible(p); err != nil {
+		if p != nil && pinned != nil {
+			if err := pinned.Compatible(p); err != nil {
 				return nil, false, err
 			}
 		}
 		return installed, false, nil
 	}
 	if p == nil {
-		return nil, false, fmt.Errorf("collector has no mechanism yet; submit a shard with pipeline metadata first")
+		return nil, false, fmt.Errorf("%s has no mechanism yet; submit a shard with pipeline metadata first", tier)
 	}
-	candidate, err := c.cfg.Build(p)
+	candidate, err := build(p)
 	if err != nil {
 		return nil, false, fmt.Errorf("building mechanism from pipeline: %w", err)
 	}
@@ -327,6 +253,15 @@ func (c *Collector) resolveMechanism(p *Pipeline) (mech Estimator, adopted bool,
 		return nil, false, fmt.Errorf("rebuilt mechanism scheme %q does not match submitted scheme %q", candidate.Scheme(), p.Scheme)
 	}
 	return candidate, true, nil
+}
+
+// resolveMechanism is ResolveMechanism against the collector's state;
+// callers commit an adopted candidate with adoptLocked.
+func (c *Collector) resolveMechanism(p *Pipeline) (Estimator, bool, error) {
+	c.mu.Lock()
+	installed, pipeline := c.mech, c.pipeline
+	c.mu.Unlock()
+	return ResolveMechanism("collector", installed, pipeline, p, c.cfg.Build)
 }
 
 // adoptLocked installs a validated candidate mechanism — unless a
@@ -406,14 +341,14 @@ func (c *Collector) checkAndPinPipelineLocked(p *Pipeline) error {
 // and since the shard already passed Compatible (a superset of Merge's
 // checks) the merge after a successful append cannot fail, keeping
 // memory and disk in lockstep.
-func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *Pipeline, mech Estimator, adopted bool, id string, kind shardKind) (SubmitResponse, error) {
+func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *Pipeline, mech Estimator, adopted bool, id string, kind ShardKind) (SubmitResponse, error) {
 	span := trace.SpanFrom(ctx)
 	span.SetAttr(trace.String("submissionId", id), trace.String("shardKind", kind.String()))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev, ok := c.acks.Get(id); ok {
 		c.stats.DuplicateShards++
-		c.met.Submissions.With(SubmissionDuplicate).Inc()
+		c.engine.met.Submissions.With(SubmissionDuplicate).Inc()
 		// The replayed ack carries the ORIGINAL submission's trace ID —
 		// the one whose trace actually holds the merge spans.
 		span.Event("duplicate.replay", trace.String("originalTraceId", prev.TraceID))
@@ -459,7 +394,7 @@ func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *P
 	ackSpan := span.Child("collector.ack")
 	c.acks.Put(id, resp)
 	ackSpan.End()
-	c.met.Submissions.With(SubmissionAccepted).Inc()
+	c.engine.met.Submissions.With(SubmissionAccepted).Inc()
 	c.maybeSnapshotLocked()
 	return resp, nil
 }
@@ -473,7 +408,7 @@ func (c *Collector) replayedAck(r *http.Request) (SubmitResponse, bool) {
 	prev, ok := c.acks.Get(id)
 	if ok {
 		c.stats.DuplicateShards++
-		c.met.Submissions.With(SubmissionDuplicate).Inc()
+		c.engine.met.Submissions.With(SubmissionDuplicate).Inc()
 		span := trace.SpanFrom(r.Context())
 		span.SetAttr(trace.String("submissionId", id))
 		span.Event("duplicate.replay", trace.String("originalTraceId", prev.TraceID))
@@ -481,110 +416,36 @@ func (c *Collector) replayedAck(r *http.Request) (SubmitResponse, bool) {
 	return prev, ok
 }
 
-// estimateState is one decoded estimate plus the metadata of the decode
-// that produced it.
-type estimateState struct {
-	est   *grid.Hist2D
-	gen   uint64
-	n     float64
-	iters int
-	warm  bool
-}
+// errNoMechanism / errNoReports are the collector's read refusals
+// before it holds anything to decode (409).
+var (
+	errNoMechanism = errors.New("collector has no mechanism yet")
+	errNoReports   = errors.New("no reports merged yet")
+)
 
-// refresh brings the estimate up to the current generation, decoding at
-// most once. The first decode is cold (EstimateFromAggregate semantics);
-// later decodes warm-start from the previous estimate when the mechanism
-// supports it. It returns the current estimate and the generation it was
-// decoded from. A traced request context hangs a cache-hit event or an
-// EM-decode span off its active span; background callers pass
-// context.Background() and record nothing.
-func (c *Collector) refresh(ctx context.Context) (estimateState, error) {
-	span := trace.SpanFrom(ctx)
-	c.decodeMu.Lock()
-	defer c.decodeMu.Unlock()
-
-	c.mu.Lock()
-	if c.mech == nil {
-		c.mu.Unlock()
-		return estimateState{}, fmt.Errorf("collector has no mechanism yet")
-	}
-	if c.agg.N == 0 {
-		c.mu.Unlock()
-		return estimateState{}, fmt.Errorf("no reports merged yet")
-	}
-	if c.est != nil && c.estGen == c.generation {
-		cur := estimateState{est: c.est, gen: c.estGen, n: c.estN, iters: c.estIters, warm: c.estWarm}
-		c.mu.Unlock()
-		c.met.QueryCacheHits.With(CacheEstimate).Inc()
-		span.Event("estimate.cache.hit", trace.Int("generation", int64(cur.gen)))
-		return cur, nil
-	}
-	// Snapshot under the lock, decode outside it: submissions keep
-	// flowing while EM runs; decodeMu guarantees a single decoder.
-	snapshot := c.agg.Clone()
-	snapGen := c.generation
-	init := c.est
-	mech := c.mech
-	c.mu.Unlock()
-	c.met.QueryCacheMisses.With(CacheEstimate).Inc()
-
-	decodeSpan := span.Child("collector.em.decode")
-	t0 := time.Now()
-	est, iters, warm, err := DecodeEstimate(mech, snapshot, init)
-	if err != nil {
-		decodeSpan.Fail(err)
-		decodeSpan.End()
-		return estimateState{}, err
-	}
-	elapsed := time.Since(t0)
-	mode := "cold"
-	if warm {
-		mode = "warm"
-	}
-	decodeSpan.SetAttr(
-		trace.String("mode", mode),
-		trace.Int("iterations", int64(iters)),
-		trace.Int("generation", int64(snapGen)),
-	)
-	decodeSpan.End()
-
+// mergedState is the collector's state source: its generation names the
+// canonical aggregate, which is cloned under mu — only when the engine
+// holds no decode of this generation — so submissions keep flowing
+// while the engine decodes.
+func (c *Collector) mergedState(_ context.Context, cached uint64, ok bool) (State, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.est, c.estGen, c.estN = est, snapGen, snapshot.N
-	c.estIters, c.estWarm = iters, warm
-	c.stats.EstimateGeneration = snapGen
-	savedBefore := c.stats.IterationsSaved
-	c.stats.Account(iters, warm)
-	c.met.ObserveDecode(elapsed, iters, warm, c.stats.IterationsSaved-savedBefore)
-	return estimateState{est: est, gen: snapGen, n: snapshot.N, iters: iters, warm: warm}, nil
-}
-
-// DecodeEstimate runs one estimate decode: warm-started from init when
-// the mechanism supports it and init is non-nil, cold otherwise. The
-// collector's refresh and the fleet supervisor's share it so the
-// cold/warm selection cannot diverge between the tiers.
-func DecodeEstimate(mech Estimator, agg *fo.Aggregate, init *grid.Hist2D) (est *grid.Hist2D, iters int, warm bool, err error) {
-	if ws, ok := mech.(WarmEstimator); ok {
-		e, stats, err := ws.EstimateFromAggregateWarm(agg, init)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return e, stats.Iterations, init != nil, nil
+	if c.mech == nil {
+		return State{}, errNoMechanism
 	}
-	e, err := mech.EstimateFromAggregate(agg)
-	if err != nil {
-		return nil, 0, false, err
+	if c.agg.N == 0 {
+		return State{}, errNoReports
 	}
-	return e, 0, false, nil
+	st := State{Mech: c.mech, Key: c.generation, Gen: c.generation, N: c.agg.N}
+	if !ok || cached != c.generation {
+		st.Agg = c.agg.Clone()
+	}
+	return st, nil
 }
 
 // --- HTTP handlers ---
 
 func (c *Collector) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	c.mu.Lock()
 	scheme := ""
 	if c.mech != nil {
@@ -602,10 +463,6 @@ func (c *Collector) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // report lines when the collector is already locked to a scheme. The
 // whole stream counts as one shard and merges atomically.
 func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
 	if prev, ok := c.replayedAck(r); ok {
 		writeJSON(w, http.StatusOK, &prev)
 		return
@@ -617,37 +474,12 @@ func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
 	readSpan := trace.SpanFrom(r.Context()).Child("collector.body.read")
 	defer readSpan.End()
 	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes), 1<<20)
-	first, err := br.ReadBytes('\n')
-	if err != nil && len(first) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty report stream"))
-		return
-	}
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(first, &probe); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("first line is neither a pipeline header nor a report: %v", err))
-		return
-	}
-
-	var hdr *Pipeline
-	var firstReport *fo.Report
-	switch probe.Format {
-	case ReportsFormat:
-		hdr = &Pipeline{}
-		if err := json.Unmarshal(first, hdr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad pipeline header: %v", err))
-			return
-		}
-	case "":
-		var rep fo.Report
-		if err := json.Unmarshal(first, &rep); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad report line: %v", err))
-			return
-		}
-		firstReport = &rep
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q", probe.Format))
+	// A read error leaves first empty or cut short, which ParseStreamHead
+	// refuses; EOF after an unterminated line is a one-line stream.
+	first, _ := br.ReadBytes('\n')
+	hdr, firstReport, err := ParseStreamHead(first)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -685,7 +517,7 @@ func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
 	readSpan.SetAttr(trace.Float("reports", shard.N))
 	readSpan.End()
 
-	resp, err := c.commitShard(r.Context(), shard, hdr, mech, adopted, r.Header.Get(SubmissionIDHeader), shardReport)
+	resp, err := c.commitShard(r.Context(), shard, hdr, mech, adopted, r.Header.Get(SubmissionIDHeader), ShardReport)
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -742,7 +574,7 @@ func (c *Collector) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	resp, err := c.commitShard(r.Context(), shard, hdr, mech, adopted, r.Header.Get(SubmissionIDHeader), shardAggregate)
+	resp, err := c.commitShard(r.Context(), shard, hdr, mech, adopted, r.Header.Get(SubmissionIDHeader), ShardAggregate)
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -754,7 +586,7 @@ func (c *Collector) serveAggregate(w http.ResponseWriter) {
 	c.mu.Lock()
 	if c.mech == nil {
 		c.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Errorf("collector has no mechanism yet"))
+		writeError(w, http.StatusConflict, errNoMechanism)
 		return
 	}
 	blob, err := c.agg.MarshalBinary()
@@ -775,43 +607,11 @@ func (c *Collector) serveAggregate(w http.ResponseWriter) {
 	_, _ = w.Write(blob)
 }
 
-// handleEstimate serves the current histogram, refreshing first if new
-// shards arrived since the last decode — so the response always reflects
-// every merged submission.
-func (c *Collector) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	cur, err := c.refresh(r.Context())
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	est := cur.est
-	c.mu.Lock()
-	resp := EstimateResponse{
-		Scheme:     c.mech.Scheme(),
-		Generation: cur.gen,
-		Reports:    cur.n,
-		D:          est.Dom.D,
-		Domain:     DomainSpec{MinX: est.Dom.MinX, MinY: est.Dom.MinY, Side: est.Dom.Side},
-		Mass:       est.Mass,
-		Iterations: cur.iters,
-		Warm:       cur.warm,
-	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, &resp)
-}
-
 func (c *Collector) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	c.mu.Lock()
 	stats := c.stats
 	c.mu.Unlock()
+	stats.DecodeCounters, stats.EstimateGeneration = c.engine.DecodeStats()
 	if c.store != nil {
 		ds := c.store.Stats()
 		stats.Durability = &ds

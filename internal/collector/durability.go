@@ -52,34 +52,37 @@ type ackEnvelope struct {
 	Ack  SubmitResponse `json:"ack"`
 }
 
-// shardKind names which submission path accepted a shard; it selects
-// the stats counter and is persisted in the ack envelope.
-type shardKind int
+// ShardKind names a submission's framing — a report stream or a binary
+// aggregate. The collector counts shards and persists acks by it; the
+// fleet routes by it.
+type ShardKind int
 
+// The two submission framings.
 const (
-	shardReport shardKind = iota
-	shardAggregate
+	ShardReport ShardKind = iota
+	ShardAggregate
 )
 
-func (k shardKind) String() string {
-	if k == shardReport {
+// String is the kind's wire name in ack envelopes and span attributes.
+func (k ShardKind) String() string {
+	if k == ShardReport {
 		return "report"
 	}
 	return "aggregate"
 }
 
-func shardKindFromString(s string) (shardKind, error) {
+func shardKindFromString(s string) (ShardKind, error) {
 	switch s {
 	case "report":
-		return shardReport, nil
+		return ShardReport, nil
 	case "aggregate":
-		return shardAggregate, nil
+		return ShardAggregate, nil
 	}
 	return 0, fmt.Errorf("unknown shard kind %q", s)
 }
 
-func (k shardKind) count(s *Stats) {
-	if k == shardReport {
+func (k ShardKind) count(s *Stats) {
+	if k == ShardReport {
 		s.ReportShards++
 	} else {
 		s.AggregateShards++
@@ -256,7 +259,7 @@ func (c *Collector) installRecoveredMechanism(scheme string, p *Pipeline) error 
 // submission is durable, and since shard.Compatible already passed, the
 // merge that follows cannot fail, so memory and disk cannot diverge.
 // Callers hold mu.
-func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, resp SubmitResponse, id string, kind shardKind) error {
+func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, resp SubmitResponse, id string, kind ShardKind) error {
 	if c.store == nil {
 		return nil
 	}

@@ -1,9 +1,13 @@
 package collector_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -574,5 +578,85 @@ func TestDurableReportStreamRecovery(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Mass, want.Mass) || got.Reports != want.Reports {
 		t.Fatal("report-stream recovery diverged")
+	}
+}
+
+// TestDurableRefusesInvalidCountBlob posts aggregate blobs whose counts
+// no reporter can produce — a NaN, negative, fractional or infinite
+// cell, or such an N — to a durable collector. Each answers 400 before
+// adoption or any WAL append, and the generation, the served aggregate
+// bytes and the WAL record count stay where they were.
+func TestDurableRefusesInvalidCountBlob(t *testing.T) {
+	mech := newDAM(t, 5, 1.8)
+	pipeline := durPipeline(mech, 5, 1.8)
+	client, _, st := startDurable(t, t.TempDir(), collector.Config{Build: durBuild(t)})
+	ctx := context.Background()
+	shards := accumulateShards(t, mech, 2, 13)
+	refuse := func(v float64, inN bool) {
+		t.Helper()
+		shard := shards[1].Clone()
+		if inN {
+			shard.N = v
+		} else {
+			shard.Planes[0][3] = v
+		}
+		blob, err := shard.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var se *collector.StatusError
+		if _, err := client.SubmitAggregateBlob(ctx, blob, pipeline); !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest {
+			t.Fatalf("count %v (in N: %v): %v, want a 400", v, inN, err)
+		}
+	}
+
+	// Before adoption: the refused shard must not pin the pipeline.
+	refuse(math.NaN(), false)
+	stats, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Scheme != "" {
+		t.Fatalf("refused first shard adopted the collector to %q", stats.Scheme)
+	}
+	if n := st.Stats().RecordsAppended; n != 0 {
+		t.Fatalf("refused first shard appended %d WAL records", n)
+	}
+
+	if _, err := client.SubmitAggregate(ctx, shards[0], pipeline); err != nil {
+		t.Fatal(err)
+	}
+	before, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobBefore, err := client.FetchAggregateBlob(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordsBefore := st.Stats().RecordsAppended
+	for _, v := range []float64{math.NaN(), -3, 0.5, math.Inf(1)} {
+		refuse(v, false)
+		refuse(v, true)
+	}
+	after, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Generation != before.Generation {
+		t.Fatalf("generation moved %d → %d on refused shards", before.Generation, after.Generation)
+	}
+	blobAfter, err := client.FetchAggregateBlob(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blobAfter, blobBefore) {
+		t.Fatal("refused shards changed the served aggregate")
+	}
+	if n := st.Stats().RecordsAppended; n != recordsBefore {
+		t.Fatalf("refused shards appended WAL records: %d → %d", recordsBefore, n)
+	}
+	if _, _, err := client.Estimate(ctx); err != nil {
+		t.Fatalf("estimate after refused shards: %v", err)
 	}
 }

@@ -11,9 +11,10 @@ import (
 // The /metrics operator surface of the collector tier. Metric names are
 // a stable contract — docs/OPERATIONS.md documents every series and
 // CI's smoke jobs grep for them — so renaming one is a wire-format
-// change. The fleet supervisor registers the same families through
-// NewServiceMetrics and layers its per-member series on top, which is
-// what keeps one dashboard valid against both tiers.
+// change. Both tiers' Engines register the same families through
+// NewServiceMetrics, and the fleet supervisor layers its per-member
+// series on top, which is what keeps one dashboard valid against both
+// tiers.
 
 // MetricsPath is the exposition endpoint both tiers serve. It sits
 // behind the same bearer-token gate as the data endpoints, and is one
@@ -152,23 +153,6 @@ func NewServiceMetrics(reg *metrics.Registry) *ServiceMetrics {
 	}
 }
 
-// ObserveDecode records one EM decode in the shared decode families —
-// the collector's refresh and the fleet supervisor's call it so the
-// cold/warm accounting cannot diverge between the tiers. savedDelta is
-// the increment DecodeCounters.Account applied to IterationsSaved.
-func (m *ServiceMetrics) ObserveDecode(elapsed time.Duration, iters int, warm bool, savedDelta uint64) {
-	mode := DecodeCold
-	if warm {
-		mode = DecodeWarm
-	}
-	m.Decodes.With(mode).Inc()
-	m.DecodeSeconds.With(mode).Observe(elapsed.Seconds())
-	m.DecodeIterations.With(mode).Add(float64(iters))
-	if savedDelta > 0 {
-		m.DecodeIterationsSaved.Add(float64(savedDelta))
-	}
-}
-
 // statusRecorder captures the status code a handler wrote, defaulting
 // to 200 when the handler never called WriteHeader explicitly.
 type statusRecorder struct {
@@ -221,8 +205,7 @@ func normalizePath(p string) string {
 // minus /healthz, which IS counted, just never traced).
 func InstrumentHTTP(m *ServiceMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if p := r.URL.Path; p == MetricsPath || p == TracesPath ||
-			len(p) >= len(PprofPathPrefix) && p[:len(PprofPathPrefix)] == PprofPathPrefix {
+		if p := r.URL.Path; p != "/healthz" && UntracedPath(p) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -257,14 +240,15 @@ func InstrumentHTTP(m *ServiceMetrics, next http.Handler) http.Handler {
 // deliberately not exported: they would break the quiesced-scrape
 // determinism the golden test pins.
 func (c *Collector) registerCollectorMetrics() {
-	c.reg.GaugeFunc("dpspatial_generation",
+	reg := c.engine.reg
+	reg.GaugeFunc("dpspatial_generation",
 		"Accepted-submission count of the canonical aggregate.",
 		func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return float64(c.generation)
 		})
-	c.reg.GaugeFunc("dpspatial_reports",
+	reg.GaugeFunc("dpspatial_reports",
 		"Total reports absorbed into the canonical aggregate.",
 		func() float64 {
 			c.mu.Lock()
@@ -274,36 +258,35 @@ func (c *Collector) registerCollectorMetrics() {
 			}
 			return c.agg.N
 		})
-	c.reg.GaugeFunc("dpspatial_estimate_generation",
+	reg.GaugeFunc("dpspatial_estimate_generation",
 		"Generation the served estimate was decoded from (0 = no estimate yet).",
 		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(c.estGen)
+			_, gen := c.engine.DecodeStats()
+			return float64(gen)
 		})
 	if c.store == nil {
 		return
 	}
 	st := c.store
-	c.reg.CounterFunc("dpspatial_durable_wal_records_appended_total",
+	reg.CounterFunc("dpspatial_durable_wal_records_appended_total",
 		"WAL records appended by this process.",
 		func() float64 { return float64(st.Stats().RecordsAppended) })
-	c.reg.CounterFunc("dpspatial_durable_wal_bytes_written_total",
+	reg.CounterFunc("dpspatial_durable_wal_bytes_written_total",
 		"Bytes appended to the WAL by this process, headers included.",
 		func() float64 { return float64(st.Stats().WALBytesWritten) })
-	c.reg.CounterFunc("dpspatial_durable_wal_fsyncs_total",
+	reg.CounterFunc("dpspatial_durable_wal_fsyncs_total",
 		"Fsyncs issued on the WAL file: one per append batch plus one per post-snapshot reset.",
 		func() float64 { return float64(st.Stats().WALFsyncs) })
-	c.reg.CounterFunc("dpspatial_durable_snapshots_written_total",
+	reg.CounterFunc("dpspatial_durable_snapshots_written_total",
 		"Durable snapshots installed by this process.",
 		func() float64 { return float64(st.Stats().SnapshotsWritten) })
-	c.reg.GaugeFunc("dpspatial_durable_records_since_snapshot",
+	reg.GaugeFunc("dpspatial_durable_records_since_snapshot",
 		"WAL records a crash right now would replay.",
 		func() float64 { return float64(st.Stats().RecordsSinceSnapshot) })
-	c.reg.GaugeFunc("dpspatial_durable_wal_records_replayed",
+	reg.GaugeFunc("dpspatial_durable_wal_records_replayed",
 		"WAL records the startup recovery replayed.",
 		func() float64 { return float64(st.Stats().RecordsReplayed) })
-	c.reg.GaugeFunc("dpspatial_durable_torn_tail_bytes",
+	reg.GaugeFunc("dpspatial_durable_torn_tail_bytes",
 		"Bytes of an incomplete final WAL write discarded at startup recovery.",
 		func() float64 { return float64(st.Stats().TornTailBytes) })
 }
@@ -311,4 +294,4 @@ func (c *Collector) registerCollectorMetrics() {
 // Metrics returns the collector's metric registry — what GET /metrics
 // serves, and the hook for embedding callers that mount the exposition
 // elsewhere.
-func (c *Collector) Metrics() *metrics.Registry { return c.reg }
+func (c *Collector) Metrics() *metrics.Registry { return c.engine.reg }

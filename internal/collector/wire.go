@@ -1,9 +1,12 @@
 package collector
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"dpspatial/internal/durable"
+	"dpspatial/internal/fo"
 	"dpspatial/internal/grid"
 )
 
@@ -82,6 +85,37 @@ func (p *Pipeline) Compatible(q *Pipeline) error {
 		return fmt.Errorf("pipeline metadata does not match")
 	}
 	return nil
+}
+
+// ParseStreamHead parses the first line of a report stream: a Pipeline
+// header line (hdr set) or a bare first report (first set). Every error
+// is the submitter's, a 400 at either tier.
+func ParseStreamHead(line []byte) (hdr *Pipeline, first *fo.Report, err error) {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return nil, nil, fmt.Errorf("empty report stream")
+	}
+	var probe struct {
+		Format string `json:"format"`
+	}
+	if err := json.Unmarshal(line, &probe); err != nil {
+		return nil, nil, fmt.Errorf("first line is neither a pipeline header nor a report: %v", err)
+	}
+	switch probe.Format {
+	case ReportsFormat:
+		hdr = &Pipeline{}
+		if err := json.Unmarshal(line, hdr); err != nil {
+			return nil, nil, fmt.Errorf("bad pipeline header: %v", err)
+		}
+		return hdr, nil, nil
+	case "":
+		first = &fo.Report{}
+		if err := json.Unmarshal(line, first); err != nil {
+			return nil, nil, fmt.Errorf("bad report line: %v", err)
+		}
+		return nil, first, nil
+	default:
+		return nil, nil, fmt.Errorf("unknown format %q", probe.Format)
+	}
 }
 
 // SubmitResponse acknowledges an accepted shard submission.
@@ -248,18 +282,21 @@ type DecodeCounters struct {
 	IterationsSaved uint64 `json:"iterationsSaved"`
 }
 
-// Account records one decode's outcome in the counters.
-func (d *DecodeCounters) Account(iters int, warm bool) {
+// Account records one decode's outcome in the counters and returns the
+// iterations a warm start saved against the cold baseline.
+func (d *DecodeCounters) Account(iters int, warm bool) (saved uint64) {
 	d.Estimates++
 	d.LastIterations = iters
 	if warm {
 		d.WarmEstimates++
-		if saved := d.ColdBaselineIterations - iters; saved > 0 {
-			d.IterationsSaved += uint64(saved)
+		if s := d.ColdBaselineIterations - iters; s > 0 {
+			saved = uint64(s)
+			d.IterationsSaved += saved
 		}
 	} else if d.ColdBaselineIterations == 0 {
 		d.ColdBaselineIterations = iters
 	}
+	return saved
 }
 
 // errorResponse is the JSON body of every non-2xx response.

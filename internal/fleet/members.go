@@ -124,7 +124,7 @@ func (m *member) snapshot() MemberStats {
 	}
 }
 
-// probe refreshes the member's health flag off its /healthz.
+// probe updates the member's health flag off its /healthz.
 func (m *member) probe(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()

@@ -5,7 +5,7 @@ import (
 )
 
 // The supervisor's /metrics surface: the collector tier's shared
-// families (registered through collector.NewServiceMetrics, so one
+// families (registered by the shared collector.Engine, so one
 // dashboard reads both tiers) plus the fleet-only series — per-member
 // relabelings of the routing counters and the member-state hash
 // generation. Per-member series carry the member's base URL as the
@@ -57,16 +57,17 @@ func (mi *memberInstruments) countRecovery() {
 // per-member instruments. Called from New after the member list is
 // final.
 func (s *Supervisor) registerFleetMetrics() {
-	healthy := s.reg.GaugeVec("dpspatial_fleet_member_healthy",
+	reg := s.engine.Registry()
+	healthy := reg.GaugeVec("dpspatial_fleet_member_healthy",
 		"Last-known liveness of each fleet member (1 = healthy, 0 = unhealthy).",
 		"member")
-	routed := s.reg.CounterVec("dpspatial_fleet_member_routed_total",
+	routed := reg.CounterVec("dpspatial_fleet_member_routed_total",
 		"Submissions this supervisor routed to each member and the member accepted.",
 		"member")
-	failovers := s.reg.CounterVec("dpspatial_fleet_member_failovers_total",
+	failovers := reg.CounterVec("dpspatial_fleet_member_failovers_total",
 		"Submissions that failed transiently at each member and moved on in routing order.",
 		"member")
-	recoveries := s.reg.CounterVec("dpspatial_fleet_member_recoveries_total",
+	recoveries := reg.CounterVec("dpspatial_fleet_member_recoveries_total",
 		"Each member's unhealthy-to-healthy transitions: outages it rejoined the fleet from.",
 		"member")
 	for _, m := range s.members {
@@ -78,28 +79,33 @@ func (s *Supervisor) registerFleetMetrics() {
 		}
 		m.inst.setHealthy(m.isHealthy())
 	}
-	s.fleetFailovers = s.reg.Counter("dpspatial_fleet_failovers_total",
+	s.fleetFailovers = reg.Counter("dpspatial_fleet_failovers_total",
 		"Submission attempts that failed over past a member, fleet-wide.")
-	s.stateHashGens = s.reg.Counter("dpspatial_fleet_state_hash_generations_total",
-		"Distinct member-state hashes decoded: how many times the fleet-wide member-blob hash changed and forced a fresh decode.")
-	s.reg.Gauge("dpspatial_fleet_members",
+	// The engine decodes an estimate exactly when the member-blob hash
+	// moved off the cached one, so its decode count is this counter.
+	reg.CounterFunc("dpspatial_fleet_state_hash_generations_total",
+		"Distinct member-state hashes decoded: how many times the fleet-wide member-blob hash changed and forced a fresh decode.",
+		func() float64 {
+			decodes, _ := s.engine.DecodeStats()
+			return float64(decodes.Estimates)
+		})
+	reg.Gauge("dpspatial_fleet_members",
 		"Configured fleet members.").Set(float64(len(s.members)))
-	s.reg.GaugeFunc("dpspatial_generation",
+	reg.GaugeFunc("dpspatial_generation",
 		"Submissions accepted by a member via this supervisor (the fleet generation).",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(s.stats.Routed)
 		})
-	s.reg.GaugeFunc("dpspatial_estimate_generation",
+	reg.GaugeFunc("dpspatial_estimate_generation",
 		"Routed-submission count the served fleet estimate was decoded at (0 = no estimate yet).",
 		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.estGen)
+			_, gen := s.engine.DecodeStats()
+			return float64(gen)
 		})
 }
 
 // Metrics returns the supervisor's metric registry — what GET /metrics
 // serves.
-func (s *Supervisor) Metrics() *metrics.Registry { return s.reg }
+func (s *Supervisor) Metrics() *metrics.Registry { return s.engine.Registry() }

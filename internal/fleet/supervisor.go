@@ -18,7 +18,7 @@
 // representable counts, the fleet-merged aggregate — and therefore the
 // cold first decode — is byte-identical to EstimateFromAggregate on the
 // union of all shards, for any member count, routing policy, and arrival
-// interleaving. Later refreshes warm-start from the previous estimate on
+// interleaving. Later decodes warm-start from the previous estimate on
 // the merge cadence, like a single collector's.
 //
 // One pipeline is enforced fleet-wide with the collector's transactional
@@ -42,10 +42,7 @@ import (
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/durable"
-	"dpspatial/internal/fo"
-	"dpspatial/internal/grid"
 	"dpspatial/internal/metrics"
-	"dpspatial/internal/rangequery"
 	"dpspatial/internal/trace"
 )
 
@@ -72,7 +69,7 @@ type Config struct {
 	Policy string
 	// Cadence is the background period of the member health probes and
 	// the hierarchical merge + warm re-estimate. Zero disables the loop;
-	// GET /v1/estimate still pulls and refreshes on demand.
+	// GET /v1/estimate still pulls and re-decodes on demand.
 	Cadence time.Duration
 	// AuthToken, when non-empty, is the fleet's shared secret: the
 	// supervisor requires it as a bearer token on every endpoint except
@@ -105,9 +102,12 @@ type Config struct {
 // under any http.Server, and call Start/Close around the serving
 // lifetime to run the probe + merge cadence loop.
 type Supervisor struct {
-	cfg     Config
-	mux     *http.ServeMux
-	handler http.Handler
+	cfg Config
+	// engine serves the read path (estimate and query caches, decode
+	// spans and metrics, the probe + decode cadence loop) over
+	// mergedState, and wraps every handler in the bearer gate,
+	// accounting and tracing.
+	engine  *collector.Engine
 	members []*member
 	router  router
 
@@ -127,41 +127,11 @@ type Supervisor struct {
 	acks     *collector.AckLog  // idempotency log: submission ID → ack
 	inflight map[string]bool    // submission IDs currently being forwarded
 	sticky   map[string]*member // unknown-state submissions pinned to the member that may hold them
-	est      *grid.Hist2D       // fleet estimate (nil until first decode)
-	estHash  uint64             // member-blob hash of the pull est was decoded from
-	estGen   uint64             // routed-submission count at that pull
-	estN     float64
-	estIters int
-	estWarm  bool
 
-	// queryTree caches the quadtree decode backing /v1/query range
-	// answers for TreeEstimator mechanisms, keyed by the member-blob
-	// hash of the pull it was decoded from.
-	queryTree     *rangequery.Quadtree
-	queryTreeHash uint64
-	queryTreeGen  uint64
-	queryTreeN    float64
-
-	// decodeMu serialises pull+decode cycles so concurrent GET
-	// /v1/estimate requests do not duplicate EM work.
-	decodeMu sync.Mutex
-
-	// reg is the /metrics registry; met the collector-tier shared
-	// instrument set registered on it; the two counters are the
-	// fleet-only families registerFleetMetrics adds.
-	reg            *metrics.Registry
+	// met is the engine's shared instrument set; fleetFailovers the
+	// fleet-only counter registerFleetMetrics adds.
 	met            *collector.ServiceMetrics
 	fleetFailovers *metrics.Counter
-	stateHashGens  *metrics.Counter
-
-	// tracer records per-request span trees (root per request, child per
-	// routed attempt) into the ring GET /v1/traces serves; nil when
-	// tracing is disabled.
-	tracer *trace.Tracer
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // New builds a supervisor over the configured members.
@@ -180,13 +150,30 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	s := &Supervisor{
 		cfg:      cfg,
-		stop:     make(chan struct{}),
 		acks:     collector.NewAckLog(collector.DedupWindow),
 		inflight: make(map[string]bool),
 		sticky:   make(map[string]*member),
 	}
-	s.reg = metrics.New()
-	s.met = collector.NewServiceMetrics(s.reg)
+	s.engine = collector.NewEngine(collector.EngineConfig{
+		Tier: "fleet", Service: "supervisor",
+		Source:      s.mergedState,
+		ErrorStatus: pullErrorStatus,
+		Routes: map[string]http.HandlerFunc{
+			"/healthz":      collector.MethodOnly(http.MethodGet, s.handleHealthz),
+			"/v1/report":    collector.MethodOnly(http.MethodPost, s.handleReport),
+			"/v1/aggregate": s.handleAggregate,
+			"/v1/stats":     collector.MethodOnly(http.MethodGet, s.handleStats),
+		},
+		Cadence:        cfg.Cadence,
+		OnTick:         s.probeMembers,
+		AuthToken:      cfg.AuthToken,
+		DisableMetrics: cfg.DisableMetrics,
+		DisableTraces:  cfg.DisableTraces,
+		TraceCapacity:  cfg.TraceCapacity,
+		SlowLog:        cfg.SlowLog,
+		EnablePprof:    cfg.EnablePprof,
+	})
+	s.met = s.engine.Instruments()
 	seen := make(map[string]bool, len(cfg.Members))
 	for _, url := range cfg.Members {
 		m := newMember(url, cfg.AuthToken, cfg.HTTPClient)
@@ -213,97 +200,31 @@ func New(cfg Config) (*Supervisor, error) {
 	s.stats.Policy = cfg.Policy
 	s.stats.CadenceMillis = cfg.Cadence.Milliseconds()
 	s.registerFleetMetrics()
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/v1/report", s.handleReport)
-	s.mux.HandleFunc("/v1/aggregate", s.handleAggregate)
-	s.mux.HandleFunc("/v1/estimate", s.handleEstimate)
-	s.mux.HandleFunc("/v1/query", s.handleQuery)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	if !cfg.DisableMetrics {
-		s.mux.Handle(collector.MetricsPath, s.reg.Handler())
-	}
-	if !cfg.DisableTraces {
-		s.tracer = trace.NewTracer("supervisor", cfg.TraceCapacity)
-		s.mux.Handle(collector.TracesPath, s.tracer.Handler())
-	}
-	if cfg.EnablePprof {
-		collector.MountPprof(s.mux)
-	}
-	s.handler = trace.Middleware(s.tracer, cfg.SlowLog, collector.UntracedPath,
-		collector.InstrumentHTTP(s.met, collector.RequireBearer(cfg.AuthToken, s.mux)))
 	return s, nil
 }
 
 // Tracer exposes the supervisor's completed-trace ring — nil when the
 // supervisor was built with DisableTraces.
-func (s *Supervisor) Tracer() *trace.Tracer { return s.tracer }
+func (s *Supervisor) Tracer() *trace.Tracer { return s.engine.Tracer() }
 
 // ServeHTTP implements http.Handler.
 func (s *Supervisor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
+	s.engine.ServeHTTP(w, r)
 }
 
 // Start launches the background cadence loop: probe every member's
-// /healthz, then pull and warm-refresh the fleet estimate. No-op when
+// /healthz, then pull and warm-decode the fleet estimate. No-op when
 // the configured cadence is zero.
-func (s *Supervisor) Start() {
-	if s.cfg.Cadence <= 0 {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		ticker := time.NewTicker(s.cfg.Cadence)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-ticker.C:
-				// Bound each tick so a hung member cannot wedge the
-				// loop; probes carry their own shorter timeout.
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				s.probeMembers(ctx)
-				// Refresh errors surface on the next GET; the loop only
-				// keeps the estimate warm.
-				_, _ = s.refresh(ctx)
-				cancel()
-			}
-		}
-	}()
-}
+func (s *Supervisor) Start() { s.engine.Start() }
 
 // Close stops the cadence loop. The handler stays usable.
-func (s *Supervisor) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
-}
-
-// submissionKind distinguishes the two POST framings the fleet routes.
-type submissionKind int
-
-const (
-	kindReport submissionKind = iota
-	kindAggregate
-)
-
-func (k submissionKind) String() string {
-	if k == kindReport {
-		return "report"
-	}
-	return "aggregate"
-}
+func (s *Supervisor) Close() { s.engine.Close() }
 
 // handleReport routes a report stream (the collector's POST /v1/report
 // framing) to one fleet member. A stream of bare report lines gets the
 // pinned pipeline header injected, so routing never depends on which
 // member happens to hold a mechanism already.
 func (s *Supervisor) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
 	if prev, ok := s.replayedAck(r); ok {
 		collector.WriteJSON(w, http.StatusOK, &prev)
 		return
@@ -317,38 +238,12 @@ func (s *Supervisor) handleReport(w http.ResponseWriter, r *http.Request) {
 	if i := bytes.IndexByte(body, '\n'); i >= 0 {
 		first = body[:i]
 	}
-	if len(bytes.TrimSpace(first)) == 0 {
-		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("empty report stream"))
+	hdr, _, err := collector.ParseStreamHead(first)
+	if err != nil {
+		collector.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(first, &probe); err != nil {
-		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("first line is neither a pipeline header nor a report: %v", err))
-		return
-	}
-	var hdr *collector.Pipeline
-	hasHdr := false
-	switch probe.Format {
-	case collector.ReportsFormat:
-		hdr = &collector.Pipeline{}
-		if err := json.Unmarshal(first, hdr); err != nil {
-			collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad pipeline header: %v", err))
-			return
-		}
-		hasHdr = true
-	case "":
-		var rep fo.Report
-		if err := json.Unmarshal(first, &rep); err != nil {
-			collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad report line: %v", err))
-			return
-		}
-	default:
-		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q", probe.Format))
-		return
-	}
-	s.routeSubmission(w, r, kindReport, body, hdr, hasHdr)
+	s.routeSubmission(w, r, collector.ShardReport, body, hdr)
 }
 
 // handleAggregate routes a DPA1/DPA2 blob submission (POST) or serves
@@ -385,7 +280,7 @@ func (s *Supervisor) handleAggregate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.routeSubmission(w, r, kindAggregate, body, hdr, hdr != nil)
+	s.routeSubmission(w, r, collector.ShardAggregate, body, hdr)
 }
 
 // routeSubmission validates a parsed submission against the fleet
@@ -401,7 +296,7 @@ func (s *Supervisor) handleAggregate(w http.ResponseWriter, r *http.Request) {
 // the member that may have merged it; a retry WITHOUT the ID cannot be
 // recognised as a replay and may merge again — the Client and damctl
 // always send one.
-func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kind submissionKind, body []byte, hdr *collector.Pipeline, bodyHasHdr bool) {
+func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kind collector.ShardKind, body []byte, hdr *collector.Pipeline) {
 	span := trace.SpanFrom(r.Context())
 	id := r.Header.Get(collector.SubmissionIDHeader)
 	if id == "" {
@@ -447,30 +342,15 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 		defer s.adoptMu.Unlock()
 	}
 	s.mu.Lock()
-	mech, pipeline := s.mech, s.pipeline
+	installed, pipeline := s.mech, s.pipeline
 	s.mu.Unlock()
-
-	var candidate collector.Estimator
-	if mech != nil {
-		if err := checkAgainstPin(mech, pipeline, hdr); err != nil {
-			collector.WriteError(w, http.StatusConflict, err)
-			return
-		}
-	} else {
-		if hdr == nil {
-			collector.WriteError(w, http.StatusConflict, fmt.Errorf("fleet has no pipeline yet; submit a shard with pipeline metadata first"))
-			return
-		}
-		built, err := s.cfg.Build(hdr)
-		if err != nil {
-			collector.WriteError(w, http.StatusConflict, fmt.Errorf("building mechanism from pipeline: %w", err))
-			return
-		}
-		if hdr.Scheme != "" && built.Scheme() != hdr.Scheme {
-			collector.WriteError(w, http.StatusConflict, fmt.Errorf("rebuilt mechanism scheme %q does not match submitted scheme %q", built.Scheme(), hdr.Scheme))
-			return
-		}
-		candidate = built
+	// Refusals happen here rather than burning a round trip to a member.
+	mech, adopted, err := collector.ResolveMechanism("fleet", installed, pipeline, hdr, s.cfg.Build)
+	if err != nil {
+		collector.WriteError(w, http.StatusConflict, err)
+		return
+	}
+	if adopted {
 		pin := *hdr
 		pipeline = &pin
 	}
@@ -478,18 +358,18 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	// Inject the fleet pipeline into payloads that don't carry metadata,
 	// so whichever member routing picks — even one that started bare —
 	// can adopt and cross-check the shard.
-	forwardBody := body
-	forwardHdr := hdr
-	if kind == kindReport && !bodyHasHdr && pipeline != nil {
-		line, err := marshalHeaderLine(pipeline)
-		if err != nil {
-			collector.WriteError(w, http.StatusInternalServerError, err)
-			return
+	forwardBody, forwardHdr := body, hdr
+	if hdr == nil && pipeline != nil {
+		if kind == collector.ShardAggregate {
+			forwardHdr = pipeline
+		} else {
+			line, err := marshalHeaderLine(pipeline)
+			if err != nil {
+				collector.WriteError(w, http.StatusInternalServerError, err)
+				return
+			}
+			forwardBody = append(line, body...)
 		}
-		forwardBody = append(line, body...)
-	}
-	if kind == kindAggregate && forwardHdr == nil {
-		forwardHdr = pipeline
 	}
 
 	resp, m, status, err := s.forward(r.Context(), kind, forwardBody, forwardHdr, body, id)
@@ -502,10 +382,10 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	}
 
 	s.mu.Lock()
-	if candidate != nil && s.mech == nil {
-		s.mech = candidate
+	if adopted && s.mech == nil {
+		s.mech = mech
 		s.pipeline = pipeline
-		s.stats.Scheme = candidate.Scheme()
+		s.stats.Scheme = mech.Scheme()
 	}
 	// A Duplicate ack with a sticky pin on this member is the lost-ack
 	// case: the member merged the shard on the aborted first attempt
@@ -520,7 +400,7 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	if !resp.Duplicate || recovered {
 		s.stats.Routed++
 		s.met.Submissions.With(collector.SubmissionAccepted).Inc()
-		if kind == kindReport {
+		if kind == collector.ShardReport {
 			s.stats.ReportShards++
 		} else {
 			s.stats.AggregateShards++
@@ -544,23 +424,6 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	delete(s.sticky, id)
 	s.mu.Unlock()
 	collector.WriteJSON(w, http.StatusOK, resp)
-}
-
-// checkAgainstPin validates a submission's metadata (which may be nil)
-// against the locked fleet mechanism and pinned pipeline, mirroring the
-// collector's own post-adoption checks so refusals happen at the
-// supervisor instead of burning a round trip to a member.
-func checkAgainstPin(mech collector.Estimator, pipeline, hdr *collector.Pipeline) error {
-	if hdr == nil {
-		return nil
-	}
-	if hdr.Scheme != "" && hdr.Scheme != mech.Scheme() {
-		return fmt.Errorf("submission scheme %q does not match fleet scheme %q", hdr.Scheme, mech.Scheme())
-	}
-	if pipeline != nil {
-		return pipeline.Compatible(hdr)
-	}
-	return nil
 }
 
 // marshalHeaderLine renders the pinned pipeline as a reports-framing
@@ -601,7 +464,7 @@ func marshalHeaderLine(p *collector.Pipeline) ([]byte, error) {
 //
 // routeBody is the submission as the client sent it (before any header
 // injection), so the hash policy keys on the client's bytes.
-func (s *Supervisor) forward(ctx context.Context, kind submissionKind, body []byte, hdr *collector.Pipeline, routeBody []byte, id string) (*collector.SubmitResponse, *member, int, error) {
+func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body []byte, hdr *collector.Pipeline, routeBody []byte, id string) (*collector.SubmitResponse, *member, int, error) {
 	span := trace.SpanFrom(ctx)
 	s.mu.Lock()
 	pinned := s.sticky[id]
@@ -630,7 +493,7 @@ func (s *Supervisor) forward(ctx context.Context, kind submissionKind, body []by
 			actx := trace.ContextWithSpan(ctx, attempt)
 			var resp *collector.SubmitResponse
 			var err error
-			if kind == kindReport {
+			if kind == collector.ShardReport {
 				resp, err = m.client.SubmitReportStreamWithID(actx, bytes.NewReader(body), id)
 			} else {
 				resp, err = m.client.SubmitAggregateBlobWithID(actx, body, hdr, id)
@@ -761,7 +624,7 @@ func memberMessage(se *collector.StatusError) string {
 	return se.Error()
 }
 
-// probeMembers refreshes every member's health flag off its /healthz.
+// probeMembers updates every member's health flag off its /healthz.
 func (s *Supervisor) probeMembers(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, m := range s.members {
@@ -775,10 +638,6 @@ func (s *Supervisor) probeMembers(ctx context.Context) {
 }
 
 func (s *Supervisor) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	s.mu.Lock()
 	scheme := s.stats.Scheme
 	s.mu.Unlock()
@@ -791,35 +650,6 @@ func (s *Supervisor) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	collector.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "role": "supervisor", "scheme": scheme,
 		"members": len(s.members), "healthy": healthy,
-	})
-}
-
-// handleEstimate pulls every member's aggregate, merges hierarchically,
-// and serves the decoded fleet histogram — cold on the first decode,
-// warm-started afterwards.
-func (s *Supervisor) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	cur, err := s.refresh(r.Context())
-	if err != nil {
-		collector.WriteError(w, pullErrorStatus(err), err)
-		return
-	}
-	s.mu.Lock()
-	scheme := s.stats.Scheme
-	s.mu.Unlock()
-	est := cur.est
-	collector.WriteJSON(w, http.StatusOK, &collector.EstimateResponse{
-		Scheme:     scheme,
-		Generation: cur.gen,
-		Reports:    cur.n,
-		D:          est.Dom.D,
-		Domain:     collector.DomainSpec{MinX: est.Dom.MinX, MinY: est.Dom.MinY, Side: est.Dom.Side},
-		Mass:       est.Mass,
-		Iterations: cur.iters,
-		Warm:       cur.warm,
 	})
 }
 
@@ -850,14 +680,11 @@ func (s *Supervisor) serveAggregate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
 	s.mu.Lock()
 	stats := s.stats
 	s.mu.Unlock()
 	stats.Generation = stats.Routed
+	stats.DecodeCounters, _ = s.engine.DecodeStats()
 	stats.Members = s.memberStats(r.Context())
 	for _, m := range stats.Members {
 		stats.Reports += m.Reports

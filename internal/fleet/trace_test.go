@@ -258,3 +258,78 @@ func TestFleetTraceScrapeUnderTraffic(t *testing.T) {
 		t.Fatalf("ring snapshot %d entries, over capacity %d", got, trace.DefaultCapacity)
 	}
 }
+
+// TestFleetTraceTreeQuery pins the fleet's tree-basis read path in the
+// trace ring: an AHEAD range query through a two-member supervisor
+// records the member pull, then the quadtree decode at the routed
+// generation, and a repeat of the query at the same member state
+// records a tree cache hit instead of a second decode.
+func TestFleetTraceTreeQuery(t *testing.T) {
+	urls := make([]string, 2)
+	for i := range urls {
+		c, err := collector.New(collector.Config{Build: aheadBuild})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c)
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	sup, err := fleet.New(fleet.Config{Members: urls, Build: aheadBuild})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sup)
+	t.Cleanup(func() { srv.Close(); sup.Close() })
+	client := collector.NewClient(srv.URL)
+	blobs, pipeline := goldenShards(t)
+	for _, blob := range blobs {
+		if _, err := client.SubmitAggregateBlob(context.Background(), blob, pipeline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := func() *trace.TraceData {
+		t.Helper()
+		res, err := http.Get(srv.URL + "/v1/query?type=range&x0=2&y0=0&x1=7&y1=5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("range query: HTTP %d", res.StatusCode)
+		}
+		return ringTrace(t, sup.Tracer(), res.Header.Get(trace.TraceIDHeader))
+	}
+
+	first := query()
+	root := &first.Spans[0]
+	pullAt, decodeAt := -1, -1
+	for i, sp := range first.Spans {
+		switch sp.Name {
+		case "fleet.pull":
+			pullAt = i
+		case "fleet.tree.decode":
+			decodeAt = i
+		default:
+			continue
+		}
+		if sp.ParentSpanID != root.SpanID {
+			t.Fatalf("%s not parented on the request root", sp.Name)
+		}
+	}
+	if pullAt < 0 || decodeAt < pullAt {
+		t.Fatalf("want fleet.pull then fleet.tree.decode, got spans %+v", first.Spans)
+	}
+	if gen := first.Spans[decodeAt].Attrs["generation"]; gen != int64(len(blobs)) {
+		t.Fatalf("fleet.tree.decode generation = %#v, want the routed count %d", gen, len(blobs))
+	}
+
+	again := query()
+	if !hasEvent(&again.Spans[0], "tree.cache.hit") {
+		t.Fatalf("repeat query's root lacks the tree.cache.hit event (events: %+v)", again.Spans[0].Events)
+	}
+	if traceSpan(again, "fleet.tree.decode") != nil {
+		t.Fatal("repeat query at an unchanged member state decoded the tree again")
+	}
+}

@@ -250,7 +250,12 @@ func (a *Aggregate) MarshalBinaryV1() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary decodes either binary format version in place.
+// UnmarshalBinary decodes either binary format version in place. It is
+// where serialized aggregates enter a process (a POSTed shard, a
+// snapshot or WAL record, a member pull), so it refuses any count —
+// cell or N — that is not a finite, non-negative integer: one such cell
+// would otherwise merge into the canonical aggregate and fail every
+// later decode.
 func (a *Aggregate) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
 	magic := make([]byte, len(aggregateMagic))
@@ -309,7 +314,11 @@ func (a *Aggregate) UnmarshalBinary(data []byte) error {
 				if _, err := io.ReadFull(r, b[:]); err != nil {
 					return fmt.Errorf("fo: truncated plane %d: %v", p, err)
 				}
-				planes[p][j] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+				v := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+				if err := validCount(v, j); err != nil {
+					return fmt.Errorf("%w of plane %d", err, p)
+				}
+				planes[p][j] = v
 			}
 		case planeSparse:
 			// The logical size is decoupled from the payload length (that
@@ -340,7 +349,11 @@ func (a *Aggregate) UnmarshalBinary(data []byte) error {
 				if _, err := io.ReadFull(r, b[:]); err != nil {
 					return fmt.Errorf("fo: truncated plane %d sparse value: %v", p, err)
 				}
-				planes[p][j] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+				v := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+				if err := validCount(v, int(j)); err != nil {
+					return fmt.Errorf("%w of plane %d", err, p)
+				}
+				planes[p][j] = v
 			}
 		default:
 			return fmt.Errorf("fo: plane %d has unknown encoding %d", p, encoding)
@@ -353,9 +366,13 @@ func (a *Aggregate) UnmarshalBinary(data []byte) error {
 	if r.Len() != 0 {
 		return fmt.Errorf("fo: %d trailing bytes after aggregate", r.Len())
 	}
+	n := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	if !isCount(n) {
+		return fmt.Errorf("fo: invalid report count %v", n)
+	}
 	a.Scheme = string(scheme)
 	a.Planes = planes
-	a.N = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	a.N = n
 	return nil
 }
 
@@ -364,9 +381,16 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(b[:binary.PutUvarint(b[:], v)])
 }
 
-// validCount rejects negative or non-integral per-cell user counts.
+// isCount reports whether c is a user count: finite, non-negative and
+// integral. NaN fails every comparison; +Inf is the one value the first
+// two tests let through.
+func isCount(c float64) bool {
+	return c >= 0 && c == math.Trunc(c) && !math.IsInf(c, 1)
+}
+
+// validCount rejects per-cell user counts that are not isCount.
 func validCount(c float64, cell int) error {
-	if c < 0 || c != math.Trunc(c) {
+	if !isCount(c) {
 		return fmt.Errorf("fo: invalid count %v at cell %d", c, cell)
 	}
 	return nil

@@ -186,6 +186,40 @@ func TestAggregateBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestAggregateBinaryRejectsInvalidCounts pins the entry-point check:
+// a blob carrying a cell or N that is NaN, negative, fractional or
+// infinite fails to decode in both formats and both plane encodings,
+// and leaves the target untouched.
+func TestAggregateBinaryRejectsInvalidCounts(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), -3, 0.5, math.Inf(1)} {
+		sparse := make([]float64, 64)
+		sparse[5] = bad
+		for name, agg := range map[string]*Aggregate{
+			"dense cell":  {Scheme: "s", Planes: [][]float64{{1, bad, 2}}, N: 3},
+			"sparse cell": {Scheme: "s", Planes: [][]float64{sparse}, N: 3},
+			"N":           {Scheme: "s", Planes: [][]float64{{1, 0, 2}}, N: bad},
+		} {
+			v1, err := agg.MarshalBinaryV1()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := agg.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, blob := range [][]byte{v1, v2} {
+				back := Aggregate{Scheme: "untouched"}
+				if err := back.UnmarshalBinary(blob); err == nil {
+					t.Fatalf("%s %s = %v decoded", blob[:4], name, bad)
+				}
+				if back.Scheme != "untouched" || back.Planes != nil {
+					t.Fatalf("%s %s = %v: failed decode modified the target", blob[:4], name, bad)
+				}
+			}
+		}
+	}
+}
+
 // TestAggregateGoldenBlobs pins both wire layouts against fixed byte
 // strings, independently of the in-tree encoders: fleets hold DPA1/DPA2
 // blobs encoded by past releases, so a consistent drift of encoder and
@@ -454,6 +488,9 @@ func TestAccumulateMatchesManualLoop(t *testing.T) {
 	}
 	if err := Accumulate(g, NewAggregateFor(g), []float64{1, -1, 0, 0, 0}, rng.New(1)); err == nil {
 		t.Fatal("negative count should fail")
+	}
+	if err := Accumulate(g, NewAggregateFor(g), []float64{1, math.Inf(1), 0, 0, 0}, rng.New(1)); err == nil {
+		t.Fatal("infinite count should fail")
 	}
 }
 
