@@ -92,10 +92,9 @@ type Mechanism interface {
 type Option func(*options)
 
 type options struct {
-	bHat       *int
-	smoothing  bool
-	workers    *int
-	estWorkers *int
+	bHat      *int
+	smoothing bool
+	workers   *int
 }
 
 // WithRadius overrides DAM/HUEM's discrete high-probability radius b̂ (in
@@ -118,16 +117,6 @@ func WithCollectWorkers(n int) Option {
 	return func(o *options) { o.workers = &n }
 }
 
-// WithEstimateWorkers fans the EM decoding step of estimation out across
-// n row-block workers (0 = all cores). Unlike collection fan-out, the
-// parallel EM engine is deterministic: the estimate is byte-identical
-// for every worker count ≥ 2, though it may differ from the sequential
-// (n = 1, the default) engine in the last float64 bits. Supported by the
-// channel-matrix mechanisms (DAM family and SEM-Geo-I).
-func WithEstimateWorkers(n int) Option {
-	return func(o *options) { o.estWorkers = &n }
-}
-
 func (o *options) samOpts() []sam.Option {
 	var out []sam.Option
 	if o.bHat != nil {
@@ -138,9 +127,6 @@ func (o *options) samOpts() []sam.Option {
 	}
 	if o.workers != nil {
 		out = append(out, sam.WithWorkers(*o.workers))
-	}
-	if o.estWorkers != nil {
-		out = append(out, sam.WithEstimateWorkers(*o.estWorkers))
 	}
 	return out
 }
@@ -157,9 +143,6 @@ func (o *options) semOpts() []semgeoi.Option {
 	var out []semgeoi.Option
 	if o.workers != nil {
 		out = append(out, semgeoi.WithWorkers(*o.workers))
-	}
-	if o.estWorkers != nil {
-		out = append(out, semgeoi.WithEstimateWorkers(*o.estWorkers))
 	}
 	return out
 }
@@ -321,7 +304,7 @@ func WithMechanism(name string) EstimateOption {
 }
 
 // WithOptions forwards mechanism options (radius, smoothing, collection
-// workers, estimate workers).
+// workers).
 func WithOptions(opts ...Option) EstimateOption {
 	return func(c *estimateConfig) { c.opts = opts }
 }

@@ -110,7 +110,7 @@ func buildPLState(dom grid.Domain, epsGeo float64) *plState {
 	kern := fo.DisplacementKernel(d, func(dx, dy int) float64 {
 		return math.Exp(-epsGeo * math.Hypot(float64(dx), float64(dy)))
 	})
-	if conv, err := fo.NewConvChannel(d, kern, nil); err == nil &&
+	if conv, err := fo.NewConvChannel(d, kern); err == nil &&
 		conv.Calibrated(func(i int, row []float64) { exactRow(i, row) }, plProbes(d), 0) {
 		return &plState{channel: conv, norms: conv.Normalizers()}
 	}

@@ -15,7 +15,7 @@ func convTestChannel(t *testing.T, d int, eps float64) (*fo.ConvChannel, *fo.Cha
 	kern := fo.DisplacementKernel(d, func(dx, dy int) float64 {
 		return math.Exp(-eps * math.Hypot(float64(dx), float64(dy)) / 2)
 	})
-	conv, err := fo.NewConvChannel(d, kern, nil)
+	conv, err := fo.NewConvChannel(d, kern)
 	if err != nil {
 		t.Fatalf("NewConvChannel: %v", err)
 	}
@@ -40,30 +40,6 @@ func TestEstimateConvMatchesDense(t *testing.T) {
 		}
 		if diff := maxAbsDiff(got, want); diff > 1e-9 {
 			t.Errorf("d=%d: conv and dense EM estimates differ by %g", d, diff)
-		}
-	}
-}
-
-// TestEstimateConvByteIdenticalAcrossWorkers: the conv decode uses the
-// global FFT sweeps for every worker count, so the output must be
-// byte-identical — the collector/fleet tiers depend on it.
-func TestEstimateConvByteIdenticalAcrossWorkers(t *testing.T) {
-	r := rng.New(405)
-	conv, _ := convTestChannel(t, 9, 0.9)
-	counts := randomCounts(r, conv.NumOutputs())
-	base, err := Estimate(conv, counts, &Options{MaxIter: 40, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 5, 16} {
-		got, err := Estimate(conv, counts, &Options{MaxIter: 40, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: estimate differs at %d (%v vs %v)", workers, i, got[i], base[i])
-			}
 		}
 	}
 }

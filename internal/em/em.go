@@ -8,19 +8,14 @@
 // The engine consumes channels through fo.LinearChannel, so structured
 // channels (uniform-plus-sparse SAM/SW rows, two-valued GRR) run each EM
 // sweep in O(In + nnz) instead of the dense O(In·Out). Dense channels
-// keep a bit-exact sequential path; Options.Workers > 1 selects a
-// deterministic row-block parallel engine whose result is byte-identical
-// for every worker count; Options.Init warm-starts the iteration from a
-// previous estimate for incremental re-estimation over growing
-// aggregates.
+// keep a bit-exact sequential path; Options.Init warm-starts the
+// iteration from a previous estimate for incremental re-estimation over
+// growing aggregates.
 package em
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"dpspatial/internal/fo"
 )
@@ -43,27 +38,6 @@ type Options struct {
 	// for. Warm-starting from the previous estimate after an aggregate
 	// merge converges in far fewer iterations than a cold start.
 	Init []float64
-	// Workers selects the EM engine: values ≤ 1 run the sequential
-	// engine (bit-exact with the historical implementation on dense
-	// channels); values > 1 run the row-block parallel engine with that
-	// many workers. The parallel engine partitions rows into fixed-size
-	// blocks and combines per-block partial sums in block order, so its
-	// result is byte-identical for every worker count (though it may
-	// differ from the sequential engine in the last float64 bits, as any
-	// re-associated summation does).
-	Workers int
-}
-
-// ResolveWorkers maps the public worker-knob convention of this
-// codebase (0 = all cores, n ≥ 1 = n workers) onto Options.Workers,
-// whose zero value deliberately stays sequential for backward
-// compatibility. Every estimation entry point that forwards a
-// mechanism-level worker count should pass it through here.
-func ResolveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // Stats reports how an EM run terminated.
@@ -88,7 +62,6 @@ func (o *Options) withDefaults() Options {
 		}
 		out.Smoothing = o.Smoothing
 		out.Init = o.Init
-		out.Workers = o.Workers
 	}
 	return out
 }
@@ -111,13 +84,16 @@ func EstimateWithStats(ch fo.LinearChannel, counts []float64, opts *Options) ([]
 	}
 	total := 0.0
 	for j, c := range counts {
-		if c < 0 || math.IsNaN(c) {
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 			return nil, Stats{}, fmt.Errorf("em: invalid count %v at %d", c, j)
 		}
 		total += c
 	}
 	if total <= 0 {
 		return nil, Stats{}, fmt.Errorf("em: no reports")
+	}
+	if math.IsInf(total, 0) {
+		return nil, Stats{}, fmt.Errorf("em: count total overflows float64")
 	}
 	o := opts.withDefaults()
 
@@ -127,16 +103,7 @@ func EstimateWithStats(ch fo.LinearChannel, counts []float64, opts *Options) ([]
 	}
 
 	var step func(p, next []float64)
-	if _, ok := ch.(*fo.ConvChannel); ok {
-		// The convolutional channel's Forward/Backward are already global
-		// O(n log n) FFT sweeps; handing it to the row-block engine would
-		// re-run a full transform once per 256-row block. The global
-		// sweeps contain no scheduling-dependent reduction, so the
-		// estimate is byte-identical for every Options.Workers value.
-		step = linearStepper(ch, counts, total)
-	} else if bc, ok := ch.(fo.BlockChannel); ok && o.Workers > 1 && in > 1 {
-		step = parallelStepper(bc, counts, total, o.Workers)
-	} else if dense, ok := ch.(*fo.Channel); ok {
+	if dense, ok := ch.(*fo.Channel); ok {
 		step = denseStepper(dense, counts, total)
 	} else {
 		step = linearStepper(ch, counts, total)
@@ -246,92 +213,6 @@ func linearStepper(ch fo.LinearChannel, counts []float64, total float64) func(p,
 			}
 		}
 		ch.Backward(w, next)
-		for i := range next {
-			next[i] = p[i] * next[i] / total
-		}
-	}
-}
-
-// emBlockRows is the fixed row-block granularity of the parallel engine.
-// It is a constant (not derived from the worker count), so the block
-// partition — and therefore the order partial sums are combined in — is
-// identical for every worker count.
-const emBlockRows = 256
-
-// parallelStepper runs both EM sweeps over fixed row blocks fanned out
-// across workers. E-step partials are accumulated per block and merged
-// in block order; the M step writes disjoint row ranges. Both are
-// deterministic regardless of scheduling, so the estimate is
-// byte-identical across worker counts.
-func parallelStepper(ch fo.BlockChannel, counts []float64, total float64, workers int) func(p, next []float64) {
-	in, out := ch.NumInputs(), ch.NumOutputs()
-	numBlocks := (in + emBlockRows - 1) / emBlockRows
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	outMix := make([]float64, out)
-	w := make([]float64, out)
-	partials := make([][]float64, numBlocks)
-	for b := range partials {
-		partials[b] = make([]float64, out)
-	}
-	blockRange := func(b int) (int, int) {
-		lo := b * emBlockRows
-		hi := lo + emBlockRows
-		if hi > in {
-			hi = in
-		}
-		return lo, hi
-	}
-	runBlocks := func(f func(b int)) {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					b := int(cursor.Add(1)) - 1
-					if b >= numBlocks {
-						return
-					}
-					f(b)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return func(p, next []float64) {
-		// E step: per-block partial output mixtures, merged in block order.
-		runBlocks(func(b int) {
-			lo, hi := blockRange(b)
-			buf := partials[b]
-			for j := range buf {
-				buf[j] = 0
-			}
-			ch.ForwardBlock(lo, hi, p, buf)
-		})
-		for j := range outMix {
-			outMix[j] = 0
-		}
-		for b := 0; b < numBlocks; b++ {
-			buf := partials[b]
-			for j := range outMix {
-				outMix[j] += buf[j]
-			}
-		}
-		for j := range w {
-			if counts[j] != 0 && outMix[j] > 0 {
-				w[j] = counts[j] / outMix[j]
-			} else {
-				w[j] = 0
-			}
-		}
-		// M step: disjoint row ranges, inherently deterministic.
-		runBlocks(func(b int) {
-			lo, hi := blockRange(b)
-			ch.BackwardBlock(lo, hi, w, next)
-		})
 		for i := range next {
 			next[i] = p[i] * next[i] / total
 		}

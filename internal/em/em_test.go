@@ -156,6 +156,12 @@ func TestEstimateErrors(t *testing.T) {
 	if _, err := Estimate(ch, []float64{1, math.NaN(), 1}, nil); err == nil {
 		t.Fatal("NaN count accepted")
 	}
+	if _, err := Estimate(ch, []float64{math.Inf(1), 1, 2}, nil); err == nil {
+		t.Fatal("+Inf count accepted")
+	}
+	if _, err := Estimate(ch, []float64{math.MaxFloat64, math.MaxFloat64, 1}, nil); err == nil {
+		t.Fatal("count total overflowing to +Inf accepted")
+	}
 }
 
 func TestSmoother1DConservesMass(t *testing.T) {

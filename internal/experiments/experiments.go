@@ -63,18 +63,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns a configuration sized for minutes-scale harness
-// runs; pass Scale: 1 and Repeats: 10 to match the paper's setup exactly.
-func DefaultConfig() Config {
-	return Config{
-		Scale:         0.05,
-		Repeats:       2,
-		Seed:          2025,
-		MaxPoints:     40000,
-		LPCalibration: true,
-	}
-}
-
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 0.05

@@ -80,16 +80,6 @@ func (s *Suite) radiusCell(dataset string, d int, eps float64, bHat int) evalCel
 	}
 }
 
-// evalDAMWithRadius runs one Figure 8 cell (kept for tests and ad-hoc
-// sweeps).
-func (s *Suite) evalDAMWithRadius(dataset string, d int, eps float64, bHat int) (float64, error) {
-	means, err := s.runCells([]evalCell{s.radiusCell(dataset, d, eps, bHat)})
-	if err != nil {
-		return 0, err
-	}
-	return means[0], nil
-}
-
 // sweep runs a family of mechanisms across X values for one dataset,
 // with every (mechanism × x × part × repeat) trial fanned out over the
 // suite's pool.

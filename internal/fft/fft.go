@@ -235,21 +235,6 @@ func (p *Plan) Inverse(re, im []float64) {
 	}
 }
 
-// Inverse2 is the two-signal interleaved Inverse, bit-identical to two
-// Inverse calls.
-func (p *Plan) Inverse2(re1, im1, re2, im2 []float64) {
-	p.Forward2(im1, re1, im2, re2)
-	s := p.inv
-	for i := range re1[:p.n] {
-		re1[i] *= s
-		im1[i] *= s
-	}
-	for i := range re2[:p.n] {
-		re2[i] *= s
-		im2[i] *= s
-	}
-}
-
 // inverseRaw / inverseRaw2 are the unscaled inverse transforms (the swap
 // identity without the 1/n pass). The 2-D convolver pre-folds both
 // dimensions' scalings into the kernel spectrum, so its inverse passes

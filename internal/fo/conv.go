@@ -3,7 +3,6 @@ package fo
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"dpspatial/internal/fft"
@@ -29,14 +28,10 @@ import (
 // at O(n log n) per sweep instead of the dense O(n²), with the kernel's
 // FFT precomputed once at construction.
 //
-// Rows that do not follow the kernel (exotic per-cell adjustments) are
-// carried by a sparse override layer in the same CSR absolute-value form
-// as UniformSparse: each override replaces one base entry, and the sweeps
-// add the p_i·(val − base_ij) / (val − base_ij)·w_j corrections after the
-// convolution. Row materialisation reproduces the exact dense matrix bit
-// for bit: base entries are kern(off)/z_i with z_i accumulated in the
-// same row-major order as a dense row-sum, so alias samplers built from
-// Row are byte-identical to the dense channel's.
+// Row materialisation reproduces the exact dense matrix bit for bit:
+// entries are kern(off)/z_i with z_i accumulated in the same row-major
+// order as a dense row-sum, so alias samplers built from Row are
+// byte-identical to the dense channel's.
 //
 // A ConvChannel is safe for concurrent sweeps: per-call working memory
 // comes from an internal pool, and all construction-time state is
@@ -48,22 +43,9 @@ type ConvChannel struct {
 	z    []float64
 	conv *fft.RealConv2D
 	pool sync.Pool
-
-	// Sparse override layer (CSR over input rows, absolute values).
-	rowStart []int
-	idx      []int32
-	val      []float64
-	dval     []float64 // val − base entry: the sweep correction
 }
 
-var _ BlockChannel = (*ConvChannel)(nil)
-
-// ConvOverride replaces the base entry at (Row, Col) with the absolute
-// probability Val.
-type ConvOverride struct {
-	Row, Col int
-	Val      float64
-}
+var _ LinearChannel = (*ConvChannel)(nil)
 
 // convScratch is one sweep's working memory.
 type convScratch struct {
@@ -86,11 +68,10 @@ func DisplacementKernel(d int, f func(dx, dy int) float64) []float64 {
 }
 
 // NewConvChannel builds the convolutional channel for a d×d grid from the
-// (2d−1)×(2d−1) displacement table kern (see DisplacementKernel), plus
-// optional per-entry overrides. kern values must be non-negative and
-// finite, and every row — base entries kern/z_i with overrides applied —
-// must remain a probability distribution (checked by Validate).
-func NewConvChannel(d int, kern []float64, overrides []ConvOverride) (*ConvChannel, error) {
+// (2d−1)×(2d−1) displacement table kern (see DisplacementKernel). kern
+// values must be non-negative and finite, and every row normaliser
+// Σ_j kern(c_j − c_i) must be positive and finite.
+func NewConvChannel(d int, kern []float64) (*ConvChannel, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("fo: conv channel needs a positive grid side, got %d", d)
 	}
@@ -139,61 +120,7 @@ func NewConvChannel(d int, kern []float64, overrides []ConvOverride) (*ConvChann
 		return nil, err
 	}
 	c.conv = conv
-
-	if err := c.setOverrides(overrides); err != nil {
-		return nil, err
-	}
 	return c, nil
-}
-
-// setOverrides installs the sparse correction layer in CSR form.
-func (c *ConvChannel) setOverrides(overrides []ConvOverride) error {
-	c.rowStart = make([]int, c.n+1)
-	if len(overrides) == 0 {
-		return nil
-	}
-	ovs := append([]ConvOverride(nil), overrides...)
-	sort.Slice(ovs, func(a, b int) bool {
-		if ovs[a].Row != ovs[b].Row {
-			return ovs[a].Row < ovs[b].Row
-		}
-		return ovs[a].Col < ovs[b].Col
-	})
-	c.idx = make([]int32, 0, len(ovs))
-	c.val = make([]float64, 0, len(ovs))
-	c.dval = make([]float64, 0, len(ovs))
-	row := 0
-	for k, o := range ovs {
-		if o.Row < 0 || o.Row >= c.n || o.Col < 0 || o.Col >= c.n {
-			return fmt.Errorf("fo: conv override (%d, %d) outside %d×%d", o.Row, o.Col, c.n, c.n)
-		}
-		if o.Val < 0 || math.IsNaN(o.Val) {
-			return fmt.Errorf("fo: conv override (%d, %d) has invalid value %v", o.Row, o.Col, o.Val)
-		}
-		if k > 0 && ovs[k-1].Row == o.Row && ovs[k-1].Col == o.Col {
-			return fmt.Errorf("fo: duplicate conv override at (%d, %d)", o.Row, o.Col)
-		}
-		for row < o.Row {
-			row++
-			c.rowStart[row] = len(c.idx)
-		}
-		c.idx = append(c.idx, int32(o.Col))
-		c.val = append(c.val, o.Val)
-		c.dval = append(c.dval, o.Val-c.baseAt(o.Row, o.Col))
-	}
-	for row < c.n {
-		row++
-		c.rowStart[row] = len(c.idx)
-	}
-	return nil
-}
-
-// baseAt returns the pre-override entry M_ij = kern(c_j − c_i)/z_i.
-func (c *ConvChannel) baseAt(i, j int) float64 {
-	d, w := c.d, 2*c.d-1
-	dx := j%d - i%d
-	dy := j/d - i/d
-	return c.kern[(dy+d-1)*w+(dx+d-1)] / c.z[i]
 }
 
 // NumInputs implements LinearChannel.
@@ -202,16 +129,10 @@ func (c *ConvChannel) NumInputs() int { return c.n }
 // NumOutputs implements LinearChannel.
 func (c *ConvChannel) NumOutputs() int { return c.n }
 
-// GridSide returns d, the side of the underlying d×d grid.
-func (c *ConvChannel) GridSide() int { return c.d }
-
 // Normalizers returns the per-row pre-normalisation masses z_i, exactly
 // the row sums a dense construction would have computed. The returned
 // slice is the channel's backing store — treat it as read-only.
 func (c *ConvChannel) Normalizers() []float64 { return c.z }
-
-// NNZ returns the number of override entries.
-func (c *ConvChannel) NNZ() int { return len(c.idx) }
 
 // scratch borrows per-sweep working memory from the pool.
 func (c *ConvChannel) scratch() *convScratch {
@@ -247,8 +168,8 @@ func (c *ConvChannel) embed(buf, src, scale []float64) {
 	}
 }
 
-// Forward implements LinearChannel: out = Mᵀp = K·(p/z) + override
-// corrections, one FFT convolution.
+// Forward implements LinearChannel: out = Mᵀp = K·(p/z), one FFT
+// convolution.
 func (c *ConvChannel) Forward(p, out []float64) {
 	s := c.scratch()
 	c.embed(s.buf, p, c.z)
@@ -258,93 +179,19 @@ func (c *ConvChannel) Forward(p, out []float64) {
 		copy(out[y*d:(y+1)*d], s.buf[y*N:y*N+d])
 	}
 	c.pool.Put(s)
-	c.forwardOverrides(0, c.n, p, out)
 }
 
-// forwardOverrides adds Σ p_i·(val − base_ij) onto the override columns
-// for rows i ∈ [lo, hi).
-func (c *ConvChannel) forwardOverrides(lo, hi int, p, out []float64) {
-	if len(c.idx) == 0 {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		pi := p[i]
-		if pi == 0 {
-			continue
-		}
-		for k := c.rowStart[i]; k < c.rowStart[i+1]; k++ {
-			out[c.idx[k]] += pi * c.dval[k]
-		}
-	}
-}
-
-// Backward implements LinearChannel: out = (K ⋆ w)/z + override
-// corrections, one FFT correlation.
+// Backward implements LinearChannel: out = (K ⋆ w)/z, one FFT
+// correlation.
 func (c *ConvChannel) Backward(w, out []float64) {
-	c.backwardRange(0, c.n, w, out)
-}
-
-// backwardRange computes Backward for output entries i ∈ [lo, hi) only.
-func (c *ConvChannel) backwardRange(lo, hi int, w, out []float64) {
 	s := c.scratch()
 	c.embed(s.buf, w, nil)
 	c.conv.Apply(s.buf, s.buf, c.d, s.fs, true)
 	d, N := c.d, c.fftN
-	for i := lo; i < hi; i++ {
+	for i := 0; i < c.n; i++ {
 		out[i] = s.buf[(i/d)*N+i%d] / c.z[i]
 	}
 	c.pool.Put(s)
-	if len(c.idx) == 0 {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		acc := out[i]
-		for k := c.rowStart[i]; k < c.rowStart[i+1]; k++ {
-			acc += c.dval[k] * w[c.idx[k]]
-		}
-		out[i] = acc
-	}
-}
-
-// ForwardBlock implements BlockChannel: the rows outside [lo, hi) are
-// masked out of the embedding and the convolution runs as usual, so
-// disjoint blocks still sum to Forward exactly. Each block pays a full
-// FFT pass — the parallel engine only profits from this when blocks run
-// concurrently; the EM loop prefers the global sweeps on this channel.
-func (c *ConvChannel) ForwardBlock(lo, hi int, p, out []float64) {
-	s := c.scratch()
-	d, N := c.d, c.fftN
-	buf := s.buf
-	for y := 0; y < d; y++ {
-		row := buf[y*N : y*N+N]
-		rowLo := y * d
-		for x := 0; x < d; x++ {
-			if i := rowLo + x; i >= lo && i < hi {
-				row[x] = p[i] / c.z[i]
-			} else {
-				row[x] = 0
-			}
-		}
-		for x := d; x < N; x++ {
-			row[x] = 0
-		}
-	}
-	c.conv.Apply(buf, buf, d, s.fs, false)
-	for y := 0; y < d; y++ {
-		res := buf[y*N : y*N+d]
-		o := out[y*d : (y+1)*d]
-		for x, v := range res {
-			o[x] += v
-		}
-	}
-	c.pool.Put(s)
-	c.forwardOverrides(lo, hi, p, out)
-}
-
-// BackwardBlock implements BlockChannel: one full correlation, finishing
-// only the rows in [lo, hi).
-func (c *ConvChannel) BackwardBlock(lo, hi int, w, out []float64) {
-	c.backwardRange(lo, hi, w, out)
 }
 
 // Row implements LinearChannel, materialising row i into a fresh slice.
@@ -355,8 +202,8 @@ func (c *ConvChannel) Row(i int) []float64 {
 }
 
 // RowInto materialises row i into dst (len NumOutputs) without
-// allocating: kern(c_j − c_i)/z_i with overrides applied — bit-identical
-// to the dense construction the channel replaces.
+// allocating: kern(c_j − c_i)/z_i — bit-identical to the dense
+// construction the channel replaces.
 func (c *ConvChannel) RowInto(i int, dst []float64) {
 	d, w := c.d, 2*c.d-1
 	xi, yi := i%d, i/d
@@ -368,40 +215,16 @@ func (c *ConvChannel) RowInto(i int, dst []float64) {
 			out[xj] = seg[xj] / zi
 		}
 	}
-	for k := c.rowStart[i]; k < c.rowStart[i+1]; k++ {
-		dst[c.idx[k]] = c.val[k]
-	}
 }
 
-// Validate checks the row-stochastic invariant. Base rows sum to z_i/z_i
-// by construction — exactly 1 up to one rounding per entry, bounded well
-// below the 1e-9 channel tolerance — so only the structural invariants
-// and the overridden rows (materialised and summed) cost real work:
-// O(n + nnz·n) total, never O(n²).
+// Validate checks the row-stochastic invariant. Rows sum to z_i/z_i by
+// construction — exactly 1 up to one rounding per entry, bounded well
+// below the 1e-9 channel tolerance — so only the normalisers need
+// checking: O(n), never O(n²).
 func (c *ConvChannel) Validate() error {
 	for i, zi := range c.z {
 		if zi <= 0 || math.IsNaN(zi) || math.IsInf(zi, 0) {
 			return fmt.Errorf("fo: conv channel row %d has invalid normaliser %v", i, zi)
-		}
-	}
-	if len(c.idx) == 0 {
-		return nil
-	}
-	row := make([]float64, c.n)
-	for i := 0; i < c.n; i++ {
-		if c.rowStart[i] == c.rowStart[i+1] {
-			continue
-		}
-		c.RowInto(i, row)
-		sum := 0.0
-		for _, v := range row {
-			if v < 0 || math.IsNaN(v) {
-				return fmt.Errorf("fo: conv channel row %d has invalid entry %v", i, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("fo: conv channel row %d sums to %v", i, sum)
 		}
 	}
 	return nil

@@ -72,7 +72,7 @@ func TestConvChannelMatchesDense(t *testing.T) {
 		n := d * d
 		kern := testKernel(d, 1.3)
 		dense := denseFromKernel(d, kern)
-		conv, err := NewConvChannel(d, kern, nil)
+		conv, err := NewConvChannel(d, kern)
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -115,130 +115,10 @@ func TestConvChannelMatchesDense(t *testing.T) {
 	}
 }
 
-// TestConvChannelBlocksSumToFull checks the BlockChannel contract:
-// disjoint ForwardBlock calls sum to Forward, and BackwardBlock fills
-// exactly its row range.
-func TestConvChannelBlocksSumToFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	d := 7
-	n := d * d
-	conv, err := NewConvChannel(d, testKernel(d, 0.8), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomDist(rng, n)
-	w := make([]float64, n)
-	for j := range w {
-		w[j] = rng.Float64()
-	}
-
-	full := make([]float64, n)
-	conv.Forward(p, full)
-	blocked := make([]float64, n)
-	for lo := 0; lo < n; lo += 11 {
-		hi := lo + 11
-		if hi > n {
-			hi = n
-		}
-		conv.ForwardBlock(lo, hi, p, blocked)
-	}
-	if dev := maxAbsDev(blocked, full); dev > 1e-9 {
-		t.Errorf("sum of ForwardBlock deviates from Forward by %g", dev)
-	}
-
-	fullB := make([]float64, n)
-	conv.Backward(w, fullB)
-	blockedB := make([]float64, n)
-	for i := range blockedB {
-		blockedB[i] = math.NaN() // must be overwritten in-range only
-	}
-	conv.BackwardBlock(13, 29, w, blockedB)
-	for i := 13; i < 29; i++ {
-		if blockedB[i] != fullB[i] {
-			t.Errorf("BackwardBlock row %d differs from Backward", i)
-		}
-	}
-	for _, i := range []int{0, 12, 29, n - 1} {
-		if !math.IsNaN(blockedB[i]) {
-			t.Errorf("BackwardBlock touched out-of-range row %d", i)
-		}
-	}
-}
-
-// TestConvChannelOverrides exercises the sparse correction layer: a few
-// border entries are replaced (with the row's remaining mass shifted onto
-// the diagonal so rows stay stochastic) and the channel must match the
-// equivalently-patched dense matrix.
-func TestConvChannelOverrides(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	d := 5
-	n := d * d
-	kern := testKernel(d, 1.1)
-	dense := denseFromKernel(d, kern)
-
-	var ovs []ConvOverride
-	for _, i := range []int{0, d - 1, n - d, n - 1, n / 2} {
-		row := dense.Row(i)
-		// Halve one entry of the row and move the mass onto the diagonal.
-		j := (i + 3) % n
-		delta := row[j] / 2
-		row[j] -= delta
-		row[i] += delta
-		ovs = append(ovs,
-			ConvOverride{Row: i, Col: j, Val: row[j]},
-			ConvOverride{Row: i, Col: i, Val: row[i]},
-		)
-	}
-	conv, err := NewConvChannel(d, kern, ovs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conv.NNZ() != len(ovs) {
-		t.Fatalf("NNZ = %d, want %d", conv.NNZ(), len(ovs))
-	}
-	if err := conv.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-
-	for i := 0; i < n; i++ {
-		if dev := maxAbsDev(conv.Row(i), dense.Row(i)); dev != 0 {
-			t.Fatalf("overridden row %d deviates by %g", i, dev)
-		}
-	}
-
-	p := randomDist(rng, n)
-	w := make([]float64, n)
-	for j := range w {
-		w[j] = rng.Float64()
-	}
-	wantF := make([]float64, n)
-	gotF := make([]float64, n)
-	dense.Forward(p, wantF)
-	conv.Forward(p, gotF)
-	if dev := maxAbsDev(gotF, wantF); dev > 1e-9 {
-		t.Errorf("override Forward deviates by %g", dev)
-	}
-	wantB := make([]float64, n)
-	gotB := make([]float64, n)
-	dense.Backward(w, wantB)
-	conv.Backward(w, gotB)
-	if dev := maxAbsDev(gotB, wantB); dev > 1e-9 {
-		t.Errorf("override Backward deviates by %g", dev)
-	}
-
-	// Blocks with overrides still sum to the full sweep.
-	blocked := make([]float64, n)
-	conv.ForwardBlock(0, n/2, p, blocked)
-	conv.ForwardBlock(n/2, n, p, blocked)
-	if dev := maxAbsDev(blocked, gotF); dev > 1e-9 {
-		t.Errorf("override ForwardBlock sum deviates by %g", dev)
-	}
-}
-
 func TestConvChannelDenseMaterialisation(t *testing.T) {
 	d := 6
 	kern := testKernel(d, 2.0)
-	conv, err := NewConvChannel(d, kern, nil)
+	conv, err := NewConvChannel(d, kern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +143,7 @@ func TestConvChannelDenseMaterialisation(t *testing.T) {
 func TestConvChannelSamplersMatchDense(t *testing.T) {
 	d := 4
 	kern := testKernel(d, 1.7)
-	conv, err := NewConvChannel(d, kern, nil)
+	conv, err := NewConvChannel(d, kern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +171,7 @@ func TestConvChannelSamplersMatchDense(t *testing.T) {
 func TestConvChannelCalibrated(t *testing.T) {
 	d := 6
 	kern := testKernel(d, 1.0)
-	conv, err := NewConvChannel(d, kern, nil)
+	conv, err := NewConvChannel(d, kern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +198,7 @@ func TestConvChannelConcurrentSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := 8
 	n := d * d
-	conv, err := NewConvChannel(d, testKernel(d, 1.2), nil)
+	conv, err := NewConvChannel(d, testKernel(d, 1.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,27 +232,19 @@ func TestConvChannelConcurrentSweeps(t *testing.T) {
 }
 
 func TestConvChannelRejectsBadInput(t *testing.T) {
-	if _, err := NewConvChannel(0, nil, nil); err == nil {
+	if _, err := NewConvChannel(0, nil); err == nil {
 		t.Error("d=0 accepted")
 	}
-	if _, err := NewConvChannel(3, make([]float64, 24), nil); err == nil {
+	if _, err := NewConvChannel(3, make([]float64, 24)); err == nil {
 		t.Error("wrong kernel size accepted")
 	}
 	kern := testKernel(3, 1)
 	bad := append([]float64(nil), kern...)
 	bad[0] = -1
-	if _, err := NewConvChannel(3, bad, nil); err == nil {
+	if _, err := NewConvChannel(3, bad); err == nil {
 		t.Error("negative kernel entry accepted")
 	}
-	if _, err := NewConvChannel(3, kern, []ConvOverride{{Row: 99, Col: 0, Val: 0.1}}); err == nil {
-		t.Error("out-of-range override accepted")
-	}
-	if _, err := NewConvChannel(3, kern, []ConvOverride{
-		{Row: 1, Col: 2, Val: 0.1}, {Row: 1, Col: 2, Val: 0.2},
-	}); err == nil {
-		t.Error("duplicate override accepted")
-	}
-	if _, err := NewConvChannel(3, make([]float64, 25), nil); err == nil {
+	if _, err := NewConvChannel(3, make([]float64, 25)); err == nil {
 		t.Error("all-zero kernel accepted (normalisers are zero)")
 	}
 }

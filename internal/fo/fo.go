@@ -14,23 +14,6 @@ import (
 	"dpspatial/internal/rng"
 )
 
-// Oracle is the FO = <T, E> protocol: Perturb is FO.T (randomise one
-// user's value), Estimate is FO.E (recover a frequency vector over the
-// input domain from the aggregated noisy reports).
-type Oracle interface {
-	// NumInputs returns the input domain size.
-	NumInputs() int
-	// NumOutputs returns the output domain size.
-	NumOutputs() int
-	// Perturb randomises a single input index into an output index.
-	Perturb(input int, r *rng.RNG) int
-	// Estimate recovers normalised input-domain frequencies from output
-	// counts (len NumOutputs, total n users).
-	Estimate(counts []float64) ([]float64, error)
-	// Epsilon returns the privacy budget the oracle satisfies.
-	Epsilon() float64
-}
-
 // Channel is a row-stochastic matrix M where M[i][j] = Pr[output j |
 // input i]. It is the common representation that sampling, unbiased
 // estimation, EM post-processing and the privacy checks all consume.

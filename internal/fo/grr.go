@@ -34,22 +34,20 @@ func NewGRR(k int, eps float64) (*GRR, error) {
 	}, nil
 }
 
-// NumInputs implements Oracle.
+// NumInputs returns the input domain size k.
 func (g *GRR) NumInputs() int { return g.k }
 
-// NumOutputs implements Oracle.
+// NumOutputs returns the output domain size k.
 func (g *GRR) NumOutputs() int { return g.k }
 
-// Epsilon implements Oracle.
+// Epsilon returns the privacy budget.
 func (g *GRR) Epsilon() float64 { return g.eps }
 
 // TruthProb returns p, the probability of reporting truthfully.
 func (g *GRR) TruthProb() float64 { return g.p }
 
-// LieProb returns q, the probability of reporting any specific other value.
-func (g *GRR) LieProb() float64 { return g.q }
-
-// Perturb implements Oracle.
+// Perturb randomises one input index into an output index (the paper's
+// FO.T).
 func (g *GRR) Perturb(input int, r *rng.RNG) int {
 	if r.Float64() < g.p {
 		return input
@@ -62,8 +60,9 @@ func (g *GRR) Perturb(input int, r *rng.RNG) int {
 	return v
 }
 
-// Estimate implements Oracle with the standard unbiased inversion
-// f̂_i = (c_i/n − q) / (p − q), clipped to the simplex.
+// Estimate recovers input frequencies (the paper's FO.E) with the
+// standard unbiased inversion f̂_i = (c_i/n − q) / (p − q), clipped to
+// the simplex.
 func (g *GRR) Estimate(counts []float64) ([]float64, error) {
 	if len(counts) != g.k {
 		return nil, fmt.Errorf("fo: GRR expects %d counts, got %d", g.k, len(counts))

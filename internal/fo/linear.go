@@ -38,25 +38,12 @@ type LinearChannel interface {
 	Row(i int) []float64
 }
 
-// BlockChannel extends LinearChannel with row-block partial sweeps, the
-// primitive the deterministic parallel EM engine schedules. Blocks are
-// half-open input-row ranges [lo, hi).
-type BlockChannel interface {
-	LinearChannel
-	// ForwardBlock accumulates Σ_{i∈[lo,hi)} p_i·row_i into out (out is
-	// NOT zeroed: partial results from disjoint blocks sum to Forward).
-	ForwardBlock(lo, hi int, p, out []float64)
-	// BackwardBlock writes out[i] = row_i · w for every i in [lo, hi),
-	// leaving the rest of out untouched.
-	BackwardBlock(lo, hi int, w, out []float64)
-}
-
 // --- Dense *Channel as a LinearChannel ---
 
 var (
-	_ BlockChannel = (*Channel)(nil)
-	_ BlockChannel = (*UniformSparse)(nil)
-	_ BlockChannel = (*TwoValue)(nil)
+	_ LinearChannel = (*Channel)(nil)
+	_ LinearChannel = (*UniformSparse)(nil)
+	_ LinearChannel = (*TwoValue)(nil)
 )
 
 // NumInputs implements LinearChannel.
@@ -70,12 +57,7 @@ func (c *Channel) Forward(p, out []float64) {
 	for j := range out {
 		out[j] = 0
 	}
-	c.ForwardBlock(0, c.In, p, out)
-}
-
-// ForwardBlock implements BlockChannel.
-func (c *Channel) ForwardBlock(lo, hi int, p, out []float64) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < c.In; i++ {
 		pi := p[i]
 		if pi == 0 {
 			continue
@@ -89,12 +71,7 @@ func (c *Channel) ForwardBlock(lo, hi int, p, out []float64) {
 
 // Backward implements LinearChannel: out = M·w.
 func (c *Channel) Backward(w, out []float64) {
-	c.BackwardBlock(0, c.In, w, out)
-}
-
-// BackwardBlock implements BlockChannel.
-func (c *Channel) BackwardBlock(lo, hi int, w, out []float64) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < c.In; i++ {
 		row := c.Row(i)
 		acc := 0.0
 		for j, m := range row {
@@ -304,27 +281,18 @@ func (u *UniformSparse) RowInto(i int, dst []float64) {
 // Forward implements LinearChannel in O(In + Out + nnz): the base parts
 // of all rows contribute the single constant Σ_i p_i·base_i to every
 // output, and each override shifts p_i·(val − base_i) onto its column.
+// Override corrections accumulate run by run: each run is a contiguous
+// out/val slice pair, so the inner loop is a straight fused multiply-add
+// stream with no index gather.
 func (u *UniformSparse) Forward(p, out []float64) {
-	for j := range out {
-		out[j] = 0
-	}
-	u.ForwardBlock(0, u.in, p, out)
-}
-
-// ForwardBlock implements BlockChannel. Override corrections accumulate
-// run by run: each run is a contiguous out/val slice pair, so the inner
-// loop is a straight fused multiply-add stream with no index gather.
-func (u *UniformSparse) ForwardBlock(lo, hi int, p, out []float64) {
 	baseMass := 0.0
-	for i := lo; i < hi; i++ {
+	for i := 0; i < u.in; i++ {
 		baseMass += p[i] * u.base[i]
 	}
-	if baseMass != 0 {
-		for j := range out {
-			out[j] += baseMass
-		}
+	for j := range out {
+		out[j] = baseMass
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < u.in; i++ {
 		pi := p[i]
 		if pi == 0 {
 			continue
@@ -345,19 +313,14 @@ func (u *UniformSparse) ForwardBlock(lo, hi int, p, out []float64) {
 }
 
 // Backward implements LinearChannel in O(In + Out + nnz): row i's dot
-// with w is base_i·Σ_j w_j plus the override corrections.
+// with w is base_i·Σ_j w_j plus the override corrections, with the same
+// run-length contiguous accumulation as Forward.
 func (u *UniformSparse) Backward(w, out []float64) {
-	u.BackwardBlock(0, u.in, w, out)
-}
-
-// BackwardBlock implements BlockChannel, with the same run-length
-// contiguous accumulation as ForwardBlock.
-func (u *UniformSparse) BackwardBlock(lo, hi int, w, out []float64) {
 	wSum := 0.0
 	for _, wj := range w {
 		wSum += wj
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < u.in; i++ {
 		base := u.base[i]
 		acc := base * wSum
 		k := u.rowStart[i]
@@ -464,42 +427,27 @@ func (t *TwoValue) Row(i int) []float64 {
 
 // Forward implements LinearChannel: out_j = off·Σp + (diag − off)·p_j.
 func (t *TwoValue) Forward(p, out []float64) {
-	for j := range out {
-		out[j] = 0
-	}
-	t.ForwardBlock(0, t.k, p, out)
-}
-
-// ForwardBlock implements BlockChannel.
-func (t *TwoValue) ForwardBlock(lo, hi int, p, out []float64) {
 	mass := 0.0
-	for i := lo; i < hi; i++ {
+	for i := 0; i < t.k; i++ {
 		mass += p[i]
 	}
-	if mass != 0 {
-		for j := range out {
-			out[j] += t.off * mass
-		}
+	for j := range out {
+		out[j] = t.off * mass
 	}
 	d := t.diag - t.off
-	for i := lo; i < hi; i++ {
+	for i := 0; i < t.k; i++ {
 		out[i] += d * p[i]
 	}
 }
 
 // Backward implements LinearChannel: out_i = off·Σw + (diag − off)·w_i.
 func (t *TwoValue) Backward(w, out []float64) {
-	t.BackwardBlock(0, t.k, w, out)
-}
-
-// BackwardBlock implements BlockChannel.
-func (t *TwoValue) BackwardBlock(lo, hi int, w, out []float64) {
 	wSum := 0.0
 	for _, wj := range w {
 		wSum += wj
 	}
 	d := t.diag - t.off
-	for i := lo; i < hi; i++ {
+	for i := 0; i < t.k; i++ {
 		out[i] = t.off*wSum + d*w[i]
 	}
 }
@@ -581,19 +529,6 @@ func samplersByRows(c LinearChannel) ([]*rng.Alias, error) {
 		tables[i] = t
 	}
 	return tables, nil
-}
-
-// MaxRatioLinear returns the worst-case likelihood ratio of any linear
-// channel (dense channels use their own storage-sharing fast path).
-func MaxRatioLinear(c LinearChannel) float64 {
-	if d, ok := c.(*Channel); ok {
-		return d.MaxRatio()
-	}
-	type ratioer interface{ MaxRatio() float64 }
-	if r, ok := c.(ratioer); ok {
-		return r.MaxRatio()
-	}
-	return maxRatioByRows(c)
 }
 
 // ValidateLinear checks the row-stochastic invariant of any linear

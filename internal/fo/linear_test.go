@@ -104,47 +104,6 @@ func TestUniformSparseMatchesDense(t *testing.T) {
 	}
 }
 
-func TestUniformSparseBlockOpsComposeToFull(t *testing.T) {
-	r := rng.New(23)
-	u := randomUniformSparse(t, r, 37, 19)
-	p := make([]float64, 37)
-	for i := range p {
-		p[i] = r.Float64()
-	}
-	w := make([]float64, 19)
-	for j := range w {
-		w[j] = r.Float64()
-	}
-	full := make([]float64, 19)
-	u.Forward(p, full)
-	blocked := make([]float64, 19)
-	for lo := 0; lo < 37; lo += 5 {
-		hi := lo + 5
-		if hi > 37 {
-			hi = 37
-		}
-		u.ForwardBlock(lo, hi, p, blocked)
-	}
-	if d := maxAbsDiff(full, blocked); d > 1e-12 {
-		t.Fatalf("blocked Forward diverges by %v", d)
-	}
-	fullB := make([]float64, 37)
-	u.Backward(w, fullB)
-	blockedB := make([]float64, 37)
-	for lo := 0; lo < 37; lo += 4 {
-		hi := lo + 4
-		if hi > 37 {
-			hi = 37
-		}
-		u.BackwardBlock(lo, hi, w, blockedB)
-	}
-	for i := range fullB {
-		if fullB[i] != blockedB[i] {
-			t.Fatalf("blocked Backward differs at %d: %v != %v", i, blockedB[i], fullB[i])
-		}
-	}
-}
-
 func TestCompactRowRoundTrips(t *testing.T) {
 	// CompactRow must reproduce arbitrary dense rows bit for bit,
 	// whatever value happens to be modal.

@@ -13,9 +13,9 @@ import (
 // variance is independent of the domain size, which makes it the oracle of
 // choice for the large transition domains in the trajectory baselines.
 //
-// Perturb returns a packed bit vector; PerturbBits exposes it directly.
-// The Oracle interface's integer-output contract is satisfied by treating
-// each (user, bit) support observation through EstimateBits.
+// PerturbBits returns one user's perturbed bit vector; EstimateBits
+// recovers frequencies from the per-category support counts of those
+// vectors.
 type OUE struct {
 	k   int
 	eps float64

@@ -104,16 +104,6 @@ func HighArea(fp []DiskCell) float64 {
 	return total
 }
 
-// MixedComplementArea returns Σ (1 − HighArea) over mixed cells: the part
-// of the border cells assigned to the low-probability region (A_{m,q}).
-func MixedComplementArea(fp []DiskCell) float64 {
-	total := 0.0
-	for _, c := range fp {
-		total += 1 - c.HighArea
-	}
-	return total
-}
-
 // --- Closed forms of Theorems VI.2–VI.4 (used as cross-checks and for the
 // --- O(1) bookkeeping the paper performs; the mechanisms themselves use
 // --- the direct rasterisation above).

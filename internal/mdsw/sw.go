@@ -143,9 +143,6 @@ func (s *SW) NumOutputs() int { return s.d + 2*s.pad }
 // Epsilon returns the budget.
 func (s *SW) Epsilon() float64 { return s.eps }
 
-// WaveWidth returns the continuous half-width b.
-func (s *SW) WaveWidth() float64 { return s.b }
-
 // Linear exposes the exact bucket-level channel in its structured
 // uniform-plus-sparse form — the representation estimation runs on.
 func (s *SW) Linear() *fo.UniformSparse { return s.linear }

@@ -111,23 +111,6 @@ func (t *Quadtree) QueryValue(q Query) (float64, error) {
 	return total, nil
 }
 
-// NodesAtLevel returns the nodes of one level in deterministic order.
-func (t *Quadtree) NodesAtLevel(level int) []*Node {
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Level == level {
-			out = append(out, n)
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(t.Root)
-	return out
-}
-
 // Frontier returns the depth-ℓ frontier: nodes at level ℓ plus leaves
 // that bottomed out above ℓ. The frontiers partition the grid exactly at
 // every depth, which is what the hierarchical estimators report over.

@@ -93,42 +93,6 @@ func TestPerturbMatchesSamplerStream(t *testing.T) {
 	}
 }
 
-// TestEstimateWorkersByteIdentical: the parallel EM engine must decode
-// the same aggregate to the same bytes for every worker count.
-func TestEstimateWorkersByteIdentical(t *testing.T) {
-	dom := testDomain(t, 8)
-	truth := make([]float64, dom.NumCells())
-	r := rng.New(5)
-	for i := range truth {
-		truth[i] = float64(r.Intn(200))
-	}
-	var ref []float64
-	for _, workers := range []int{2, 3, 7} {
-		m, err := NewDAM(dom, 2, WithEstimateWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg := m.NewAggregate()
-		if err := fo.Accumulate(m, agg, truth, rng.New(11)); err != nil {
-			t.Fatal(err)
-		}
-		est, err := m.EstimateFromAggregate(agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = est.Mass
-			continue
-		}
-		for i := range ref {
-			if est.Mass[i] != ref[i] {
-				t.Fatalf("workers=%d differs from workers=2 at cell %d: %v != %v",
-					workers, i, est.Mass[i], ref[i])
-			}
-		}
-	}
-}
-
 // TestEstimateFromAggregateWarmEndToEnd drives the incremental lifecycle
 // the ROADMAP asks for: collect shard 1, estimate, merge shard 2, then
 // re-estimate warm-started from the pre-merge estimate. The warm start

@@ -36,10 +36,9 @@ type Mechanism struct {
 	// is q̂ everywhere except the wave-offset cells. It is the only
 	// representation estimation touches, so a large grid never pays for —
 	// or stores — the dense d²×|D̃| matrix.
-	linear     *fo.UniformSparse
-	smooth     bool
-	workers    int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
-	estWorkers int // EM row-block fan-out: 1 = sequential, 0 = GOMAXPROCS
+	linear  *fo.UniformSparse
+	smooth  bool
+	workers int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
 
 	denseOnce sync.Once
 	dense     *fo.Channel
@@ -58,10 +57,9 @@ type weightedOffset struct {
 type Option func(*config)
 
 type config struct {
-	bHat       *int
-	smooth     bool
-	workers    *int
-	estWorkers *int
+	bHat    *int
+	smooth  bool
+	workers *int
 }
 
 // WithBHat overrides the discrete radius b̂ (otherwise ⌊b̌⌋ from Section
@@ -82,15 +80,6 @@ func WithSmoothing() Option {
 // are reproducible only for a fixed seed and worker count.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = &n }
-}
-
-// WithEstimateWorkers fans the EM decoding step out across n row-block
-// workers (0 = GOMAXPROCS). The default of 1 runs the sequential engine;
-// the parallel engine is deterministic — byte-identical for every worker
-// count — though its re-associated partial sums may differ from the
-// sequential engine in the last float64 bits.
-func WithEstimateWorkers(n int) Option {
-	return func(c *config) { c.estWorkers = &n }
 }
 
 // NewDAM builds the discrete Disk Area Mechanism with border shrinkage
@@ -201,15 +190,8 @@ func build(name string, dom grid.Domain, eps float64, wf weightsFunc, opts ...Op
 			return nil, fmt.Errorf("sam: negative worker count %d", workers)
 		}
 	}
-	estWorkers := 1
-	if cfg.estWorkers != nil {
-		estWorkers = *cfg.estWorkers
-		if estWorkers < 0 {
-			return nil, fmt.Errorf("sam: negative estimate worker count %d", estWorkers)
-		}
-	}
 
-	m := &Mechanism{name: name, dom: dom, eps: eps, bHat: bHat, smooth: cfg.smooth, workers: workers, estWorkers: estWorkers}
+	m := &Mechanism{name: name, dom: dom, eps: eps, bHat: bHat, smooth: cfg.smooth, workers: workers}
 	m.offsets = wf(eps, bHat)
 	sort.Slice(m.offsets, func(i, j int) bool {
 		a, b := m.offsets[i].off, m.offsets[j].off
@@ -385,9 +367,9 @@ func (m *Mechanism) Perturb(input int, r *rng.RNG) int {
 }
 
 // emOptions assembles the EM options shared by every estimation entry
-// point: smoothing and the configured row-block fan-out.
+// point: the optional 2-D smoothing.
 func (m *Mechanism) emOptions() *em.Options {
-	opts := &em.Options{Workers: em.ResolveWorkers(m.estWorkers)}
+	opts := &em.Options{}
 	if m.smooth {
 		opts.Smoothing = em.Smoother2D(m.dom.D)
 	}

@@ -31,14 +31,13 @@ import (
 
 // Mechanism is the discrete SEM-Geo-I reporter/estimator over a d×d grid.
 type Mechanism struct {
-	dom        grid.Domain
-	epsGeo     float64          // ε' per unit cell distance
-	k          int              // subset size (ball cell count)
-	ballR      float64          // ball radius in cell units realising k cells
-	channel    fo.LinearChannel // ConvChannel on the fast path, dense fallback
-	ballOffs   []geom.Cell
-	workers    int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
-	estWorkers int // EM row-block fan-out: 1 = sequential, 0 = GOMAXPROCS
+	dom      grid.Domain
+	epsGeo   float64          // ε' per unit cell distance
+	k        int              // subset size (ball cell count)
+	ballR    float64          // ball radius in cell units realising k cells
+	channel  fo.LinearChannel // ConvChannel on the fast path, dense fallback
+	ballOffs []geom.Cell
+	workers  int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
 
 	samplersOnce sync.Once
 	samplers     []*rng.Alias
@@ -52,9 +51,8 @@ type Mechanism struct {
 type Option func(*config)
 
 type config struct {
-	k          *int
-	workers    *int
-	estWorkers *int
+	k       *int
+	workers *int
 }
 
 // WithSubsetSize overrides the subset size k.
@@ -69,15 +67,6 @@ func WithSubsetSize(k int) Option {
 // fixed seed and worker count.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = &n }
-}
-
-// WithEstimateWorkers fans the EM decoding step out across n row-block
-// workers (0 = GOMAXPROCS). SEM-Geo-I's channel is inherently dense
-// (d²×d²), so this is the mechanism with the most to gain from the
-// deterministic parallel EM engine; the default of 1 keeps the
-// sequential engine and its historical bit pattern.
-func WithEstimateWorkers(n int) Option {
-	return func(c *config) { c.estWorkers = &n }
 }
 
 // New builds SEM-Geo-I with per-cell-unit budget epsGeo > 0.
@@ -104,14 +93,7 @@ func New(dom grid.Domain, epsGeo float64, opts ...Option) (*Mechanism, error) {
 			return nil, fmt.Errorf("semgeoi: negative worker count %d", workers)
 		}
 	}
-	estWorkers := 1
-	if cfg.estWorkers != nil {
-		estWorkers = *cfg.estWorkers
-		if estWorkers < 0 {
-			return nil, fmt.Errorf("semgeoi: negative estimate worker count %d", estWorkers)
-		}
-	}
-	m := &Mechanism{dom: dom, epsGeo: epsGeo, k: k, workers: workers, estWorkers: estWorkers}
+	m := &Mechanism{dom: dom, epsGeo: epsGeo, k: k, workers: workers}
 	m.ballOffs = ballOffsets(k)
 	m.ballR = 0
 	for _, o := range m.ballOffs {
@@ -177,7 +159,7 @@ func (m *Mechanism) buildChannel() {
 	kern := fo.DisplacementKernel(d, func(dx, dy int) float64 {
 		return math.Exp(-m.epsGeo * math.Hypot(float64(dx), float64(dy)) / 2)
 	})
-	if conv, err := fo.NewConvChannel(d, kern, nil); err == nil &&
+	if conv, err := fo.NewConvChannel(d, kern); err == nil &&
 		conv.Calibrated(m.exactRow, calibrationProbes(d), 0) {
 		m.channel = conv
 		return
@@ -319,7 +301,7 @@ func (m *Mechanism) Subset(center int) []geom.Cell {
 
 // Estimate recovers the input distribution from per-centre counts via EM.
 func (m *Mechanism) Estimate(counts []float64) ([]float64, error) {
-	return em.Estimate(m.channel, counts, &em.Options{Workers: em.ResolveWorkers(m.estWorkers)})
+	return em.Estimate(m.channel, counts, nil)
 }
 
 // CollectParallel simulates every user's subset report with the per-user
