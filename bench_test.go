@@ -300,7 +300,7 @@ func semGeoIDecodeWorkload(b *testing.B, d int) (*semgeoi.Mechanism, []float64) 
 
 // BenchmarkEMEstimateDense measures the dense-channel-family decode
 // (SEM-Geo-I at d=15) through the mechanism's operative channel — the
-// convolutional Toeplitz/FFT representation when calibration admits it.
+// convolutional Toeplitz/FFT representation.
 // Before the convolutional engine this decode ran O(d⁴) per EM sweep on
 // the materialised matrix; the spectral path is O(d² log d).
 func BenchmarkEMEstimateDense(b *testing.B) {

@@ -116,6 +116,22 @@ func TestCmdShapes(t *testing.T) {
 	}
 }
 
+// TestCmdEstimateOneCellSEMGeoI: on a one-cell grid no mechanism leaks
+// anything, so SEM-Geo-I's local-privacy calibration has no target and
+// the estimate is the whole mass on the single cell.
+func TestCmdEstimateOneCellSEMGeoI(t *testing.T) {
+	csvPath := filepath.Join(t.TempDir(), "points.csv")
+	if err := os.WriteFile(csvPath, []byte("x,y\n0.1,0.2\n0.5,0.7\n0.9,0.4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := capture(t, func() error {
+		return cmdEstimate([]string{"--in", csvPath, "--d", "1", "--eps", "2", "--mech", "SEM-Geo-I"})
+	})
+	if got, want := strings.TrimSpace(out), "cell_x,cell_y,probability\n0,0,1"; got != want {
+		t.Fatalf("estimate output %q, want %q", got, want)
+	}
+}
+
 func TestCmdGenAndEstimate(t *testing.T) {
 	csvPath := filepath.Join(t.TempDir(), "points.csv")
 	capture(t, func() error {

@@ -27,16 +27,21 @@ var implicitMethods = map[string]bool{
 	"Is": true, "As": true, "Set": true,
 }
 
+// declDirs are the trees whose non-test declarations the gate checks:
+// the internal packages, and the main packages under cmd/ and examples/,
+// which nothing outside them can call.
+var declDirs = []string{"internal/", "cmd/", "examples/"}
+
 // TestNoUnreferencedDeclarations is a standard-library dead-code gate.
 // It counts identifier tokens (not comments or strings) across every Go
 // file in the tree, tests, commands, examples and the benchmark module
 // included, and fails on any top-level func, method, type, const or var
-// declared in a non-test file under internal/ whose name occurs only at
+// declared in a non-test file under declDirs whose name occurs only at
 // its declaration. Names are matched without their package or receiver,
 // so a name shared with any other identifier counts as used.
 func TestNoUnreferencedDeclarations(t *testing.T) {
 	uses := map[string]int{}
-	var internalFiles []string
+	var declFiles []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -69,16 +74,20 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 				uses[lit]++
 			}
 		}
-		if strings.HasPrefix(filepath.ToSlash(path), "internal/") && !strings.HasSuffix(path, "_test.go") {
-			internalFiles = append(internalFiles, path)
+		if !strings.HasSuffix(path, "_test.go") {
+			for _, dir := range declDirs {
+				if strings.HasPrefix(filepath.ToSlash(path), dir) {
+					declFiles = append(declFiles, path)
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(internalFiles) == 0 {
-		t.Fatal("no files found under internal/")
+	if len(declFiles) == 0 {
+		t.Fatalf("no files found under %v", declDirs)
 	}
 
 	var unused []string
@@ -88,7 +97,7 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 		}
 		unused = append(unused, fset.Position(name.Pos()).String()+": "+kind+" "+name.Name)
 	}
-	for _, path := range internalFiles {
+	for _, path := range declFiles {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {

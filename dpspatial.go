@@ -28,10 +28,8 @@ package dpspatial
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"dpspatial/internal/baselines"
-	"dpspatial/internal/fo"
 	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
 	"dpspatial/internal/localprivacy"
@@ -224,60 +222,14 @@ func LocalPrivacy(dom Domain, m Mechanism) (float64, error) {
 	}
 }
 
-// calibrationKey identifies a SEM-Geo-I calibration result. Both the DAM
-// target and the SEM-Geo-I channels depend on the domain only through its
-// grid side d (all distances are in cell units), so one bisection serves
-// every domain with the same (d, ε).
-type calibrationKey struct {
-	d   int
-	eps float64
-}
-
-var (
-	calibrationMu   sync.Mutex
-	calibrationMemo = map[calibrationKey]float64{}
-)
-
 // CalibrateSEMGeoI finds the Geo-I budget at which SEM-Geo-I's local
 // privacy equals that of DAM with budget eps on the same domain — the
 // paper's apples-to-apples comparison setting. The bisection (60
 // iterations, each building a full channel) runs once per (d, ε);
-// repeated calls return the memoized budget.
+// repeated calls return the memoized budget. On a one-cell grid, where
+// no mechanism leaks anything, the budget is eps itself.
 func CalibrateSEMGeoI(dom Domain, eps float64) (float64, error) {
-	key := calibrationKey{d: dom.D, eps: eps}
-	calibrationMu.Lock()
-	if epsGeo, ok := calibrationMemo[key]; ok {
-		calibrationMu.Unlock()
-		return epsGeo, nil
-	}
-	calibrationMu.Unlock()
-
-	epsGeo, err := calibrateSEMGeoI(dom, eps)
-	if err != nil {
-		return 0, err
-	}
-	calibrationMu.Lock()
-	calibrationMemo[key] = epsGeo
-	calibrationMu.Unlock()
-	return epsGeo, nil
-}
-
-func calibrateSEMGeoI(dom Domain, eps float64) (float64, error) {
-	dam, err := sam.NewDAM(dom, eps)
-	if err != nil {
-		return 0, err
-	}
-	target, err := localprivacy.Compute(dom, dam.Channel())
-	if err != nil {
-		return 0, err
-	}
-	return localprivacy.Calibrate(dom, target, func(x float64) (*fo.Channel, error) {
-		m, err := semgeoi.New(dom, x)
-		if err != nil {
-			return nil, err
-		}
-		return m.Channel(), nil
-	}, 1e-2, 60)
+	return localprivacy.CalibrateSEMGeoI(dom.D, eps)
 }
 
 // EstimateOption configures the one-call pipeline.

@@ -216,6 +216,26 @@ func TestLocalPrivacyAndCalibration(t *testing.T) {
 	}
 }
 
+// TestSEMGeoIOneCellGrid: a one-cell grid leaks nothing, so the
+// calibration returns ε itself and the estimate is the single cell.
+func TestSEMGeoIOneCellGrid(t *testing.T) {
+	dom, err := NewDomain(0, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMechanism("SEM-Geo-I", dom, 2); err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{{X: 0.1, Y: 0.2}, {X: 0.5, Y: 0.7}, {X: 0.9, Y: 0.4}}
+	est, err := Estimate(pts, 1, 2, WithMechanism("SEM-Geo-I"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(est.Mass) != 1 || est.Mass[0] != 1 {
+		t.Fatalf("one-cell estimate %v, want [1]", est.Mass)
+	}
+}
+
 func TestDAMBeatsMDSWPublicAPI(t *testing.T) {
 	// The paper's headline result through the public API: on correlated
 	// Gaussian data DAM's recovered distribution is closer in W2.

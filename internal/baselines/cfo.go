@@ -52,9 +52,6 @@ func (c *CFO) Epsilon() float64 { return c.grr.Epsilon() }
 // Channel exposes the GRR channel over cells.
 func (c *CFO) Channel() *fo.Channel { return c.grr.Channel() }
 
-// Perturb randomises one cell index.
-func (c *CFO) Perturb(input int, r *rng.RNG) int { return c.grr.Perturb(input, r) }
-
 // Scheme implements fo.Reporter: the report format is the GRR output over
 // the d² grid cells.
 func (c *CFO) Scheme() string {
@@ -68,7 +65,7 @@ func (c *CFO) NumInputs() int { return c.dom.NumCells() }
 func (c *CFO) ReportShape() []int { return []int{c.dom.NumCells()} }
 
 // Report implements fo.Reporter: one user's randomised-response output
-// cell, on the same draw stream Perturb has always used.
+// cell, drawn by the underlying GRR oracle.
 func (c *CFO) Report(input int, r *rng.RNG) (fo.Report, error) {
 	return c.grr.Report(input, r)
 }

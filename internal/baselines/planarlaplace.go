@@ -28,14 +28,12 @@ type PlanarLaplace struct {
 }
 
 // plState is the channel state shared by every PlanarLaplace instance
-// with the same grid and budget: the channel (convolutional on the fast
-// path, dense fallback), the per-row normalisers, the lazily-built alias
-// samplers and the lazily-materialised dense matrix. All fields are
-// built once and read-only afterwards, so sharing across mechanisms —
-// and across goroutines — is safe.
+// with the same grid and budget: the convolutional channel, the lazily-
+// built alias samplers and the lazily-materialised dense matrix. All
+// fields are built once and read-only afterwards, so sharing across
+// mechanisms — and across goroutines — is safe.
 type plState struct {
-	channel fo.LinearChannel
-	norms   []float64 // per-row pre-normalisation mass Z_i
+	channel *fo.ConvChannel
 
 	samplersOnce sync.Once
 	samplers     []*rng.Alias
@@ -59,7 +57,7 @@ var (
 
 // NewPlanarLaplace builds the mechanism with per-cell-unit budget
 // epsGeo > 0. The O(n²)-to-build channel is memoized per (grid, ε) —
-// the same sync.Once-style caching CalibrateSEMGeoI uses — so repeated
+// the same memoization localprivacy.CalibrateSEMGeoI uses — so repeated
 // constructions (per-trial in the experiment harness, per-generation at
 // the collector) reuse one shared, immutable channel.
 func NewPlanarLaplace(dom grid.Domain, epsGeo float64) (*PlanarLaplace, error) {
@@ -71,8 +69,9 @@ func NewPlanarLaplace(dom grid.Domain, epsGeo float64) (*PlanarLaplace, error) {
 	state, ok := plMemo[key]
 	plMu.Unlock()
 	if !ok {
-		state = buildPLState(dom, epsGeo)
-		if err := fo.ValidateLinear(state.channel); err != nil {
+		var err error
+		state, err = buildPLState(dom, epsGeo)
+		if err != nil {
 			return nil, fmt.Errorf("baselines: internal channel invalid: %w", err)
 		}
 		plMu.Lock()
@@ -89,51 +88,20 @@ func NewPlanarLaplace(dom grid.Domain, epsGeo float64) (*PlanarLaplace, error) {
 // buildPLState constructs the channel. The planar-Laplace kernel
 // exp(−ε·dis) depends only on the cell displacement — grid borders
 // change only the per-row normaliser Z_i — so the convolutional channel
-// applies, with a calibration spot check on corner/edge/centre rows
-// guarding the bit-exactness of its rows against the definitional dense
-// build; any mismatch falls back to the exact O(n²) construction.
-func buildPLState(dom grid.Domain, epsGeo float64) *plState {
-	d := dom.D
-	exactRow := func(i int, row []float64) float64 {
-		ci := dom.CellAt(i)
-		sum := 0.0
-		for j := range row {
-			w := math.Exp(-epsGeo * ci.CenterDist(dom.CellAt(j)))
-			row[j] = w
-			sum += w
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-		return sum
-	}
-	kern := fo.DisplacementKernel(d, func(dx, dy int) float64 {
+// applies, with rows bit-identical to the definitional
+// exp(−ε·CenterDist)/Z_i (pinned for every row by the package tests).
+func buildPLState(dom grid.Domain, epsGeo float64) (*plState, error) {
+	kern := fo.DisplacementKernel(dom.D, func(dx, dy int) float64 {
 		return math.Exp(-epsGeo * math.Hypot(float64(dx), float64(dy)))
 	})
-	if conv, err := fo.NewConvChannel(d, kern); err == nil &&
-		conv.Calibrated(func(i int, row []float64) { exactRow(i, row) }, plProbes(d), 0) {
-		return &plState{channel: conv, norms: conv.Normalizers()}
+	conv, err := fo.NewConvChannel(dom.D, kern)
+	if err != nil {
+		return nil, err
 	}
-	n := dom.NumCells()
-	ch := fo.NewChannel(n, n)
-	norms := make([]float64, n)
-	for i := 0; i < n; i++ {
-		norms[i] = exactRow(i, ch.Row(i))
+	if err := conv.Validate(); err != nil {
+		return nil, err
 	}
-	return &plState{channel: ch, norms: norms}
-}
-
-// plProbes picks the calibration rows: corners, edge midpoints, centre.
-func plProbes(d int) []int {
-	n := d * d
-	return []int{
-		0, d - 1, n - d, n - 1,
-		d / 2,
-		(d / 2) * d,
-		(d/2)*d + d - 1,
-		n - d + d/2,
-		(d/2)*d + d/2,
-	}
+	return &plState{channel: conv}, nil
 }
 
 // Name returns the mechanism's display name.
@@ -143,30 +111,16 @@ func (p *PlanarLaplace) Name() string { return "PlanarLaplace" }
 func (p *PlanarLaplace) EpsilonGeo() float64 { return p.epsGeo }
 
 // Channel exposes the discretised cell channel as a dense matrix,
-// materialised lazily (and bit-identically to the historical dense
-// build) when the mechanism runs on the convolutional fast path.
-// Callers that only sweep should prefer Linear.
+// materialised lazily from the convolutional rows. Callers that only
+// sweep should prefer Linear.
 func (p *PlanarLaplace) Channel() *fo.Channel {
 	s := p.state
-	s.denseOnce.Do(func() {
-		switch ch := s.channel.(type) {
-		case *fo.Channel:
-			s.dense = ch
-		case *fo.ConvChannel:
-			s.dense = ch.Dense()
-		}
-	})
+	s.denseOnce.Do(func() { s.dense = s.channel.Dense() })
 	return s.dense
 }
 
-// Linear exposes the channel in its operative representation — the
-// convolutional form when calibration admitted it, dense otherwise.
+// Linear exposes the channel in its operative, convolutional form.
 func (p *PlanarLaplace) Linear() fo.LinearChannel { return p.state.channel }
-
-// Perturb randomises one cell index through the discretised channel.
-func (p *PlanarLaplace) Perturb(input int, r *rng.RNG) int {
-	return rng.WeightedChoice(r, p.state.channel.Row(input))
-}
 
 // SampleContinuous draws a continuous planar-Laplace perturbation of a
 // point, in cell units: the angle is uniform and the radius follows the
@@ -211,7 +165,7 @@ func inverseGammaCDF(u, eps float64) float64 {
 func (p *PlanarLaplace) Samplers() ([]*rng.Alias, error) {
 	s := p.state
 	s.samplersOnce.Do(func() {
-		s.samplers, s.samplersErr = fo.LinearSamplers(s.channel)
+		s.samplers, s.samplersErr = s.channel.Samplers()
 	})
 	return s.samplers, s.samplersErr
 }
@@ -283,7 +237,7 @@ func (p *PlanarLaplace) EstimateHist(truth *grid.Hist2D, r *rng.RNG) (*grid.Hist
 // exactly the truncation caveat Andrés et al. note.
 func (p *PlanarLaplace) GeoIRatioHolds(tol float64) bool {
 	n := p.dom.NumCells()
-	norms := p.state.norms
+	norms := p.state.channel.Normalizers()
 	ch := p.Channel()
 	for i1 := 0; i1 < n; i1++ {
 		for i2 := i1 + 1; i2 < n; i2++ {

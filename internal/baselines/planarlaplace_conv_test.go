@@ -6,12 +6,13 @@ import (
 
 	"dpspatial/internal/em"
 	"dpspatial/internal/fo"
+	"dpspatial/internal/grid"
 	"dpspatial/internal/rng"
 )
 
 // TestPlanarLaplaceUsesConvRepresentation: the Laplace kernel is
-// displacement-invariant, so calibration must admit the convolutional
-// fast path.
+// displacement-invariant, so the mechanism runs on the convolutional
+// channel.
 func TestPlanarLaplaceUsesConvRepresentation(t *testing.T) {
 	p, err := NewPlanarLaplace(testDomain(t, 6), 0.9)
 	if err != nil {
@@ -56,6 +57,47 @@ func TestPlanarLaplaceChannelMemoized(t *testing.T) {
 	}
 	if c.state == a.state {
 		t.Error("different ε shared a channel state")
+	}
+}
+
+// plDefinitionalRow is channel row i straight from the mechanism's
+// definition: exp(−ε·dis) to every cell centre, divided by the row sum
+// accumulated in row-major order.
+func plDefinitionalRow(dom grid.Domain, epsGeo float64, i int) []float64 {
+	ci := dom.CellAt(i)
+	row := make([]float64, dom.NumCells())
+	sum := 0.0
+	for j := range row {
+		w := math.Exp(-epsGeo * ci.CenterDist(dom.CellAt(j)))
+		row[j] = w
+		sum += w
+	}
+	for j := range row {
+		row[j] /= sum
+	}
+	return row
+}
+
+// TestPlanarLaplaceConvRowsMatchDefinition: every row of the
+// convolutional channel reproduces the definitional row bit for bit,
+// across grid sizes and budgets.
+func TestPlanarLaplaceConvRowsMatchDefinition(t *testing.T) {
+	for _, d := range []int{1, 2, 7, 15} {
+		dom := testDomain(t, d)
+		for _, eps := range []float64{0.4, 1.3, 5} {
+			p, err := NewPlanarLaplace(dom, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < p.NumInputs(); i++ {
+				got, want := p.Linear().Row(i), plDefinitionalRow(dom, eps, i)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("d=%d ε=%v row %d entry %d: conv %v, definition %v", d, eps, i, j, got[j], want[j])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -6,11 +6,12 @@
 // spatial mechanisms.
 //
 // The engine consumes channels through fo.LinearChannel, so structured
-// channels (uniform-plus-sparse SAM/SW rows, two-valued GRR) run each EM
-// sweep in O(In + nnz) instead of the dense O(In·Out). Dense channels
-// keep a bit-exact sequential path; Options.Init warm-starts the
-// iteration from a previous estimate for incremental re-estimation over
-// growing aggregates.
+// channels (uniform-plus-sparse SAM/SW rows, two-valued GRR, FFT
+// convolutions) run each EM sweep in O(In + nnz) or O(n log n) instead
+// of the dense O(In·Out). Every channel runs the same stepper over its
+// Forward and Backward sweeps; Options.Init warm-starts the iteration
+// from a previous estimate for incremental re-estimation over growing
+// aggregates.
 package em
 
 import (
@@ -102,12 +103,7 @@ func EstimateWithStats(ch fo.LinearChannel, counts []float64, opts *Options) ([]
 		return nil, Stats{}, err
 	}
 
-	var step func(p, next []float64)
-	if dense, ok := ch.(*fo.Channel); ok {
-		step = denseStepper(dense, counts, total)
-	} else {
-		step = linearStepper(ch, counts, total)
-	}
+	step := linearStepper(ch, counts, total)
 
 	next := make([]float64, in)
 	var stats Stats
@@ -159,43 +155,6 @@ func initialEstimate(in int, init []float64) ([]float64, error) {
 	}
 	normalize(p)
 	return p, nil
-}
-
-// denseStepper reproduces the historical sequential dense iteration bit
-// for bit (same loop structure and operation order), so existing
-// sequential pipelines remain byte-identical.
-func denseStepper(ch *fo.Channel, counts []float64, total float64) func(p, next []float64) {
-	outMix := make([]float64, ch.Out)
-	return func(p, next []float64) {
-		// E step: predicted output mixture under the current estimate.
-		for j := range outMix {
-			outMix[j] = 0
-		}
-		for i := 0; i < ch.In; i++ {
-			pi := p[i]
-			if pi == 0 {
-				continue
-			}
-			row := ch.Row(i)
-			for j, m := range row {
-				outMix[j] += pi * m
-			}
-		}
-		// M step.
-		for i := 0; i < ch.In; i++ {
-			row := ch.Row(i)
-			acc := 0.0
-			for j, m := range row {
-				if counts[j] == 0 || m == 0 {
-					continue
-				}
-				if outMix[j] > 0 {
-					acc += counts[j] * m / outMix[j]
-				}
-			}
-			next[i] = p[i] * acc / total
-		}
-	}
 }
 
 // linearStepper runs one EM iteration through the channel's Forward and

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"sync"
 
-	"dpspatial/internal/fo"
 	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
 	"dpspatial/internal/localprivacy"
@@ -185,15 +184,14 @@ func (c Config) W2(a, b *grid.Hist2D, m Metric) (float64, error) {
 	}
 }
 
-// Suite carries lazily generated datasets and calibration caches, and
-// owns the bounded worker pool every runner fans its trials out over.
+// Suite carries lazily generated datasets and owns the bounded worker
+// pool every runner fans its trials out over.
 type Suite struct {
 	cfg  Config
 	pool *pool
 
 	mu       sync.Mutex            // guards the lazy caches below
 	datasets map[string][]partData // name -> parts
-	semCache map[string]float64    // "d/eps" -> calibrated ε'
 
 	trajCache  []trajectory.Trajectory // Appendix-D workload (lazy)
 	trajPoints []geom.Point
@@ -211,7 +209,6 @@ func NewSuite(cfg Config) *Suite {
 		cfg:      cfg,
 		pool:     newPool(cfg.Workers),
 		datasets: map[string][]partData{},
-		semCache: map[string]float64{},
 	}
 }
 
@@ -343,55 +340,13 @@ func clampIdx(v, d int) int {
 }
 
 // semEpsilon returns SEM-Geo-I's budget for the given grid and ε,
-// LP-calibrated against DAM when enabled (cached). Concurrent misses on
-// the same key calibrate independently — the search is deterministic, so
-// they store the same value.
+// LP-calibrated against DAM when enabled (memoized by
+// localprivacy.CalibrateSEMGeoI).
 func (s *Suite) semEpsilon(d int, eps float64) (float64, error) {
 	if !s.cfg.LPCalibration {
 		return eps, nil
 	}
-	if d == 1 {
-		// A single-cell grid leaks nothing regardless of budget: every
-		// mechanism is the constant channel, so calibration is moot.
-		return eps, nil
-	}
-	key := fmt.Sprintf("%d/%g", d, eps)
-	s.mu.Lock()
-	if v, ok := s.semCache[key]; ok {
-		s.mu.Unlock()
-		return v, nil
-	}
-	s.mu.Unlock()
-	dom, err := grid.NewDomain(0, 0, float64(d), d)
-	if err != nil {
-		return 0, err
-	}
-	dam, err := sam.NewDAM(dom, eps)
-	if err != nil {
-		return 0, err
-	}
-	target, err := localprivacy.Compute(dom, dam.Channel())
-	if err != nil {
-		return 0, err
-	}
-	if target <= 0 {
-		return eps, nil
-	}
-	build := func(x float64) (*fo.Channel, error) {
-		m, err := semgeoi.New(dom, x)
-		if err != nil {
-			return nil, err
-		}
-		return m.Channel(), nil
-	}
-	epsPrime, err := localprivacy.Calibrate(dom, target, build, 1e-2, 60)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.semCache[key] = epsPrime
-	s.mu.Unlock()
-	return epsPrime, nil
+	return localprivacy.CalibrateSEMGeoI(d, eps)
 }
 
 // buildMechanism constructs one of the five compared estimators for the

@@ -247,39 +247,3 @@ func (c *ConvChannel) Dense() *Channel {
 	}
 	return ch
 }
-
-// Calibrated reports whether the channel reproduces the exact rows
-// produced by denseRow (which fills its argument with row i of the true
-// channel) at every probe row, to within tol max-abs deviation. The
-// construction sites use this as the displacement-invariance spot check:
-// probe a few border and interior rows, and fall back to the dense build
-// on any mismatch (non-square grids, exotic metrics).
-func (c *ConvChannel) Calibrated(denseRow func(i int, row []float64), probes []int, tol float64) bool {
-	want := make([]float64, c.n)
-	got := make([]float64, c.n)
-	for _, i := range probes {
-		if i < 0 || i >= c.n {
-			return false
-		}
-		denseRow(i, want)
-		c.RowInto(i, got)
-		for j := range got {
-			if d := math.Abs(got[j] - want[j]); !(d <= tol) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// LinearSamplers builds per-row alias tables for any linear channel,
-// using the channel's own Samplers fast path when it has one.
-func LinearSamplers(c LinearChannel) ([]*rng.Alias, error) {
-	type samplerer interface {
-		Samplers() ([]*rng.Alias, error)
-	}
-	if s, ok := c.(samplerer); ok {
-		return s.Samplers()
-	}
-	return samplersByRows(c)
-}

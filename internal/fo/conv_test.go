@@ -152,7 +152,7 @@ func TestConvChannelSamplersMatchDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := LinearSamplers(conv)
+	cs, err := conv.Samplers()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,30 +165,6 @@ func TestConvChannelSamplersMatchDense(t *testing.T) {
 				t.Fatalf("row %d: sampler draw %d differs (%d vs %d)", i, trial, a, b)
 			}
 		}
-	}
-}
-
-func TestConvChannelCalibrated(t *testing.T) {
-	d := 6
-	kern := testKernel(d, 1.0)
-	conv, err := NewConvChannel(d, kern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := denseFromKernel(d, kern)
-	probes := []int{0, d - 1, d*d - 1, d * d / 2}
-	if !conv.Calibrated(func(i int, row []float64) { copy(row, dense.Row(i)) }, probes, 0) {
-		t.Error("conv channel fails calibration against its own dense form")
-	}
-	// A channel whose true rows are NOT displacement-invariant must fail
-	// the spot check: perturb one probed border row.
-	if conv.Calibrated(func(i int, row []float64) {
-		copy(row, dense.Row(i))
-		if i == 0 {
-			row[1] += 1e-6
-		}
-	}, probes, 1e-9) {
-		t.Error("calibration accepted a non-invariant channel")
 	}
 }
 

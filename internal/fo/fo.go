@@ -57,44 +57,10 @@ func (c *Channel) Validate() error {
 // max_j max_{i1,i2} M[i1][j]/M[i2][j]: an ε-LDP channel must satisfy
 // MaxRatio ≤ e^ε. Zero-probability outputs shared by all inputs are
 // skipped; an output reachable from one input but not another yields +Inf.
-func (c *Channel) MaxRatio() float64 {
-	worst := 1.0
-	for j := 0; j < c.Out; j++ {
-		minV, maxV := math.Inf(1), 0.0
-		for i := 0; i < c.In; i++ {
-			v := c.At(i, j)
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
-		}
-		if maxV == 0 {
-			continue
-		}
-		if minV == 0 {
-			return math.Inf(1)
-		}
-		if ratio := maxV / minV; ratio > worst {
-			worst = ratio
-		}
-	}
-	return worst
-}
+func (c *Channel) MaxRatio() float64 { return maxRatioByRows(c) }
 
 // Samplers builds one alias table per input row for O(1) perturbation.
-func (c *Channel) Samplers() ([]*rng.Alias, error) {
-	tables := make([]*rng.Alias, c.In)
-	for i := 0; i < c.In; i++ {
-		t, err := rng.NewAlias(c.Row(i))
-		if err != nil {
-			return nil, fmt.Errorf("fo: row %d: %w", i, err)
-		}
-		tables[i] = t
-	}
-	return tables, nil
-}
+func (c *Channel) Samplers() ([]*rng.Alias, error) { return samplersByRows(c) }
 
 // Apply returns the exact output distribution M^T · p for an input
 // distribution p.

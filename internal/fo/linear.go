@@ -530,26 +530,3 @@ func samplersByRows(c LinearChannel) ([]*rng.Alias, error) {
 	}
 	return tables, nil
 }
-
-// ValidateLinear checks the row-stochastic invariant of any linear
-// channel via materialised rows.
-func ValidateLinear(c LinearChannel) error {
-	type validator interface{ Validate() error }
-	if v, ok := c.(validator); ok {
-		return v.Validate()
-	}
-	in := c.NumInputs()
-	for i := 0; i < in; i++ {
-		sum := 0.0
-		for _, v := range c.Row(i) {
-			if v < 0 || math.IsNaN(v) {
-				return fmt.Errorf("fo: channel row %d has invalid entry %v", i, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("fo: channel row %d sums to %v", i, sum)
-		}
-	}
-	return nil
-}

@@ -6,12 +6,13 @@ import (
 
 	"dpspatial/internal/em"
 	"dpspatial/internal/fo"
+	"dpspatial/internal/grid"
 	"dpspatial/internal/rng"
 )
 
 // TestChannelUsesConvRepresentation: the exponential kernel is
-// displacement-invariant, so the calibration check must admit the
-// convolutional fast path on every square grid.
+// displacement-invariant, so every square grid runs on the
+// convolutional channel.
 func TestChannelUsesConvRepresentation(t *testing.T) {
 	for _, d := range []int{2, 5, 8} {
 		m, err := New(testDomain(t, d), 1.5)
@@ -43,6 +44,47 @@ func TestConvRowsBitIdenticalToDense(t *testing.T) {
 		for j := range dr {
 			if dr[j] != cr[j] {
 				t.Fatalf("row %d entry %d differs in bits", i, j)
+			}
+		}
+	}
+}
+
+// definitionalRow is channel row i straight from the mechanism's
+// definition: exp(−ε'·dis/2) to every cell centre, divided by the row
+// sum accumulated in row-major order.
+func definitionalRow(dom grid.Domain, epsGeo float64, i int) []float64 {
+	vi := dom.CellAt(i)
+	row := make([]float64, dom.NumCells())
+	sum := 0.0
+	for j := range row {
+		w := math.Exp(-epsGeo * vi.CenterDist(dom.CellAt(j)) / 2)
+		row[j] = w
+		sum += w
+	}
+	for j := range row {
+		row[j] /= sum
+	}
+	return row
+}
+
+// TestConvRowsMatchDefinition: every row of the convolutional channel
+// (hence every alias table and report stream) reproduces the
+// definitional row bit for bit, across grid sizes and budgets.
+func TestConvRowsMatchDefinition(t *testing.T) {
+	for _, d := range []int{1, 2, 7, 15} {
+		dom := testDomain(t, d)
+		for _, eps := range []float64{0.4, 1.3, 5} {
+			m, err := New(dom, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < m.NumInputs(); i++ {
+				got, want := m.Linear().Row(i), definitionalRow(dom, eps, i)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("d=%d ε=%v row %d entry %d: conv %v, definition %v", d, eps, i, j, got[j], want[j])
+					}
+				}
 			}
 		}
 	}

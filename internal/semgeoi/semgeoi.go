@@ -32,10 +32,10 @@ import (
 // Mechanism is the discrete SEM-Geo-I reporter/estimator over a d×d grid.
 type Mechanism struct {
 	dom      grid.Domain
-	epsGeo   float64          // ε' per unit cell distance
-	k        int              // subset size (ball cell count)
-	ballR    float64          // ball radius in cell units realising k cells
-	channel  fo.LinearChannel // ConvChannel on the fast path, dense fallback
+	epsGeo   float64 // ε' per unit cell distance
+	k        int     // subset size (ball cell count)
+	ballR    float64 // ball radius in cell units realising k cells
+	channel  *fo.ConvChannel
 	ballOffs []geom.Cell
 	workers  int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
 
@@ -99,8 +99,7 @@ func New(dom grid.Domain, epsGeo float64, opts ...Option) (*Mechanism, error) {
 	for _, o := range m.ballOffs {
 		m.ballR = math.Max(m.ballR, o.CenterDist(geom.Cell{}))
 	}
-	m.buildChannel()
-	if err := fo.ValidateLinear(m.channel); err != nil {
+	if err := m.buildChannel(); err != nil {
 		return nil, fmt.Errorf("semgeoi: internal channel invalid: %w", err)
 	}
 	return m, nil
@@ -149,61 +148,20 @@ func ballOffsets(k int) []geom.Cell {
 // the channel factors as diag(1/z_i)·K with K translation-invariant
 // everywhere — including the borders, which only change the per-row
 // normaliser. The convolutional form (fo.ConvChannel) exploits that for
-// O(n log n) EM sweeps; its rows reproduce the dense construction bit
-// for bit (same kernel bits, same row-major summation order), which a
-// calibration spot check on corner/edge/centre rows enforces before the
-// fast path is trusted. On any mismatch — a future non-invariant metric,
-// a non-square grid — the exact dense build takes over.
-func (m *Mechanism) buildChannel() {
+// O(n log n) EM sweeps; its rows reproduce the definitional row
+// exp(−ε'·CenterDist/2)/z_i bit for bit (same kernel bits, same
+// row-major summation order), which the package tests pin for every row.
+func (m *Mechanism) buildChannel() error {
 	d := m.dom.D
 	kern := fo.DisplacementKernel(d, func(dx, dy int) float64 {
 		return math.Exp(-m.epsGeo * math.Hypot(float64(dx), float64(dy)) / 2)
 	})
-	if conv, err := fo.NewConvChannel(d, kern); err == nil &&
-		conv.Calibrated(m.exactRow, calibrationProbes(d), 0) {
-		m.channel = conv
-		return
+	conv, err := fo.NewConvChannel(d, kern)
+	if err != nil {
+		return err
 	}
-	m.channel = m.buildDense()
-}
-
-// exactRow fills row with the definitionally exact channel row i, the
-// reference the convolutional fast path is calibrated against.
-func (m *Mechanism) exactRow(i int, row []float64) {
-	vi := m.dom.CellAt(i)
-	sum := 0.0
-	for j := range row {
-		w := math.Exp(-m.epsGeo * vi.CenterDist(m.dom.CellAt(j)) / 2)
-		row[j] = w
-		sum += w
-	}
-	for j := range row {
-		row[j] /= sum
-	}
-}
-
-// calibrationProbes picks the spot-check rows: all four corners, an edge
-// midpoint on each border, and the grid centre.
-func calibrationProbes(d int) []int {
-	n := d * d
-	return []int{
-		0, d - 1, n - d, n - 1, // corners
-		d / 2,           // top edge
-		(d / 2) * d,     // left edge
-		(d/2)*d + d - 1, // right edge
-		n - d + d/2,     // bottom edge
-		(d/2)*d + d/2,   // centre
-	}
-}
-
-// buildDense is the exact O(n²) fallback construction.
-func (m *Mechanism) buildDense() *fo.Channel {
-	n := m.dom.NumCells()
-	ch := fo.NewChannel(n, n)
-	for i := 0; i < n; i++ {
-		m.exactRow(i, ch.Row(i))
-	}
-	return ch
+	m.channel = conv
+	return conv.Validate()
 }
 
 // Name returns the mechanism's display name.
@@ -225,37 +183,21 @@ func (m *Mechanism) NumInputs() int { return m.dom.NumCells() }
 func (m *Mechanism) NumOutputs() int { return m.dom.NumCells() }
 
 // Channel exposes the exact per-centre channel as a dense matrix
-// (read-only), materialising it lazily — bit-identical to the historical
-// dense build — when the mechanism runs on the convolutional fast path.
-// Callers that only sweep should prefer Linear.
+// (read-only), materialised lazily from the convolutional rows. Callers
+// that only sweep should prefer Linear.
 func (m *Mechanism) Channel() *fo.Channel {
-	m.denseOnce.Do(func() {
-		switch ch := m.channel.(type) {
-		case *fo.Channel:
-			m.dense = ch
-		case *fo.ConvChannel:
-			m.dense = ch.Dense()
-		default:
-			m.dense = m.buildDense()
-		}
-	})
+	m.denseOnce.Do(func() { m.dense = m.channel.Dense() })
 	return m.dense
 }
 
-// Linear exposes the channel in its operative representation — the
-// convolutional form when calibration admitted it, dense otherwise.
+// Linear exposes the channel in its operative, convolutional form.
 func (m *Mechanism) Linear() fo.LinearChannel { return m.channel }
-
-// Perturb draws one noisy subset centre for the given input cell index.
-func (m *Mechanism) Perturb(input int, r *rng.RNG) int {
-	return rng.WeightedChoice(r, m.channel.Row(input))
-}
 
 // Samplers returns the per-input-cell alias tables, building them once on
 // first use. The returned slice is shared; treat it as read-only.
 func (m *Mechanism) Samplers() ([]*rng.Alias, error) {
 	m.samplersOnce.Do(func() {
-		m.samplers, m.samplersErr = fo.LinearSamplers(m.channel)
+		m.samplers, m.samplersErr = m.channel.Samplers()
 	})
 	return m.samplers, m.samplersErr
 }

@@ -144,7 +144,11 @@ func TestPerturbMatchesChannel(t *testing.T) {
 	const trials = 100000
 	counts := make([]float64, m.NumOutputs())
 	for i := 0; i < trials; i++ {
-		counts[m.Perturb(in, r)]++
+		rep, err := m.Report(in, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[rep.Planes[0][0]]++
 	}
 	for j := range counts {
 		want := m.Channel().At(in, j)

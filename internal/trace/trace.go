@@ -663,12 +663,14 @@ func (t *Tracer) Handler() http.Handler {
 // parses), the trace ID echoed in the X-Dpspatial-Trace-Id response
 // header, the response status recorded on the span, and — when slow is
 // non-nil — a structured log line for requests at or over the slow
-// threshold. Paths for which skip returns true pass through untouched:
-// the metrics, traces and pprof surfaces must not generate traffic in
-// the very ring and series they expose, and health probes would drown
-// the ring in noise.
+// threshold. A nil tracer records no spans and echoes no trace ID, but
+// slow requests are still logged, with an empty trace ID; with neither
+// a tracer nor a slow logger, next is returned unwrapped. Paths for
+// which skip returns true pass through untouched: the metrics, traces
+// and pprof surfaces must not generate traffic in the very ring and
+// series they expose, and health probes would drown the ring in noise.
 func Middleware(t *Tracer, slow *SlowLogger, skip func(path string) bool, next http.Handler) http.Handler {
-	if t == nil {
+	if t == nil && slow == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -684,7 +686,9 @@ func Middleware(t *Tracer, slow *SlowLogger, skip func(path string) bool, next h
 		}
 		span := t.Root(r.Method+" "+r.URL.Path, remote)
 		span.SetAttr(String("method", r.Method), String("path", r.URL.Path))
-		w.Header().Set(TraceIDHeader, span.TraceID())
+		if span != nil {
+			w.Header().Set(TraceIDHeader, span.TraceID())
+		}
 		rec := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(rec, r.WithContext(ContextWithSpan(r.Context(), span)))
@@ -694,7 +698,7 @@ func Middleware(t *Tracer, slow *SlowLogger, skip func(path string) bool, next h
 		}
 		span.SetStatus(code)
 		span.End()
-		slow.Log(t.Service(), span.TraceID(), r.Method, r.URL.Path, code, time.Since(start))
+		slow.Log(span.TraceID(), r.Method, r.URL.Path, code, time.Since(start))
 	})
 }
 
@@ -722,6 +726,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // threshold, each carrying the trace ID — the join key between the log
 // stream and /v1/traces. A nil *SlowLogger is disabled.
 type SlowLogger struct {
+	// Service is the tier name each line carries ("collector",
+	// "supervisor"), the same name the tier's tracer records under.
+	Service string
 	// W receives the log lines (typically os.Stderr).
 	W io.Writer
 	// Threshold is the minimum request duration to log; zero logs every
@@ -736,7 +743,7 @@ type SlowLogger struct {
 
 // Log writes one slow-request line if d meets the threshold. Safe on a
 // nil receiver and for concurrent use.
-func (l *SlowLogger) Log(service, traceID, method, path string, status int, d time.Duration) {
+func (l *SlowLogger) Log(traceID, method, path string, status int, d time.Duration) {
 	if l == nil || l.W == nil || d < l.Threshold {
 		return
 	}
@@ -748,7 +755,7 @@ func (l *SlowLogger) Log(service, traceID, method, path string, status int, d ti
 			"ts":         ts,
 			"level":      "warn",
 			"msg":        "slow request",
-			"service":    service,
+			"service":    l.Service,
 			"method":     method,
 			"path":       path,
 			"status":     status,
@@ -761,7 +768,7 @@ func (l *SlowLogger) Log(service, traceID, method, path string, status int, d ti
 		line = string(b) + "\n"
 	} else {
 		line = fmt.Sprintf("%s WARN slow request service=%s method=%s path=%s status=%d durationMs=%.3f traceId=%s\n",
-			ts, service, method, path, status, ms, traceID)
+			ts, l.Service, method, path, status, ms, traceID)
 	}
 	l.mu.Lock()
 	_, _ = io.WriteString(l.W, line)

@@ -207,7 +207,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer leaked state")
 	}
 	var sl *SlowLogger
-	sl.Log("svc", "tid", "GET", "/x", 200, time.Second)
+	sl.Log("tid", "GET", "/x", 200, time.Second)
 }
 
 func TestContextPlumbing(t *testing.T) {
@@ -410,16 +410,57 @@ func TestMiddleware(t *testing.T) {
 
 func TestSlowLoggerThresholdAndText(t *testing.T) {
 	var buf bytes.Buffer
-	l := &SlowLogger{W: &buf, Threshold: 100 * time.Millisecond}
-	l.Log("collector", "tid", "GET", "/x", 200, 50*time.Millisecond)
+	l := &SlowLogger{Service: "collector", W: &buf, Threshold: 100 * time.Millisecond}
+	l.Log("tid", "GET", "/x", 200, 50*time.Millisecond)
 	if buf.Len() != 0 {
 		t.Fatal("sub-threshold request logged")
 	}
-	l.Log("collector", "abcdef", "GET", "/x", 200, 150*time.Millisecond)
+	l.Log("abcdef", "GET", "/x", 200, 150*time.Millisecond)
 	line := buf.String()
 	for _, want := range []string{"slow request", "service=collector", "path=/x", "status=200", "traceId=abcdef"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("text line %q missing %q", line, want)
+		}
+	}
+}
+
+// TestMiddlewareNilTracerSlowLog: with tracing off, a slow logger still
+// logs every non-skipped request, under the logger's tier name and with
+// an empty trace ID, and no trace header is echoed.
+func TestMiddlewareNilTracerSlowLog(t *testing.T) {
+	var buf bytes.Buffer
+	slow := &SlowLogger{Service: "collector", W: &buf, JSON: true}
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if SpanFrom(r.Context()) != nil {
+			t.Error("untraced request has a span in context")
+		}
+		if r.URL.Path == "/v1/report" {
+			w.WriteHeader(http.StatusAccepted)
+		}
+	})
+	h := Middleware(nil, slow, func(path string) bool { return path == "/metrics" }, inner)
+	for _, path := range []string{"/v1/report", "/metrics", "/v1/estimate"} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		if _, ok := rr.Header()[TraceIDHeader]; ok {
+			t.Fatalf("%s: untraced request echoed a trace header", path)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d slow lines, want 2:\n%s", len(lines), buf.String())
+	}
+	for i, want := range []struct {
+		path   string
+		status float64
+	}{{"/v1/report", 202}, {"/v1/estimate", 200}} {
+		var line map[string]any
+		if err := json.Unmarshal([]byte(lines[i]), &line); err != nil {
+			t.Fatalf("slow line %d not JSON: %v (%q)", i, err, lines[i])
+		}
+		if line["path"] != want.path || line["status"] != want.status ||
+			line["service"] != "collector" || line["traceId"] != "" {
+			t.Fatalf("slow line %d = %v", i, line)
 		}
 	}
 }
