@@ -46,7 +46,7 @@ func cmdServe(args []string) error {
 	if err := df.validate(); err != nil {
 		return err
 	}
-	slowLog, err := df.slowLogger("collector")
+	slowLog, err := df.slowLogger()
 	if err != nil {
 		return err
 	}

@@ -44,9 +44,9 @@ func addDaemonFlags(fs *flag.FlagSet) *daemonFlags {
 	}
 }
 
-// slowLogger builds the slow-request logger the flags describe for the
-// named tier, or nil when disabled.
-func (d *daemonFlags) slowLogger(service string) (*trace.SlowLogger, error) {
+// slowLogger builds the slow-request logger the flags describe, or nil
+// when disabled.
+func (d *daemonFlags) slowLogger() (*trace.SlowLogger, error) {
 	jsonFormat := false
 	switch *d.logFormat {
 	case "text":
@@ -59,7 +59,6 @@ func (d *daemonFlags) slowLogger(service string) (*trace.SlowLogger, error) {
 		return nil, nil
 	}
 	return &trace.SlowLogger{
-		Service:   service,
 		W:         os.Stderr,
 		Threshold: time.Duration(*d.slowMs * float64(time.Millisecond)),
 		JSON:      jsonFormat,
@@ -80,7 +79,7 @@ func (d *daemonFlags) traceCapacity() int {
 // validate rejects inconsistent flag combinations early, before a
 // listener is bound.
 func (d *daemonFlags) validate() error {
-	if _, err := d.slowLogger(""); err != nil {
+	if _, err := d.slowLogger(); err != nil {
 		return err
 	}
 	if (*d.tlsCert == "") != (*d.tlsKey == "") {

@@ -229,7 +229,7 @@ func LocalPrivacy(dom Domain, m Mechanism) (float64, error) {
 // repeated calls return the memoized budget. On a one-cell grid, where
 // no mechanism leaks anything, the budget is eps itself.
 func CalibrateSEMGeoI(dom Domain, eps float64) (float64, error) {
-	return localprivacy.CalibrateSEMGeoI(dom.D, eps)
+	return semgeoi.CalibrateToDAM(dom.D, eps)
 }
 
 // EstimateOption configures the one-call pipeline.

@@ -57,7 +57,7 @@ var (
 
 // NewPlanarLaplace builds the mechanism with per-cell-unit budget
 // epsGeo > 0. The O(n²)-to-build channel is memoized per (grid, ε) —
-// the same memoization localprivacy.CalibrateSEMGeoI uses — so repeated
+// the same memoization semgeoi.CalibrateToDAM uses — so repeated
 // constructions (per-trial in the experiment harness, per-generation at
 // the collector) reuse one shared, immutable channel.
 func NewPlanarLaplace(dom grid.Domain, epsGeo float64) (*PlanarLaplace, error) {

@@ -144,7 +144,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		mux.HandleFunc(PprofPathPrefix+"symbol", pprof.Symbol)
 		mux.HandleFunc(PprofPathPrefix+"trace", pprof.Trace)
 	}
-	e.handler = trace.Middleware(e.tracer, cfg.SlowLog, UntracedPath,
+	e.handler = trace.Middleware(cfg.Service, e.tracer, cfg.SlowLog, UntracedPath,
 		InstrumentHTTP(e.met, RequireBearer(cfg.AuthToken, mux)))
 	return e
 }

@@ -8,7 +8,7 @@
 // The engine consumes channels through fo.LinearChannel, so structured
 // channels (uniform-plus-sparse SAM/SW rows, two-valued GRR, FFT
 // convolutions) run each EM sweep in O(In + nnz) or O(n log n) instead
-// of the dense O(In·Out). Every channel runs the same stepper over its
+// of the dense O(In·Out). Every channel runs the same iteration over its
 // Forward and Backward sweeps; Options.Init warm-starts the iteration
 // from a previous estimate for incremental re-estimation over growing
 // aggregates.
@@ -103,12 +103,25 @@ func EstimateWithStats(ch fo.LinearChannel, counts []float64, opts *Options) ([]
 		return nil, Stats{}, err
 	}
 
-	step := linearStepper(ch, counts, total)
-
+	// One iteration runs the channel's Forward and Backward sweeps —
+	// O(In + Out + nnz) for structured channels.
+	outMix := make([]float64, out)
+	w := make([]float64, out)
 	next := make([]float64, in)
 	var stats Stats
 	for iter := 0; iter < o.MaxIter; iter++ {
-		step(p, next)
+		ch.Forward(p, outMix)
+		for j := range w {
+			if counts[j] != 0 && outMix[j] > 0 {
+				w[j] = counts[j] / outMix[j]
+			} else {
+				w[j] = 0
+			}
+		}
+		ch.Backward(w, next)
+		for i := range next {
+			next[i] = p[i] * next[i] / total
+		}
 		normalize(next)
 		if o.Smoothing != nil {
 			o.Smoothing(next)
@@ -155,27 +168,6 @@ func initialEstimate(in int, init []float64) ([]float64, error) {
 	}
 	normalize(p)
 	return p, nil
-}
-
-// linearStepper runs one EM iteration through the channel's Forward and
-// Backward sweeps — O(In + Out + nnz) for structured channels.
-func linearStepper(ch fo.LinearChannel, counts []float64, total float64) func(p, next []float64) {
-	outMix := make([]float64, ch.NumOutputs())
-	w := make([]float64, ch.NumOutputs())
-	return func(p, next []float64) {
-		ch.Forward(p, outMix)
-		for j := range w {
-			if counts[j] != 0 && outMix[j] > 0 {
-				w[j] = counts[j] / outMix[j]
-			} else {
-				w[j] = 0
-			}
-		}
-		ch.Backward(w, next)
-		for i := range next {
-			next[i] = p[i] * next[i] / total
-		}
-	}
 }
 
 func normalize(p []float64) {

@@ -22,7 +22,6 @@ import (
 
 	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
-	"dpspatial/internal/localprivacy"
 	"dpspatial/internal/mdsw"
 	"dpspatial/internal/rng"
 	"dpspatial/internal/sam"
@@ -341,12 +340,12 @@ func clampIdx(v, d int) int {
 
 // semEpsilon returns SEM-Geo-I's budget for the given grid and ε,
 // LP-calibrated against DAM when enabled (memoized by
-// localprivacy.CalibrateSEMGeoI).
+// semgeoi.CalibrateToDAM).
 func (s *Suite) semEpsilon(d int, eps float64) (float64, error) {
 	if !s.cfg.LPCalibration {
 		return eps, nil
 	}
-	return localprivacy.CalibrateSEMGeoI(d, eps)
+	return semgeoi.CalibrateToDAM(d, eps)
 }
 
 // buildMechanism constructs one of the five compared estimators for the

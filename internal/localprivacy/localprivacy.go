@@ -15,8 +15,6 @@ import (
 
 	"dpspatial/internal/fo"
 	"dpspatial/internal/grid"
-	"dpspatial/internal/sam"
-	"dpspatial/internal/semgeoi"
 )
 
 // Compute evaluates Equation (16) for a channel whose inputs are the cells
@@ -145,68 +143,4 @@ func Calibrate(dom grid.Domain, target float64, build func(x float64) (*fo.Chann
 		}
 	}
 	return math.Sqrt(lo * hi), nil
-}
-
-// semGeoIKey identifies one CalibrateSEMGeoI result. Both the DAM target
-// and the SEM-Geo-I channels depend on the domain only through its grid
-// side d (all distances are in cell units), so one bisection serves
-// every domain with the same (d, ε).
-type semGeoIKey struct {
-	d   int
-	eps float64
-}
-
-var (
-	semGeoIMu   sync.Mutex
-	semGeoIMemo = map[semGeoIKey]float64{}
-)
-
-// CalibrateSEMGeoI returns the Geo-I budget ε' at which SEM-Geo-I's LP
-// on a d×d grid equals that of DAM with budget eps — the paper's
-// apples-to-apples comparison setting. The bisection (60 iterations,
-// each building a full channel) runs once per (d, ε); repeated calls
-// return the memoized budget. On a grid where DAM leaks nothing (d = 1:
-// every mechanism is the constant channel) there is no target to match,
-// so eps itself is returned.
-func CalibrateSEMGeoI(d int, eps float64) (float64, error) {
-	key := semGeoIKey{d: d, eps: eps}
-	semGeoIMu.Lock()
-	epsGeo, ok := semGeoIMemo[key]
-	semGeoIMu.Unlock()
-	if ok {
-		return epsGeo, nil
-	}
-	epsGeo, err := calibrateSEMGeoI(d, eps)
-	if err != nil {
-		return 0, err
-	}
-	semGeoIMu.Lock()
-	semGeoIMemo[key] = epsGeo
-	semGeoIMu.Unlock()
-	return epsGeo, nil
-}
-
-func calibrateSEMGeoI(d int, eps float64) (float64, error) {
-	dom, err := grid.NewDomain(0, 0, float64(d), d)
-	if err != nil {
-		return 0, err
-	}
-	dam, err := sam.NewDAM(dom, eps)
-	if err != nil {
-		return 0, err
-	}
-	target, err := Compute(dom, dam.Channel())
-	if err != nil {
-		return 0, err
-	}
-	if target <= 0 {
-		return eps, nil
-	}
-	return Calibrate(dom, target, func(x float64) (*fo.Channel, error) {
-		m, err := semgeoi.New(dom, x)
-		if err != nil {
-			return nil, err
-		}
-		return m.Channel(), nil
-	}, 1e-2, 60)
 }

@@ -1,4 +1,4 @@
-package localprivacy
+package localprivacy_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 
 	"dpspatial/internal/fo"
 	"dpspatial/internal/grid"
+	"dpspatial/internal/localprivacy"
 	"dpspatial/internal/sam"
 	"dpspatial/internal/semgeoi"
 )
@@ -28,7 +29,7 @@ func TestComputeIdentityChannelHasZeroPrivacy(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ch.Set(i, i, 1)
 	}
-	lp, err := Compute(dom, ch)
+	lp, err := localprivacy.Compute(dom, ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestComputeUniformChannelHasMaxPrivacy(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ch.Set(i, 0, 1)
 	}
-	lp, err := Compute(dom, ch)
+	lp, err := localprivacy.Compute(dom, ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestComputeMonotoneInEpsilonForDAM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := Compute(dom, m.Channel())
+		lp, err := localprivacy.Compute(dom, m.Channel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestComputeMonotoneInEpsilonForSEM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := Compute(dom, m.Channel())
+		lp, err := localprivacy.Compute(dom, m.Channel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestComputeMonotoneInEpsilonForSEM(t *testing.T) {
 func TestComputeChannelSizeMismatch(t *testing.T) {
 	dom := testDomain(t, 3)
 	ch := fo.NewChannel(4, 4)
-	if _, err := Compute(dom, ch); err == nil {
+	if _, err := localprivacy.Compute(dom, ch); err == nil {
 		t.Fatal("wrong channel size accepted")
 	}
 }
@@ -116,7 +117,7 @@ func TestCalibrateMatchesDAMPrivacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := Compute(dom, dam.Channel())
+	target, err := localprivacy.Compute(dom, dam.Channel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestCalibrateMatchesDAMPrivacy(t *testing.T) {
 		}
 		return m.Channel(), nil
 	}
-	epsPrime, err := Calibrate(dom, target, build, 1e-3, 50)
+	epsPrime, err := localprivacy.Calibrate(dom, target, build, 1e-3, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestCalibrateMatchesDAMPrivacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Compute(dom, ch)
+	got, err := localprivacy.Compute(dom, ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCalibrateClampsOutOfRangeTargets(t *testing.T) {
 	}
 	// Absurdly high target (more private than the most private bracket
 	// end): calibrate returns the bracket's private end.
-	x, err := Calibrate(dom, 1e6, build, 0.01, 10)
+	x, err := localprivacy.Calibrate(dom, 1e6, build, 0.01, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestCalibrateClampsOutOfRangeTargets(t *testing.T) {
 		t.Fatalf("high target returned %v, want lo end 0.01", x)
 	}
 	// Near-zero target: least private end.
-	x, err = Calibrate(dom, 1e-9, build, 0.01, 10)
+	x, err = localprivacy.Calibrate(dom, 1e-9, build, 0.01, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +182,13 @@ func TestCalibrateErrors(t *testing.T) {
 		}
 		return m.Channel(), nil
 	}
-	if _, err := Calibrate(dom, 0, build, 0.1, 1); err == nil {
+	if _, err := localprivacy.Calibrate(dom, 0, build, 0.1, 1); err == nil {
 		t.Fatal("zero target accepted")
 	}
-	if _, err := Calibrate(dom, 1, build, 1, 0.5); err == nil {
+	if _, err := localprivacy.Calibrate(dom, 1, build, 1, 0.5); err == nil {
 		t.Fatal("inverted bracket accepted")
 	}
-	if _, err := Calibrate(dom, 1, build, 0, 1); err == nil {
+	if _, err := localprivacy.Calibrate(dom, 1, build, 0, 1); err == nil {
 		t.Fatal("zero lo accepted")
 	}
 }

@@ -26,7 +26,9 @@ import (
 	"dpspatial/internal/fo"
 	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
+	"dpspatial/internal/localprivacy"
 	"dpspatial/internal/rng"
+	"dpspatial/internal/sam"
 )
 
 // Mechanism is the discrete SEM-Geo-I reporter/estimator over a d×d grid.
@@ -323,6 +325,70 @@ func (m *Mechanism) GeoIRatioHolds(tol float64) bool {
 		}
 	}
 	return true
+}
+
+// calibrationKey identifies one CalibrateToDAM result. Both the DAM target
+// and the SEM-Geo-I channels depend on the domain only through its grid
+// side d (all distances are in cell units), so one bisection serves
+// every domain with the same (d, ε).
+type calibrationKey struct {
+	d   int
+	eps float64
+}
+
+var (
+	calibrationMu   sync.Mutex
+	calibrationMemo = map[calibrationKey]float64{}
+)
+
+// CalibrateToDAM returns the Geo-I budget ε' at which SEM-Geo-I's LP
+// on a d×d grid equals that of DAM with budget eps — the paper's
+// apples-to-apples comparison setting. The bisection (60 iterations,
+// each building a full channel) runs once per (d, ε); repeated calls
+// return the memoized budget. On a grid where DAM leaks nothing (d = 1:
+// every mechanism is the constant channel) there is no target to match,
+// so eps itself is returned.
+func CalibrateToDAM(d int, eps float64) (float64, error) {
+	key := calibrationKey{d: d, eps: eps}
+	calibrationMu.Lock()
+	epsGeo, ok := calibrationMemo[key]
+	calibrationMu.Unlock()
+	if ok {
+		return epsGeo, nil
+	}
+	epsGeo, err := calibrateToDAM(d, eps)
+	if err != nil {
+		return 0, err
+	}
+	calibrationMu.Lock()
+	calibrationMemo[key] = epsGeo
+	calibrationMu.Unlock()
+	return epsGeo, nil
+}
+
+func calibrateToDAM(d int, eps float64) (float64, error) {
+	dom, err := grid.NewDomain(0, 0, float64(d), d)
+	if err != nil {
+		return 0, err
+	}
+	dam, err := sam.NewDAM(dom, eps)
+	if err != nil {
+		return 0, err
+	}
+	target, err := localprivacy.Compute(dom, dam.Channel())
+	if err != nil {
+		return 0, err
+	}
+	if target <= 0 {
+		return eps, nil
+	}
+	return localprivacy.Calibrate(dom, target, func(x float64) (*fo.Channel, error) {
+		m, err := New(dom, x)
+		if err != nil {
+			return nil, err
+		}
+		return m.Channel(), nil
+	}, 1e-2, 60)
 }
 
 func clampInt(v, lo, hi int) int {

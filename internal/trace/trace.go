@@ -669,7 +669,9 @@ func (t *Tracer) Handler() http.Handler {
 // which skip returns true pass through untouched: the metrics, traces
 // and pprof surfaces must not generate traffic in the very ring and
 // series they expose, and health probes would drown the ring in noise.
-func Middleware(t *Tracer, slow *SlowLogger, skip func(path string) bool, next http.Handler) http.Handler {
+// service is the tier name each slow-request line carries, the same name
+// the tier's tracer records under.
+func Middleware(service string, t *Tracer, slow *SlowLogger, skip func(path string) bool, next http.Handler) http.Handler {
 	if t == nil && slow == nil {
 		return next
 	}
@@ -698,7 +700,7 @@ func Middleware(t *Tracer, slow *SlowLogger, skip func(path string) bool, next h
 		}
 		span.SetStatus(code)
 		span.End()
-		slow.Log(span.TraceID(), r.Method, r.URL.Path, code, time.Since(start))
+		slow.Log(service, span.TraceID(), r.Method, r.URL.Path, code, time.Since(start))
 	})
 }
 
@@ -726,9 +728,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // threshold, each carrying the trace ID — the join key between the log
 // stream and /v1/traces. A nil *SlowLogger is disabled.
 type SlowLogger struct {
-	// Service is the tier name each line carries ("collector",
-	// "supervisor"), the same name the tier's tracer records under.
-	Service string
 	// W receives the log lines (typically os.Stderr).
 	W io.Writer
 	// Threshold is the minimum request duration to log; zero logs every
@@ -743,7 +742,7 @@ type SlowLogger struct {
 
 // Log writes one slow-request line if d meets the threshold. Safe on a
 // nil receiver and for concurrent use.
-func (l *SlowLogger) Log(traceID, method, path string, status int, d time.Duration) {
+func (l *SlowLogger) Log(service, traceID, method, path string, status int, d time.Duration) {
 	if l == nil || l.W == nil || d < l.Threshold {
 		return
 	}
@@ -755,7 +754,7 @@ func (l *SlowLogger) Log(traceID, method, path string, status int, d time.Durati
 			"ts":         ts,
 			"level":      "warn",
 			"msg":        "slow request",
-			"service":    l.Service,
+			"service":    service,
 			"method":     method,
 			"path":       path,
 			"status":     status,
@@ -768,7 +767,7 @@ func (l *SlowLogger) Log(traceID, method, path string, status int, d time.Durati
 		line = string(b) + "\n"
 	} else {
 		line = fmt.Sprintf("%s WARN slow request service=%s method=%s path=%s status=%d durationMs=%.3f traceId=%s\n",
-			ts, l.Service, method, path, status, ms, traceID)
+			ts, service, method, path, status, ms, traceID)
 	}
 	l.mu.Lock()
 	_, _ = io.WriteString(l.W, line)

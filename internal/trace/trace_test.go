@@ -207,7 +207,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer leaked state")
 	}
 	var sl *SlowLogger
-	sl.Log("tid", "GET", "/x", 200, time.Second)
+	sl.Log("svc", "tid", "GET", "/x", 200, time.Second)
 }
 
 func TestContextPlumbing(t *testing.T) {
@@ -358,7 +358,7 @@ func TestMiddleware(t *testing.T) {
 		w.WriteHeader(http.StatusAccepted)
 	})
 	skip := func(path string) bool { return path == "/metrics" }
-	h := Middleware(tr, slow, skip, inner)
+	h := Middleware("collector", tr, slow, skip, inner)
 
 	remote := NewSpanContext()
 	req := httptest.NewRequest(http.MethodPost, "/v1/report", strings.NewReader("x"))
@@ -410,12 +410,12 @@ func TestMiddleware(t *testing.T) {
 
 func TestSlowLoggerThresholdAndText(t *testing.T) {
 	var buf bytes.Buffer
-	l := &SlowLogger{Service: "collector", W: &buf, Threshold: 100 * time.Millisecond}
-	l.Log("tid", "GET", "/x", 200, 50*time.Millisecond)
+	l := &SlowLogger{W: &buf, Threshold: 100 * time.Millisecond}
+	l.Log("collector", "tid", "GET", "/x", 200, 50*time.Millisecond)
 	if buf.Len() != 0 {
 		t.Fatal("sub-threshold request logged")
 	}
-	l.Log("abcdef", "GET", "/x", 200, 150*time.Millisecond)
+	l.Log("collector", "abcdef", "GET", "/x", 200, 150*time.Millisecond)
 	line := buf.String()
 	for _, want := range []string{"slow request", "service=collector", "path=/x", "status=200", "traceId=abcdef"} {
 		if !strings.Contains(line, want) {
@@ -425,11 +425,11 @@ func TestSlowLoggerThresholdAndText(t *testing.T) {
 }
 
 // TestMiddlewareNilTracerSlowLog: with tracing off, a slow logger still
-// logs every non-skipped request, under the logger's tier name and with
-// an empty trace ID, and no trace header is echoed.
+// logs every non-skipped request, under the tier name given to the
+// middleware and with an empty trace ID, and no trace header is echoed.
 func TestMiddlewareNilTracerSlowLog(t *testing.T) {
 	var buf bytes.Buffer
-	slow := &SlowLogger{Service: "collector", W: &buf, JSON: true}
+	slow := &SlowLogger{W: &buf, JSON: true}
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if SpanFrom(r.Context()) != nil {
 			t.Error("untraced request has a span in context")
@@ -438,7 +438,7 @@ func TestMiddlewareNilTracerSlowLog(t *testing.T) {
 			w.WriteHeader(http.StatusAccepted)
 		}
 	})
-	h := Middleware(nil, slow, func(path string) bool { return path == "/metrics" }, inner)
+	h := Middleware("collector", nil, slow, func(path string) bool { return path == "/metrics" }, inner)
 	for _, path := range []string{"/v1/report", "/metrics", "/v1/estimate"} {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
@@ -467,7 +467,7 @@ func TestMiddlewareNilTracerSlowLog(t *testing.T) {
 
 func TestMiddlewareNilTracerPassthrough(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(204) })
-	h := Middleware(nil, nil, nil, inner)
+	h := Middleware("collector", nil, nil, nil, inner)
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/x", nil))
 	if rr.Code != 204 || rr.Header().Get(TraceIDHeader) != "" {

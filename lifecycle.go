@@ -295,7 +295,7 @@ func WithFleetSlowLog(threshold time.Duration, jsonFormat bool) FleetOption {
 			c.SlowLog = nil
 			return
 		}
-		c.SlowLog = &trace.SlowLogger{Service: "supervisor", W: os.Stderr, Threshold: threshold, JSON: jsonFormat}
+		c.SlowLog = &trace.SlowLogger{W: os.Stderr, Threshold: threshold, JSON: jsonFormat}
 	}
 }
 
