@@ -150,9 +150,12 @@ type Collector struct {
 	// and snapshots run under mu as part of the submission commit.
 	// pipelinePersisted tracks whether the store (snapshot or current
 	// WAL) already holds the pinned pipeline, so each WAL generation
-	// records it exactly once.
+	// records it exactly once. snapshotTriedAt is RecordsSinceSnapshot
+	// as the last snapshot attempt left it: 0 after a success, the
+	// backlog after a failure.
 	store             *durable.Store
 	pipelinePersisted bool
+	snapshotTriedAt   uint64
 }
 
 // New builds a collector. Either cfg.Mechanism or cfg.Build must be set.
@@ -372,7 +375,11 @@ func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *P
 		Generation:   c.generation + 1,
 		TraceID:      span.TraceID(),
 	}
-	if err := c.persistShardLocked(span, shard, resp, id, kind); err != nil {
+	ack, err := json.Marshal(&resp)
+	if err != nil {
+		return SubmitResponse{}, err
+	}
+	if err := c.persistShardLocked(span, shard, ack, id, kind); err != nil {
 		return SubmitResponse{}, err
 	}
 	mergeSpan := span.Child("collector.merge")
@@ -392,10 +399,10 @@ func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *P
 	c.stats.Reports = c.agg.N
 	kind.count(&c.stats)
 	ackSpan := span.Child("collector.ack")
-	c.acks.Put(id, resp)
+	c.acks.Put(id, ack)
 	ackSpan.End()
 	c.engine.met.Submissions.With(SubmissionAccepted).Inc()
-	c.maybeSnapshotLocked()
+	c.maybeSnapshotLocked(span)
 	return resp, nil
 }
 

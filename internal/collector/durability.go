@@ -46,10 +46,11 @@ type snapshotMeta struct {
 
 // ackEnvelope is the Meta payload of a RecordSubmission WAL record: the
 // original ack plus which handler accepted the shard, so replay restores
-// the idempotency log and the per-kind counters exactly.
+// the idempotency log and the per-kind counters exactly. Ack holds the
+// bytes the ack log stores, so the ack is encoded once.
 type ackEnvelope struct {
-	Kind string         `json:"kind"`
-	Ack  SubmitResponse `json:"ack"`
+	Kind string          `json:"kind"`
+	Ack  json.RawMessage `json:"ack"`
 }
 
 // ShardKind names a submission's framing — a report stream or a binary
@@ -158,7 +159,7 @@ func (c *Collector) recoverFromStore() error {
 			if err := json.Unmarshal(e.Ack, &ack); err != nil {
 				return fmt.Errorf("snapshot ack %q: %w", e.ID, err)
 			}
-			c.acks.Put(e.ID, ack)
+			c.acks.Put(e.ID, e.Ack)
 		}
 	}
 	for _, r := range rec.Records {
@@ -176,7 +177,11 @@ func (c *Collector) recoverFromStore() error {
 				return fmt.Errorf("WAL record %d is a submission but no mechanism is configured and no pipeline record precedes it", r.Seq)
 			}
 			var env ackEnvelope
+			var ack SubmitResponse
 			if err := json.Unmarshal(r.Meta, &env); err != nil {
+				return fmt.Errorf("WAL record %d ack envelope: %w", r.Seq, err)
+			}
+			if err := json.Unmarshal(env.Ack, &ack); err != nil {
 				return fmt.Errorf("WAL record %d ack envelope: %w", r.Seq, err)
 			}
 			kind, err := shardKindFromString(env.Kind)
@@ -194,8 +199,8 @@ func (c *Collector) recoverFromStore() error {
 				return fmt.Errorf("WAL record %d: %w", r.Seq, err)
 			}
 			c.generation++
-			if env.Ack.Generation != c.generation || env.Ack.TotalReports != c.agg.N {
-				return fmt.Errorf("WAL record %d ack (generation %d, %g reports) does not match the replayed state (generation %d, %g reports): the log belongs to different state", r.Seq, env.Ack.Generation, env.Ack.TotalReports, c.generation, c.agg.N)
+			if ack.Generation != c.generation || ack.TotalReports != c.agg.N {
+				return fmt.Errorf("WAL record %d ack (generation %d, %g reports) does not match the replayed state (generation %d, %g reports): the log belongs to different state", r.Seq, ack.Generation, ack.TotalReports, c.generation, c.agg.N)
 			}
 			kind.count(&c.stats)
 			c.acks.Put(r.ID, env.Ack)
@@ -258,8 +263,8 @@ func (c *Collector) installRecoveredMechanism(scheme string, p *Pipeline) error 
 // after all validation and BEFORE the merge: once it returns nil the
 // submission is durable, and since shard.Compatible already passed, the
 // merge that follows cannot fail, so memory and disk cannot diverge.
-// Callers hold mu.
-func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, resp SubmitResponse, id string, kind ShardKind) error {
+// ack is the submission's encoded SubmitResponse. Callers hold mu.
+func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, ack []byte, id string, kind ShardKind) error {
 	if c.store == nil {
 		return nil
 	}
@@ -275,7 +280,7 @@ func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, re
 	if err != nil {
 		return &storeError{err}
 	}
-	env, err := json.Marshal(&ackEnvelope{Kind: kind.String(), Ack: resp})
+	env, err := json.Marshal(&ackEnvelope{Kind: kind.String(), Ack: ack})
 	if err != nil {
 		return &storeError{err}
 	}
@@ -298,29 +303,35 @@ func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, re
 }
 
 // maybeSnapshotLocked compacts the WAL into a snapshot once the replay
-// cost of a crash reaches the configured cadence. A snapshot failure
-// must not fail the submission that tripped it — the WAL already holds
-// the record — so errors surface only through the store's stats.
-// Callers hold mu.
-func (c *Collector) maybeSnapshotLocked() {
+// cost of a crash reaches the configured cadence, inside a
+// collector.snapshot child of span. A snapshot failure must not fail
+// the submission that tripped it — the WAL already holds the record —
+// so errors surface only through the span and the store's stats, and
+// the next attempt waits for another cadence's worth of records rather
+// than rewriting the whole ack log on every submission. Callers hold
+// mu.
+func (c *Collector) maybeSnapshotLocked(span *trace.Span) {
 	if c.store == nil {
 		return
 	}
 	every := c.snapshotEvery()
-	if every <= 0 {
+	if every <= 0 || c.store.RecordsSinceSnapshot() < c.snapshotTriedAt+uint64(every) {
 		return
 	}
-	if c.store.RecordsSinceSnapshot() >= uint64(every) {
-		_ = c.snapshotLocked()
-	}
+	snapSpan := span.Child("collector.snapshot")
+	snapSpan.SetAttr(trace.Int("acks", int64(len(c.acks.Entries()))))
+	snapSpan.Fail(c.snapshotLocked())
+	snapSpan.End()
 }
 
-// snapshotLocked atomically persists the full collector state. Callers
-// hold mu.
+// snapshotLocked atomically persists the full collector state and
+// notes where the attempt left the WAL for maybeSnapshotLocked's
+// retry spacing. Callers hold mu.
 func (c *Collector) snapshotLocked() error {
 	if c.store == nil || c.mech == nil {
 		return nil
 	}
+	defer func() { c.snapshotTriedAt = c.store.RecordsSinceSnapshot() }()
 	state, err := c.agg.MarshalBinary()
 	if err != nil {
 		return &storeError{err}
@@ -336,16 +347,7 @@ func (c *Collector) snapshotLocked() error {
 	if err != nil {
 		return &storeError{err}
 	}
-	entries := c.acks.Entries()
-	acks := make([]durable.AckEntry, 0, len(entries))
-	for _, e := range entries {
-		raw, err := json.Marshal(&e.Resp)
-		if err != nil {
-			return &storeError{err}
-		}
-		acks = append(acks, durable.AckEntry{ID: e.ID, Ack: raw})
-	}
-	if err := c.store.WriteSnapshot(meta, state, acks); err != nil {
+	if err := c.store.WriteSnapshot(meta, state, c.acks.Entries()); err != nil {
 		return &storeError{err}
 	}
 	// The snapshot now covers the pipeline; the (reset) WAL need not.

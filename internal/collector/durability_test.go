@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dpspatial/internal/collector"
@@ -406,6 +407,26 @@ func TestDurableRefusesCorruptState(t *testing.T) {
 		mustRefuse(t, dir, collector.Config{Build: durBuild(t)}, "snapshot aggregate")
 	})
 
+	t.Run("undecodable snapshot ack", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := durable.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := json.Marshal(map[string]any{
+			"scheme": mech.Scheme(), "pipeline": pip, "generation": 1, "aggregateShards": 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks := []durable.AckEntry{{ID: "s1", Ack: []byte(`{"generation":"one"}`)}}
+		if err := st.WriteSnapshot(meta, blob, acks); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		mustRefuse(t, dir, collector.Config{Build: durBuild(t)}, "snapshot ack")
+	})
+
 	t.Run("torn final record is tolerated", func(t *testing.T) {
 		dir := seed(t, goodSub)
 		walPath := filepath.Join(dir, durable.WALFile)
@@ -512,6 +533,79 @@ func TestDurableSnapshotCadenceAndGracefulClose(t *testing.T) {
 	}
 	if memStats.Durability != nil {
 		t.Fatalf("in-memory collector reports durability: %+v", memStats.Durability)
+	}
+}
+
+// TestDurableSnapshotRetrySpacing fails every snapshot attempt for ten
+// submissions at SnapshotEvery 2: the collector retries once per two
+// records since its last attempt — five attempts, not one per
+// submission — and the first attempt that succeeds covers every
+// record, so a crash right after it replays nothing.
+func TestDurableSnapshotRetrySpacing(t *testing.T) {
+	const d, eps, nShards = 6, 2.0, 11
+	mech := newDAM(t, d, eps)
+	pip := durPipeline(mech, d, eps)
+	shards := accumulateShards(t, mech, nShards, 77)
+	blobs, ids := marshalShards(t, shards, "retry")
+	ctx := context.Background()
+
+	dir := t.TempDir()
+	st, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failing atomic.Bool
+	var attempts atomic.Int64
+	failing.Store(true)
+	st.Hooks.BeforeSnapshotRename = func() error {
+		attempts.Add(1)
+		if failing.Load() {
+			return errors.New("injected snapshot failure")
+		}
+		return nil
+	}
+	c, err := collector.New(collector.Config{
+		Mechanism: newDAM(t, d, eps), Pipeline: pip, Store: st, SnapshotEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	client := collector.NewClient(srv.URL)
+	for i := 0; i < 10; i++ {
+		if _, err := client.SubmitAggregateBlobWithID(ctx, blobs[i], pip, ids[i]); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	if n := attempts.Load(); n != 5 {
+		t.Fatalf("10 submissions made %d snapshot attempts, want 5", n)
+	}
+
+	// The WAL holds the pipeline record and 11 submissions once the
+	// next one lands: the cadence's next attempt, which now succeeds.
+	failing.Store(false)
+	if _, err := client.SubmitAggregateBlobWithID(ctx, blobs[10], pip, ids[10]); err != nil {
+		t.Fatal(err)
+	}
+	ds := st.Stats()
+	if attempts.Load() != 6 || ds.SnapshotsWritten != 1 || ds.SnapshotSeq != nShards+1 || ds.RecordsSinceSnapshot != 0 {
+		t.Fatalf("after the successful attempt: %d attempts, %+v", attempts.Load(), ds)
+	}
+	srv.Close()
+	st.Close() // crash: no graceful close
+
+	client2, _, st2 := startDurable(t, dir, collector.Config{Build: durBuild(t), SnapshotEvery: -1})
+	if ds := st2.Stats(); ds.RecordsReplayed != 0 {
+		t.Fatalf("the snapshot left %d WAL records to replay", ds.RecordsReplayed)
+	}
+	for i := range shards {
+		resp, err := client2.SubmitAggregateBlobWithID(ctx, blobs[i], pip, ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Duplicate || resp.Generation != uint64(i+1) {
+			t.Fatalf("shard %d: Duplicate=%v generation=%d, want the original ack", i, resp.Duplicate, resp.Generation)
+		}
 	}
 }
 

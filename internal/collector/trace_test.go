@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,6 +193,64 @@ func TestCollectorTraceEndToEnd(t *testing.T) {
 	}
 	if dup.TraceID != resp.TraceID {
 		t.Fatalf("duplicate ack trace %s, want the original %s", dup.TraceID, resp.TraceID)
+	}
+}
+
+// TestSnapshotSpanOnSnapshottingSubmitOnly pins the collector.snapshot
+// span: only the submission that trips the periodic snapshot carries
+// it, as a child of the request root with the ack count written, and a
+// failed snapshot fails the span while the submission still succeeds.
+func TestSnapshotSpanOnSnapshottingSubmitOnly(t *testing.T) {
+	mech := newDAM(t, 6, 2.0)
+	st, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var failing atomic.Bool
+	st.Hooks.BeforeSnapshotRename = func() error {
+		if failing.Load() {
+			return errors.New("injected snapshot failure")
+		}
+		return nil
+	}
+	// No pipeline is pinned, so each submission is one WAL record and
+	// the second and fourth trip the cadence of 2.
+	c, err := collector.New(collector.Config{Mechanism: mech, Store: st, SnapshotEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	t.Cleanup(func() { srv.Close(); c.Close() })
+	client := collector.NewClient(srv.URL)
+
+	for i, shard := range accumulateShards(t, mech, 5, 9) {
+		failing.Store(i == 3)
+		blob, err := shard.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.SubmitAggregateBlobWithID(context.Background(), blob, nil, collector.NewSubmissionID())
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		td := waitTrace(t, c.Tracer(), resp.TraceID)
+		snap := spanByName(td, "collector.snapshot")
+		if wantSnap := i == 1 || i == 3; (snap != nil) != wantSnap {
+			t.Fatalf("submission %d: collector.snapshot present = %v, want %v (spans %v)", i, snap != nil, wantSnap, spanNames(td))
+		}
+		if snap == nil {
+			continue
+		}
+		if snap.ParentSpanID != td.Spans[0].SpanID {
+			t.Fatalf("collector.snapshot parent %s, want the root %s", snap.ParentSpanID, td.Spans[0].SpanID)
+		}
+		if n, ok := snap.Attrs["acks"].(int64); !ok || n != int64(i+1) {
+			t.Fatalf("submission %d: collector.snapshot acks attr = %#v, want %d", i, snap.Attrs["acks"], i+1)
+		}
+		if failed := snap.Error != ""; failed != (i == 3) || td.Outcome != trace.OutcomeOK {
+			t.Fatalf("submission %d: snapshot error %q, trace outcome %q", i, snap.Error, td.Outcome)
+		}
 	}
 }
 

@@ -151,59 +151,62 @@ type SubmitResponse struct {
 // response — merges exactly once. The bound caps memory; a retry
 // arriving after more than windowSize newer submissions would re-merge,
 // which at that depth means the client waited far past any sane backoff.
+//
+// Each ack is held as its JSON encoding, made once when the ack is: a
+// durable snapshot writes those bytes as they are, and only a replay
+// decodes them.
 type AckLog struct {
-	acks  map[string]SubmitResponse
-	order []string
-	cap   int
+	entries []durable.AckEntry // oldest first
+	index   map[string]int     // ID → position in entries plus evicted
+	evicted int                // entries dropped off the front so far
+	cap     int
 }
 
 // NewAckLog returns a log remembering the last windowSize acks.
 func NewAckLog(windowSize int) *AckLog {
-	return &AckLog{acks: make(map[string]SubmitResponse), cap: windowSize}
+	return &AckLog{index: make(map[string]int), cap: windowSize}
 }
 
 // Get returns the remembered ack for id, marked as a duplicate.
 func (l *AckLog) Get(id string) (SubmitResponse, bool) {
-	if id == "" {
+	i, ok := l.index[id]
+	if !ok {
 		return SubmitResponse{}, false
 	}
-	resp, ok := l.acks[id]
-	if ok {
-		resp.Duplicate = true
+	var resp SubmitResponse
+	if err := json.Unmarshal(l.entries[i-l.evicted].Ack, &resp); err != nil {
+		// Put's callers store json.Marshal output or bytes recovery
+		// already decoded, so this is corrupted memory.
+		panic(fmt.Sprintf("collector: stored ack %q does not decode: %v", id, err))
 	}
-	return resp, ok
+	resp.Duplicate = true
+	return resp, true
 }
 
 // Entries returns the remembered acks in insertion order, oldest first
 // — the serialization order a durable snapshot preserves so a restored
-// log evicts in the same FIFO order as the original.
-func (l *AckLog) Entries() []AckLogEntry {
-	out := make([]AckLogEntry, 0, len(l.order))
-	for _, id := range l.order {
-		out = append(out, AckLogEntry{ID: id, Resp: l.acks[id]})
-	}
-	return out
-}
+// log evicts in the same FIFO order as the original. The slice is the
+// log's own, valid until the next Put.
+func (l *AckLog) Entries() []durable.AckEntry { return l.entries }
 
-// AckLogEntry is one remembered submission ack.
-type AckLogEntry struct {
-	ID   string
-	Resp SubmitResponse
-}
-
-// Put remembers the ack for id, evicting the oldest entry past the cap.
-func (l *AckLog) Put(id string, resp SubmitResponse) {
+// Put remembers ack, the JSON encoding of a SubmitResponse, for id,
+// evicting the oldest entry past the cap.
+func (l *AckLog) Put(id string, ack []byte) {
 	if id == "" {
 		return
 	}
-	if _, exists := l.acks[id]; !exists {
-		l.order = append(l.order, id)
-		if len(l.order) > l.cap {
-			delete(l.acks, l.order[0])
-			l.order = l.order[1:]
-		}
+	if i, ok := l.index[id]; ok {
+		l.entries[i-l.evicted].Ack = ack
+		return
 	}
-	l.acks[id] = resp
+	l.index[id] = l.evicted + len(l.entries)
+	l.entries = append(l.entries, durable.AckEntry{ID: id, Ack: ack})
+	if len(l.entries) > l.cap {
+		delete(l.index, l.entries[0].ID)
+		l.entries[0] = durable.AckEntry{}
+		l.entries = l.entries[1:]
+		l.evicted++
+	}
 }
 
 // EstimateResponse is the JSON envelope GET /v1/estimate serves. Mass is

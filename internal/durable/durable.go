@@ -71,7 +71,9 @@ type Record struct {
 }
 
 // AckEntry is one remembered ack in a snapshot's idempotency log,
-// oldest first — the order the collector's FIFO eviction needs.
+// oldest first — the order the collector's FIFO eviction needs. The
+// collector's in-memory log holds the same entries, so a snapshot
+// writes them without conversion.
 type AckEntry struct {
 	ID  string
 	Ack []byte

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +51,47 @@ func TestGoldenSnapshotEncoding(t *testing.T) {
 		len(back.Acks) != 1 || back.Acks[0].ID != "a" || !bytes.Equal(back.Acks[0].Ack, snap.Acks[0].Ack) {
 		t.Fatalf("snapshot round trip mismatch: %+v", back)
 	}
+}
+
+// FuzzDecodeSnapshot feeds decodeSnapshot arbitrary bytes with the
+// trailing CRC-32C re-stamped, so mutations reach the field decoder
+// instead of stopping at the checksum. It must never panic, never size
+// the ack log past the input, and whatever it accepts must re-encode to
+// bytes that decode to the same fields.
+func FuzzDecodeSnapshot(f *testing.F) {
+	// The bytes TestGoldenSnapshotEncoding pins.
+	golden, err := hex.DecodeString("4450534e415030310300002a36fe9c9717077b226d223a327d02beef0101610b7b226f6b223a747275657d8a6aa849")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(encodeSnapshot(&Snapshot{Seq: 1 << 40, TakenAt: time.Unix(0, 42), Meta: []byte(`{}`), State: []byte{1, 2, 3}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		if n := len(data); n >= 4 {
+			binary.LittleEndian.PutUint32(data[n-4:], crc32.Checksum(data[:n-4], crcTable))
+		}
+		snap, err := decodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if cap(snap.Acks) > len(data) {
+			t.Fatalf("%d-byte input sized an ack log of %d", len(data), cap(snap.Acks))
+		}
+		back, err := decodeSnapshot(encodeSnapshot(snap))
+		if err != nil {
+			t.Fatalf("accepted snapshot does not re-encode: %v", err)
+		}
+		same := back.Seq == snap.Seq && back.TakenAt.Equal(snap.TakenAt) &&
+			bytes.Equal(back.Meta, snap.Meta) && bytes.Equal(back.State, snap.State) &&
+			len(back.Acks) == len(snap.Acks)
+		for i := 0; same && i < len(snap.Acks); i++ {
+			same = back.Acks[i].ID == snap.Acks[i].ID && bytes.Equal(back.Acks[i].Ack, snap.Acks[i].Ack)
+		}
+		if !same {
+			t.Fatalf("re-encoded snapshot decodes to different fields:\n got %+v\nwant %+v", back, snap)
+		}
+	})
 }
 
 // --- lifecycle round trips ---

@@ -20,8 +20,18 @@ import (
 // mismatch refuses recovery.
 var snapshotMagic = []byte("DPSNAP01")
 
+// encodeSnapshot sizes its buffer once: a full ack log makes the
+// snapshot about 11 MB, and growing that by append copies it over and
+// over.
 func encodeSnapshot(snap *Snapshot) []byte {
-	var out []byte
+	size := len(snapshotMagic) + uvarintLen(snap.Seq) + 8 +
+		uvarintLen(uint64(len(snap.Meta))) + len(snap.Meta) +
+		uvarintLen(uint64(len(snap.State))) + len(snap.State) +
+		uvarintLen(uint64(len(snap.Acks))) + 4
+	for _, e := range snap.Acks {
+		size += uvarintLen(uint64(len(e.ID))) + len(e.ID) + uvarintLen(uint64(len(e.Ack))) + len(e.Ack)
+	}
+	out := make([]byte, 0, size)
 	out = append(out, snapshotMagic...)
 	out = binary.AppendUvarint(out, snap.Seq)
 	out = binary.LittleEndian.AppendUint64(out, uint64(snap.TakenAt.UnixNano()))

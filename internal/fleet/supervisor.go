@@ -420,7 +420,10 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	if tid := span.TraceID(); tid != "" && resp.TraceID == "" {
 		resp.TraceID = tid
 	}
-	s.acks.Put(id, *resp)
+	// Marshal fails only on a NaN or infinite float, and every float in
+	// resp came out of the member's JSON ack.
+	ack, _ := json.Marshal(resp)
+	s.acks.Put(id, ack)
 	delete(s.sticky, id)
 	s.mu.Unlock()
 	collector.WriteJSON(w, http.StatusOK, resp)
