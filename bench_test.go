@@ -638,28 +638,6 @@ func BenchmarkRangeQueryExperiment(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectParallel measures the fan-out collection path on 100k
-// users at d=15.
-func BenchmarkCollectParallel(b *testing.B) {
-	dom := benchDomain(b, 15)
-	m, err := sam.NewDAM(dom, 3.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	truth := make([]float64, m.NumInputs())
-	r := rng.New(8)
-	for i := 0; i < 100000; i++ {
-		truth[r.Intn(len(truth))]++
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.CollectParallel(truth, uint64(i), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCollectorPipeline measures the networked report lifecycle:
 // two pre-encoded DPA2 shard blobs POSTed to a fresh in-process
 // collector over HTTP loopback, then the merged estimate fetched back

@@ -210,7 +210,6 @@ func cmdEstimate(args []string) error {
 	eps := fs.Float64("eps", 3.5, "privacy budget")
 	mech := fs.String("mech", "DAM", "mechanism: "+strings.Join(dpspatial.EstimateMechanismNames(), ", "))
 	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 1, "collection fan-out workers (0 = all cores; values ≠ 1 use per-worker RNG streams)")
 	render := fs.Bool("render", false, "print an ASCII density map instead of CSV")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -229,8 +228,7 @@ func cmdEstimate(args []string) error {
 			return err
 		}
 		est, err = dpspatial.Estimate(pts, *d, *eps,
-			dpspatial.WithMechanism(*mech), dpspatial.WithSeed(*seed),
-			dpspatial.WithWorkers(*workers))
+			dpspatial.WithMechanism(*mech), dpspatial.WithSeed(*seed))
 	default:
 		return fmt.Errorf("missing --in, --from-aggregate or --from-url")
 	}

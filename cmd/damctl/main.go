@@ -10,7 +10,7 @@
 //	damctl gen    --dataset Crime --out points.csv [--scale 0.05]
 //	damctl report --in points.csv --d 15 --eps 3.5 [--mech DAM] [--shards 4 --out rep]
 //	damctl aggregate [--out agg.json] reports.jsonl|shard.json|- ...
-//	damctl estimate --in points.csv --d 15 --eps 3.5 [--mech DAM] [--workers 1]
+//	damctl estimate --in points.csv --d 15 --eps 3.5 [--mech DAM]
 //	damctl estimate --from-aggregate agg.json
 //	damctl estimate --from-url http://127.0.0.1:8080
 //	damctl serve  [--addr 127.0.0.1:8080] [--cadence 2s] [--auth-token s3cret] [--mech DAM --d 15 --eps 3.5] [--data-dir state/] [--slow-ms 250 --log-format json] [--pprof] [--tls-cert c.pem --tls-key k.pem]

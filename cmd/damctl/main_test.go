@@ -161,7 +161,7 @@ func TestCmdGenAndEstimate(t *testing.T) {
 		out := capture(t, func() error {
 			return cmdEstimate([]string{
 				"--in", csvPath, "--d", "4", "--eps", "2",
-				"--mech", mech, "--workers", "2",
+				"--mech", mech,
 			})
 		})
 		rows := strings.Split(strings.TrimSpace(out), "\n")

@@ -92,7 +92,6 @@ type Option func(*options)
 type options struct {
 	bHat      *int
 	smoothing bool
-	workers   *int
 }
 
 // WithRadius overrides DAM/HUEM's discrete high-probability radius b̂ (in
@@ -106,15 +105,6 @@ func WithSmoothing() Option {
 	return func(o *options) { o.smoothing = true }
 }
 
-// WithCollectWorkers fans the per-user collection step of EstimateHist
-// out across n workers (0 = all cores). The default of 1 collects
-// sequentially on the caller's RNG stream; any other value draws
-// deterministic per-worker streams instead, so estimates are reproducible
-// for a fixed seed and worker count.
-func WithCollectWorkers(n int) Option {
-	return func(o *options) { o.workers = &n }
-}
-
 func (o *options) samOpts() []sam.Option {
 	var out []sam.Option
 	if o.bHat != nil {
@@ -122,25 +112,6 @@ func (o *options) samOpts() []sam.Option {
 	}
 	if o.smoothing {
 		out = append(out, sam.WithSmoothing())
-	}
-	if o.workers != nil {
-		out = append(out, sam.WithWorkers(*o.workers))
-	}
-	return out
-}
-
-func (o *options) mdswOpts() []mdsw.Option {
-	var out []mdsw.Option
-	if o.workers != nil {
-		out = append(out, mdsw.WithWorkers(*o.workers))
-	}
-	return out
-}
-
-func (o *options) semOpts() []semgeoi.Option {
-	var out []semgeoi.Option
-	if o.workers != nil {
-		out = append(out, semgeoi.WithWorkers(*o.workers))
 	}
 	return out
 }
@@ -170,16 +141,16 @@ func NewHUEM(dom Domain, eps float64, opts ...Option) (Mechanism, error) {
 }
 
 // NewMDSW builds the multi-dimensional Square Wave baseline.
-func NewMDSW(dom Domain, eps float64, opts ...Option) (Mechanism, error) {
-	return mdsw.NewMDSW(dom, eps, collect(opts).mdswOpts()...)
+func NewMDSW(dom Domain, eps float64) (Mechanism, error) {
+	return mdsw.NewMDSW(dom, eps)
 }
 
 // NewSEMGeoI builds the Subset Exponential Mechanism under epsGeo-Geo-I
 // (per cell-unit distance). Note Geo-I is a weaker guarantee than ε-LDP;
 // use CalibrateSEMGeoI to choose epsGeo so it matches a DAM instance's
 // local privacy.
-func NewSEMGeoI(dom Domain, epsGeo float64, opts ...Option) (Mechanism, error) {
-	return semgeoi.New(dom, epsGeo, collect(opts).semOpts()...)
+func NewSEMGeoI(dom Domain, epsGeo float64) (Mechanism, error) {
+	return semgeoi.New(dom, epsGeo)
 }
 
 // OptimalRadius returns the continuous high-probability radius b̌ that
@@ -238,7 +209,6 @@ type EstimateOption func(*estimateConfig)
 type estimateConfig struct {
 	seed      uint64
 	mechanism string
-	workers   *int
 	opts      []Option
 }
 
@@ -255,17 +225,10 @@ func WithMechanism(name string) EstimateOption {
 	return func(c *estimateConfig) { c.mechanism = name }
 }
 
-// WithOptions forwards mechanism options (radius, smoothing, collection
-// workers).
+// WithOptions forwards mechanism options (radius, smoothing). Repeated
+// calls accumulate, in order.
 func WithOptions(opts ...Option) EstimateOption {
-	return func(c *estimateConfig) { c.opts = opts }
-}
-
-// WithWorkers fans the per-user collection step out across n workers
-// (0 = all cores). Shorthand for WithOptions(WithCollectWorkers(n));
-// estimates are reproducible for a fixed seed and worker count.
-func WithWorkers(n int) EstimateOption {
-	return func(c *estimateConfig) { c.workers = &n }
+	return func(c *estimateConfig) { c.opts = append(c.opts, opts...) }
 }
 
 // EstimateMechanismNames lists the mechanisms Estimate accepts, in the
@@ -335,7 +298,8 @@ func NewPivotTrace(dom Domain, eps float64, maxPivots int) (Mechanism, error) {
 // eps as its per-cell-unit Geo-I budget. "LDPTrace" and "PivotTrace"
 // use the paper's evaluation defaults (LDPTraceMaxLen,
 // PivotTraceMaxPivots) so the report scheme is fixed by (name, d, ε)
-// alone — what pipeline adoption needs.
+// alone — what pipeline adoption needs. opts reach the DAM family
+// (DAM, DAM-NS, HUEM) only; the other mechanisms take none.
 func NewMechanism(name string, dom Domain, eps float64, opts ...Option) (Mechanism, error) {
 	switch name {
 	case "DAM":
@@ -345,13 +309,13 @@ func NewMechanism(name string, dom Domain, eps float64, opts ...Option) (Mechani
 	case "HUEM":
 		return NewHUEM(dom, eps, opts...)
 	case "MDSW":
-		return NewMDSW(dom, eps, opts...)
+		return NewMDSW(dom, eps)
 	case "SEM-Geo-I":
 		epsGeo, err := CalibrateSEMGeoI(dom, eps)
 		if err != nil {
 			return nil, err
 		}
-		return NewSEMGeoI(dom, epsGeo, opts...)
+		return NewSEMGeoI(dom, epsGeo)
 	case "CFO":
 		return NewCFO(dom, eps)
 	case "PlanarLaplace":
@@ -375,9 +339,6 @@ func Estimate(points []Point, d int, eps float64, opts ...EstimateOption) (*Hist
 	cfg := estimateConfig{seed: 1, mechanism: "DAM"}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.workers != nil {
-		cfg.opts = append(cfg.opts, WithCollectWorkers(*cfg.workers))
 	}
 	dom, err := DomainOver(points, d)
 	if err != nil {

@@ -2,6 +2,8 @@ package dpspatial
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,26 +64,78 @@ func TestEstimateMechanismSelection(t *testing.T) {
 	}
 }
 
-func TestEstimateWithWorkers(t *testing.T) {
-	pts := clusterPoints(4000, 2, 2)
-	for _, mech := range EstimateMechanismNames() {
-		run := func() *Histogram {
-			est, err := Estimate(pts, 5, 2,
-				WithMechanism(mech), WithSeed(3), WithWorkers(3))
+// TestEstimateIndependentOfGOMAXPROCS pins "one answer for any core
+// count": the one-call pipeline for every mechanism, and the local
+// privacy metric behind SEM-Geo-I's calibration, return the same bits
+// whatever GOMAXPROCS is. It changes a process-wide setting, so it must
+// not run in parallel with other tests.
+func TestEstimateIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	pts := clusterPoints(3000, 2, 2)
+	dom, err := NewDomain(0, 0, 15, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dam, err := NewDAM(dom, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem, err := NewSEMGeoI(dom, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsAt := func() map[string][]uint64 {
+		got := map[string][]uint64{}
+		for _, name := range EstimateMechanismNames() {
+			est, err := Estimate(pts, 6, 2, WithMechanism(name), WithSeed(4))
 			if err != nil {
-				t.Fatalf("%s: %v", mech, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			return est
-		}
-		a, b := run(), run()
-		for i := range a.Mass {
-			if a.Mass[i] != b.Mass[i] {
-				t.Fatalf("%s: same seed and worker count diverged", mech)
+			for _, m := range est.Mass {
+				got["Estimate "+name] = append(got["Estimate "+name], math.Float64bits(m))
 			}
 		}
-		if math.Abs(a.Total()-1) > 1e-9 {
-			t.Fatalf("%s: total %v", mech, a.Total())
+		for name, m := range map[string]Mechanism{"DAM": dam, "SEM-Geo-I": sem} {
+			lp, err := LocalPrivacy(dom, m)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got["LocalPrivacy "+name] = []uint64{math.Float64bits(lp)}
 		}
+		return got
+	}
+	runtime.GOMAXPROCS(1)
+	want := bitsAt()
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for key, bits := range bitsAt() {
+			if !slices.Equal(bits, want[key]) {
+				t.Errorf("GOMAXPROCS=%d: %s differs from GOMAXPROCS=1", procs, key)
+			}
+		}
+	}
+}
+
+// TestWithOptionsAccumulates pins that repeated WithOptions calls add
+// up instead of the last one replacing the rest.
+func TestWithOptionsAccumulates(t *testing.T) {
+	pts := clusterPoints(3000, 2, 2)
+	run := func(opts ...EstimateOption) *Histogram {
+		t.Helper()
+		est, err := Estimate(pts, 6, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	split := run(WithOptions(WithRadius(0)), WithOptions(WithSmoothing()))
+	joint := run(WithOptions(WithRadius(0), WithSmoothing()))
+	smoothOnly := run(WithOptions(WithSmoothing()))
+	if !slices.Equal(split.Mass, joint.Mass) {
+		t.Fatal("two WithOptions calls differ from one call with both options")
+	}
+	if slices.Equal(joint.Mass, smoothOnly.Mass) {
+		t.Fatal("the radius option has no effect, so this test cannot tell the calls apart")
 	}
 }
 

@@ -37,38 +37,6 @@ func NewAggregateFor(rep Reporter) *Aggregate {
 	return &Aggregate{Scheme: rep.Scheme(), Planes: planes}
 }
 
-// AggregateFromCounts wraps already-aggregated per-plane counts (for
-// example from a parallel bulk collection). Every plane must carry the
-// same total, which becomes N. This is only correct for reporters that
-// emit exactly one index per plane per report (every spatial mechanism);
-// multi-index reporters like OUE must Add reports individually so N
-// counts users, not support observations.
-func AggregateFromCounts(scheme string, planes ...[]float64) (*Aggregate, error) {
-	if len(planes) == 0 {
-		return nil, fmt.Errorf("fo: aggregate needs at least one plane")
-	}
-	n := 0.0
-	for p, counts := range planes {
-		total := 0.0
-		for i, c := range counts {
-			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, fmt.Errorf("fo: invalid count %v at plane %d index %d", c, p, i)
-			}
-			total += c
-		}
-		if p == 0 {
-			n = total
-		} else if total != n {
-			return nil, fmt.Errorf("fo: plane %d totals %v reports, plane 0 has %v", p, total, n)
-		}
-	}
-	cloned := make([][]float64, len(planes))
-	for i, counts := range planes {
-		cloned[i] = append([]float64(nil), counts...)
-	}
-	return &Aggregate{Scheme: scheme, Planes: cloned, N: n}, nil
-}
-
 // Add absorbs one report.
 func (a *Aggregate) Add(rep Report) error {
 	if len(rep.Planes) != len(a.Planes) {
@@ -156,11 +124,13 @@ const (
 	planeSparse = 1 // uvarint len, uvarint nnz, nnz × (uvarint index, float64); indices strictly increasing
 )
 
-// maxSparsePlaneCells bounds the allocation a sparse-encoded plane may
-// request: its logical size is intentionally decoupled from the payload
-// length, so a hostile blob could otherwise name a plane of 2⁶¹ cells.
-// 2²⁸ cells (2 GiB dense) is far beyond any grid this system builds.
-const maxSparsePlaneCells = 1 << 28
+// maxAggregateCells bounds the cells one blob may allocate across all
+// its planes: a sparse plane's logical size is intentionally decoupled
+// from the payload length, so a few hostile bytes could otherwise name
+// gigabytes of planes. 2²² cells (32 MiB) is about 100× the largest
+// aggregate any mechanism builds (38,128 cells: DAM and HUEM at d=64,
+// ε=0.5).
+const maxAggregateCells = 1 << 22
 
 // sparseEncodedSize returns the byte cost of sparse-encoding a plane
 // (excluding the shared length prefix); callers compare it against the
@@ -255,7 +225,8 @@ func (a *Aggregate) MarshalBinaryV1() ([]byte, error) {
 // snapshot or WAL record, a member pull), so it refuses any count —
 // cell or N — that is not a finite, non-negative integer: one such cell
 // would otherwise merge into the canonical aggregate and fail every
-// later decode.
+// later decode. It also refuses, before allocating, any blob whose
+// planes total more than maxAggregateCells cells.
 func (a *Aggregate) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
 	magic := make([]byte, len(aggregateMagic))
@@ -290,6 +261,7 @@ func (a *Aggregate) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("fo: plane count %d exceeds payload", numPlanes)
 	}
 	planes := make([][]float64, numPlanes)
+	cells := uint64(0)
 	for p := range planes {
 		encoding := byte(planeDense)
 		if version >= 2 {
@@ -303,6 +275,10 @@ func (a *Aggregate) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("fo: truncated plane %d size: %v", p, err)
 		}
+		if size > maxAggregateCells-cells {
+			return fmt.Errorf("fo: plane %d size %d exceeds the %d-cell aggregate cap", p, size, maxAggregateCells)
+		}
+		cells += size
 		switch encoding {
 		case planeDense:
 			if size > uint64(r.Len())/8 {
@@ -321,12 +297,6 @@ func (a *Aggregate) UnmarshalBinary(data []byte) error {
 				planes[p][j] = v
 			}
 		case planeSparse:
-			// The logical size is decoupled from the payload length (that
-			// is the point of the encoding), so bound the allocation by a
-			// sanity cap instead.
-			if size > maxSparsePlaneCells {
-				return fmt.Errorf("fo: plane %d sparse size %d exceeds the %d-cell cap", p, size, maxSparsePlaneCells)
-			}
 			nnz, err := binary.ReadUvarint(r)
 			if err != nil {
 				return fmt.Errorf("fo: truncated plane %d entry count: %v", p, err)

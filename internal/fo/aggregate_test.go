@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dpspatial/internal/rng"
@@ -220,6 +221,22 @@ func TestAggregateBinaryRejectsInvalidCounts(t *testing.T) {
 	}
 }
 
+// goldenAggregateBlobs holds both wire layouts of the aggregate
+// {Scheme: "grr/3 eps=2", Planes: {{1, 0, 2}}, N: 3}, hex-encoded.
+var goldenAggregateBlobs = map[string]string{
+	// magic, uvarint scheme len, scheme, uvarint plane count, then
+	// per plane: uvarint len, len × little-endian float64; then N.
+	"DPA1": "445041310b6772722f33206570733d3201" +
+		"03000000000000f03f00000000000000000000000000000040" +
+		"0000000000000840",
+	// v2 adds a per-plane encoding byte; this plane is mostly
+	// non-zero but sparse (index/value pairs) is still 5 bytes
+	// cheaper than dense at len 3 with one zero.
+	"DPA2": "445041320b6772722f33206570733d3201" +
+		"010302" + "00000000000000f03f" + "020000000000000040" +
+		"0000000000000840",
+}
+
 // TestAggregateGoldenBlobs pins both wire layouts against fixed byte
 // strings, independently of the in-tree encoders: fleets hold DPA1/DPA2
 // blobs encoded by past releases, so a consistent drift of encoder and
@@ -227,20 +244,7 @@ func TestAggregateBinaryRejectsInvalidCounts(t *testing.T) {
 // green.
 func TestAggregateGoldenBlobs(t *testing.T) {
 	agg := &Aggregate{Scheme: "grr/3 eps=2", Planes: [][]float64{{1, 0, 2}}, N: 3}
-	golden := map[string]string{
-		// magic, uvarint scheme len, scheme, uvarint plane count, then
-		// per plane: uvarint len, len × little-endian float64; then N.
-		"DPA1": "445041310b6772722f33206570733d3201" +
-			"03000000000000f03f00000000000000000000000000000040" +
-			"0000000000000840",
-		// v2 adds a per-plane encoding byte; this plane is mostly
-		// non-zero but sparse (index/value pairs) is still 5 bytes
-		// cheaper than dense at len 3 with one zero.
-		"DPA2": "445041320b6772722f33206570733d3201" +
-			"010302" + "00000000000000f03f" + "020000000000000040" +
-			"0000000000000840",
-	}
-	for version, wantHex := range golden {
+	for version, wantHex := range goldenAggregateBlobs {
 		want, err := hex.DecodeString(wantHex)
 		if err != nil {
 			t.Fatal(err)
@@ -412,6 +416,89 @@ func TestAggregateBinaryRejectsBadV2(t *testing.T) {
 	}
 }
 
+// emptySparseBlob is a DPA2 blob of `planes` empty sparse planes of
+// `size` cells each. At 2²⁸ cells each plane names 2 GiB of counts in 7
+// bytes, and the one-plane blob is 22 bytes long.
+func emptySparseBlob(planes int, size uint64) []byte {
+	blob := append([]byte{}, aggregateMagicV2...)
+	blob = append(blob, 1, 's', byte(planes))
+	for p := 0; p < planes; p++ {
+		blob = append(blob, planeSparse)
+		blob = binary.AppendUvarint(blob, size)
+		blob = binary.AppendUvarint(blob, 0)
+	}
+	return binary.LittleEndian.AppendUint64(blob, math.Float64bits(0))
+}
+
+func TestAggregateBinaryCapsTotalCells(t *testing.T) {
+	for _, planes := range []int{1, 4} {
+		blob := emptySparseBlob(planes, 1<<28)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var a Aggregate
+		err := a.UnmarshalBinary(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d-byte blob naming %d sparse plane(s) of 2^28 cells decoded", len(blob), planes)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%d-byte blob allocated %d bytes before its refusal", len(blob), grew)
+		}
+	}
+	// The cap bounds the planes' total, not each plane: two planes that
+	// each fit but together exceed it are refused.
+	var a Aggregate
+	if err := a.UnmarshalBinary(emptySparseBlob(2, maxAggregateCells/2+1)); err == nil {
+		t.Fatal("two planes totalling more than the cap decoded")
+	}
+}
+
+// FuzzAggregateUnmarshalBinary feeds the aggregate decoder arbitrary
+// bytes. It must never panic or accept more than maxAggregateCells
+// cells, and whatever it accepts must re-encode to bytes that decode to
+// the same scheme, planes and report count.
+func FuzzAggregateUnmarshalBinary(f *testing.F) {
+	for _, h := range goldenAggregateBlobs {
+		blob, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	sparse := make([]float64, 4096)
+	sparse[3], sparse[4095] = 17, 250
+	blob, err := (&Aggregate{Scheme: "sparse", Planes: [][]float64{sparse, {100, 167}}, N: 267}).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(emptySparseBlob(1, 1<<28))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a Aggregate
+		if err := a.UnmarshalBinary(data); err != nil {
+			return
+		}
+		cells := 0
+		for _, p := range a.Planes {
+			cells += len(p)
+		}
+		if cells > maxAggregateCells {
+			t.Fatalf("%d-byte input decoded to %d cells, cap %d", len(data), cells, maxAggregateCells)
+		}
+		blob, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted aggregate does not re-encode: %v", err)
+		}
+		var back Aggregate
+		if err := back.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("re-encoded aggregate does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(&back, &a) {
+			t.Fatalf("re-encoded aggregate decodes to different fields:\n got %+v\nwant %+v", &back, &a)
+		}
+	})
+}
+
 func TestAggregateJSONRoundTrip(t *testing.T) {
 	g, err := NewGRR(6, 2.0)
 	if err != nil {
@@ -435,25 +522,6 @@ func TestAggregateJSONRoundTrip(t *testing.T) {
 	}
 	if string(blob) != string(blob2) {
 		t.Fatal("JSON encoding is not deterministic")
-	}
-}
-
-func TestAggregateFromCountsValidates(t *testing.T) {
-	if _, err := AggregateFromCounts("s"); err == nil {
-		t.Fatal("zero planes should fail")
-	}
-	if _, err := AggregateFromCounts("s", []float64{1, 2}, []float64{4}); err == nil {
-		t.Fatal("mismatched plane totals should fail")
-	}
-	if _, err := AggregateFromCounts("s", []float64{1, math.NaN()}); err == nil {
-		t.Fatal("NaN count should fail")
-	}
-	agg, err := AggregateFromCounts("s", []float64{1, 2}, []float64{3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.N != 3 {
-		t.Fatalf("N = %v, want 3", agg.N)
 	}
 }
 

@@ -41,19 +41,20 @@ func Compute(dom grid.Domain, ch *fo.Channel) (float64, error) {
 
 	// Each output column contributes independently; fan the O(n²) inner
 	// sums out across workers (the harness calls this inside a
-	// calibration bisection, so it is the hot path at d ≥ 15).
+	// calibration bisection, so it is the hot path at d ≥ 15). Each
+	// column's term lands in its own slot and the slots are added in
+	// column order, so the result does not depend on the worker count.
 	fn := float64(n)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > ch.Out {
 		workers = ch.Out
 	}
-	partial := make([]float64, workers)
+	terms := make([]float64, ch.Out)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sum := 0.0
 			for o := w; o < ch.Out; o += workers {
 				colSum := 0.0
 				for i := 0; i < n; i++ {
@@ -77,15 +78,14 @@ func Compute(dom grid.Domain, ch *fo.Channel) (float64, error) {
 						inner += pi * pj * row[j]
 					}
 				}
-				sum += inner / (fn * colSum)
+				terms[o] = inner / (fn * colSum)
 			}
-			partial[w] = sum
 		}(w)
 	}
 	wg.Wait()
 	lp := 0.0
-	for _, p := range partial {
-		lp += p
+	for _, t := range terms {
+		lp += t
 	}
 	return lp, nil
 }

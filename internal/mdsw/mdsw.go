@@ -14,44 +14,16 @@ import (
 // the whole report satisfies ε-LDP), each marginal is estimated with
 // SW-EMS, and the joint is reconstructed as the product of marginals.
 type MDSW struct {
-	dom     grid.Domain
-	eps     float64
-	swx     *SW
-	swy     *SW
-	workers int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
-}
-
-// Option configures mechanism construction.
-type Option func(*config)
-
-type config struct {
-	workers *int
-}
-
-// WithWorkers routes EstimateHist's collection step through
-// CollectParallel with this many workers (0 = GOMAXPROCS). The default of
-// 1 keeps collection sequential on the caller's RNG stream; any other
-// value draws per-worker streams, so results are reproducible only for a
-// fixed seed and worker count.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = &n }
+	dom grid.Domain
+	eps float64
+	swx *SW
+	swy *SW
 }
 
 // NewMDSW builds the 2-D mechanism over the domain's d×d grid.
-func NewMDSW(dom grid.Domain, eps float64, opts ...Option) (*MDSW, error) {
+func NewMDSW(dom grid.Domain, eps float64) (*MDSW, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, fmt.Errorf("mdsw: invalid epsilon %v", eps)
-	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	workers := 1
-	if cfg.workers != nil {
-		workers = *cfg.workers
-		if workers < 0 {
-			return nil, fmt.Errorf("mdsw: negative worker count %d", workers)
-		}
 	}
 	swx, err := NewSW(dom.D, eps/2)
 	if err != nil {
@@ -61,7 +33,7 @@ func NewMDSW(dom grid.Domain, eps float64, opts ...Option) (*MDSW, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MDSW{dom: dom, eps: eps, swx: swx, swy: swy, workers: workers}, nil
+	return &MDSW{dom: dom, eps: eps, swx: swx, swy: swy}, nil
 }
 
 // Name returns the mechanism's display name.
@@ -112,50 +84,6 @@ func (m *MDSW) Report(input int, r *rng.RNG) (fo.Report, error) {
 // mechanism's reports.
 func (m *MDSW) NewAggregate() *fo.Aggregate { return fo.NewAggregateFor(m) }
 
-// CollectParallel perturbs every user with the per-user draws fanned out
-// across workers and returns the aggregated per-bucket marginal counts
-// (X, Y). Each axis reports only its own coordinate, so the 2-D counts
-// reduce to per-axis marginal true counts pushed through the cached
-// per-axis alias samplers by fo.CollectParallelAlias — one deterministic
-// stream family per (axis, worker), reproducible for a fixed seed and
-// worker count, though the streams differ from the sequential
-// EstimateHist path. workers ≤ 0 selects GOMAXPROCS.
-func (m *MDSW) CollectParallel(trueCounts []float64, seed uint64, workers int) ([]float64, []float64, error) {
-	d := m.dom.D
-	if len(trueCounts) != m.dom.NumCells() {
-		return nil, nil, fmt.Errorf("mdsw: %d true counts for %d cells", len(trueCounts), m.dom.NumCells())
-	}
-	for i, c := range trueCounts {
-		if c < 0 || c != math.Trunc(c) {
-			return nil, nil, fmt.Errorf("mdsw: invalid count %v at cell %d", c, i)
-		}
-	}
-	margX := make([]float64, d)
-	margY := make([]float64, d)
-	for i, c := range trueCounts {
-		cell := m.dom.CellAt(i)
-		margX[cell.X] += c
-		margY[cell.Y] += c
-	}
-	samplersX, err := m.swx.Samplers()
-	if err != nil {
-		return nil, nil, err
-	}
-	samplersY, err := m.swy.Samplers()
-	if err != nil {
-		return nil, nil, err
-	}
-	countsX, err := fo.CollectParallelAlias(samplersX, m.swx.NumOutputs(), margX, seed, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	countsY, err := fo.CollectParallelAlias(samplersY, m.swy.NumOutputs(), margY, seed^0xd1b54a32d192ed03, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return countsX, countsY, nil
-}
-
 // EstimateFromAggregate decodes an accumulated two-plane aggregate (one
 // shard or a merge of many): estimate both marginals with SW-EMS and
 // return the product joint over the input grid.
@@ -182,27 +110,14 @@ func (m *MDSW) EstimateFromAggregate(agg *fo.Aggregate) (*grid.Hist2D, error) {
 
 // EstimateHist runs the full report lifecycle on a true count histogram:
 // every user's two-axis report accumulates into one aggregate, which is
-// then decoded marginal-by-marginal. With WithWorkers ≠ 1 the collection
-// step fans out through CollectParallel, seeded from the caller's stream.
+// then decoded marginal-by-marginal.
 func (m *MDSW) EstimateHist(truth *grid.Hist2D, r *rng.RNG) (*grid.Hist2D, error) {
 	if truth.Dom.D != m.dom.D {
 		return nil, fmt.Errorf("mdsw: histogram d=%d, mechanism d=%d", truth.Dom.D, m.dom.D)
 	}
-	var agg *fo.Aggregate
-	if m.workers != 1 {
-		countsX, countsY, err := m.CollectParallel(truth.Mass, r.Uint64(), m.workers)
-		if err != nil {
-			return nil, err
-		}
-		agg, err = fo.AggregateFromCounts(m.Scheme(), countsX, countsY)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		agg = m.NewAggregate()
-		if err := fo.Accumulate(m, agg, truth.Mass, r); err != nil {
-			return nil, err
-		}
+	agg := m.NewAggregate()
+	if err := fo.Accumulate(m, agg, truth.Mass, r); err != nil {
+		return nil, err
 	}
 	return m.EstimateFromAggregate(agg)
 }

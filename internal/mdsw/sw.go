@@ -40,10 +40,6 @@ type SW struct {
 
 	denseOnce sync.Once
 	dense     *fo.Channel
-
-	samplersOnce sync.Once
-	samplers     []*rng.Alias
-	samplersErr  error
 }
 
 // SWWaveWidth returns the optimal half-width b for budget eps.
@@ -154,15 +150,6 @@ func (s *SW) Channel() *fo.Channel {
 		s.dense = s.linear.Dense()
 	})
 	return s.dense
-}
-
-// Samplers returns the per-input-bucket alias tables, building them once
-// on first use. The returned slice is shared; treat it as read-only.
-func (s *SW) Samplers() ([]*rng.Alias, error) {
-	s.samplersOnce.Do(func() {
-		s.samplers, s.samplersErr = s.linear.Samplers()
-	})
-	return s.samplers, s.samplersErr
 }
 
 // Perturb randomises one input bucket into an output bucket. It keeps

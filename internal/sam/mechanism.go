@@ -36,9 +36,8 @@ type Mechanism struct {
 	// is q̂ everywhere except the wave-offset cells. It is the only
 	// representation estimation touches, so a large grid never pays for —
 	// or stores — the dense d²×|D̃| matrix.
-	linear  *fo.UniformSparse
-	smooth  bool
-	workers int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
+	linear *fo.UniformSparse
+	smooth bool
 
 	denseOnce sync.Once
 	dense     *fo.Channel
@@ -57,9 +56,8 @@ type weightedOffset struct {
 type Option func(*config)
 
 type config struct {
-	bHat    *int
-	smooth  bool
-	workers *int
+	bHat   *int
+	smooth bool
 }
 
 // WithBHat overrides the discrete radius b̂ (otherwise ⌊b̌⌋ from Section
@@ -71,15 +69,6 @@ func WithBHat(b int) Option {
 // WithSmoothing enables 2-D EMS smoothing during post-processing.
 func WithSmoothing() Option {
 	return func(c *config) { c.smooth = true }
-}
-
-// WithWorkers routes EstimateHist's collection step through
-// CollectParallel with this many workers (0 = GOMAXPROCS). The default of
-// 1 keeps collection sequential and byte-compatible with Collect's RNG
-// stream; any other value draws per-worker streams instead, so results
-// are reproducible only for a fixed seed and worker count.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = &n }
 }
 
 // NewDAM builds the discrete Disk Area Mechanism with border shrinkage
@@ -183,15 +172,7 @@ func build(name string, dom grid.Domain, eps float64, wf weightsFunc, opts ...Op
 		}
 	}
 
-	workers := 1
-	if cfg.workers != nil {
-		workers = *cfg.workers
-		if workers < 0 {
-			return nil, fmt.Errorf("sam: negative worker count %d", workers)
-		}
-	}
-
-	m := &Mechanism{name: name, dom: dom, eps: eps, bHat: bHat, smooth: cfg.smooth, workers: workers}
+	m := &Mechanism{name: name, dom: dom, eps: eps, bHat: bHat, smooth: cfg.smooth}
 	m.offsets = wf(eps, bHat)
 	sort.Slice(m.offsets, func(i, j int) bool {
 		a, b := m.offsets[i].off, m.offsets[j].off
@@ -393,9 +374,7 @@ func (m *Mechanism) Scheme() string {
 func (m *Mechanism) ReportShape() []int { return []int{m.NumOutputs()} }
 
 // Report implements fo.Reporter: encode one user's input cell into an
-// LDP report (GridAreaResponse via the cached alias samplers — the same
-// draw Collect has always used, so sequential pipelines stay
-// byte-identical).
+// LDP report (GridAreaResponse via the cached alias samplers).
 func (m *Mechanism) Report(input int, r *rng.RNG) (fo.Report, error) {
 	samplers, err := m.Samplers()
 	if err != nil {
@@ -409,21 +388,6 @@ func (m *Mechanism) Report(input int, r *rng.RNG) (fo.Report, error) {
 
 // NewAggregate allocates an empty aggregate for this mechanism's reports.
 func (m *Mechanism) NewAggregate() *fo.Aggregate { return fo.NewAggregateFor(m) }
-
-// Collect simulates the full Algorithm 1 pipeline in one process: every
-// user in trueCounts (per input cell) reports through the client layer
-// into a fresh aggregate, and the noisy counts are returned, indexed by
-// output cell.
-func (m *Mechanism) Collect(trueCounts []float64, r *rng.RNG) ([]float64, error) {
-	agg := m.NewAggregate()
-	if err := fo.Accumulate(m, agg, trueCounts, r); err != nil {
-		return nil, err
-	}
-	return agg.Planes[0], nil
-}
-
-// Workers returns the configured collection fan-out (1 = sequential).
-func (m *Mechanism) Workers() int { return m.workers }
 
 // EstimateFromAggregate decodes an accumulated aggregate (one shard or a
 // merge of many) into the estimated input distribution via EM — the
@@ -464,29 +428,16 @@ func (m *Mechanism) EstimateFromAggregateWarm(agg *fo.Aggregate, init *grid.Hist
 	return h, stats, err
 }
 
-// EstimateHist runs the full report lifecycle in-process: accumulate
-// every user's report into one aggregate, then estimate from it. With
-// WithWorkers ≠ 1 the collection step fans out through CollectParallel,
-// seeded from the caller's stream.
+// EstimateHist runs the full report lifecycle in-process (Algorithm 1):
+// every user's report accumulates into one aggregate, then EM estimates
+// from it.
 func (m *Mechanism) EstimateHist(truth *grid.Hist2D, r *rng.RNG) (*grid.Hist2D, error) {
 	if truth.Dom.D != m.dom.D {
 		return nil, fmt.Errorf("sam: histogram domain d=%d, mechanism d=%d", truth.Dom.D, m.dom.D)
 	}
-	var agg *fo.Aggregate
-	if m.workers == 1 {
-		agg = m.NewAggregate()
-		if err := fo.Accumulate(m, agg, truth.Mass, r); err != nil {
-			return nil, err
-		}
-	} else {
-		noisy, err := m.CollectParallel(truth.Mass, r.Uint64(), m.workers)
-		if err != nil {
-			return nil, err
-		}
-		agg, err = fo.AggregateFromCounts(m.Scheme(), noisy)
-		if err != nil {
-			return nil, err
-		}
+	agg := m.NewAggregate()
+	if err := fo.Accumulate(m, agg, truth.Mass, r); err != nil {
+		return nil, err
 	}
 	return m.EstimateFromAggregate(agg)
 }

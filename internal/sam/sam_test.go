@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dpspatial/internal/fo"
 	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
 	"dpspatial/internal/rng"
@@ -382,12 +383,12 @@ func TestCollectConservesUsers(t *testing.T) {
 	truth := make([]float64, m.NumInputs())
 	truth[7] = 500
 	truth[13] = 300
-	noisy, err := m.Collect(truth, rng.New(3))
-	if err != nil {
+	agg := m.NewAggregate()
+	if err := fo.Accumulate(m, agg, truth, rng.New(3)); err != nil {
 		t.Fatal(err)
 	}
 	total := 0.0
-	for _, c := range noisy {
+	for _, c := range agg.Planes[0] {
 		total += c
 	}
 	if total != 800 {
@@ -403,14 +404,14 @@ func TestCollectRejectsInvalidCounts(t *testing.T) {
 	}
 	bad := make([]float64, m.NumInputs())
 	bad[0] = -1
-	if _, err := m.Collect(bad, rng.New(1)); err == nil {
+	if err := fo.Accumulate(m, m.NewAggregate(), bad, rng.New(1)); err == nil {
 		t.Fatal("negative count accepted")
 	}
 	bad[0] = 1.5
-	if _, err := m.Collect(bad, rng.New(1)); err == nil {
+	if err := fo.Accumulate(m, m.NewAggregate(), bad, rng.New(1)); err == nil {
 		t.Fatal("fractional count accepted")
 	}
-	if _, err := m.Collect(make([]float64, 2), rng.New(1)); err == nil {
+	if err := fo.Accumulate(m, m.NewAggregate(), make([]float64, 2), rng.New(1)); err == nil {
 		t.Fatal("wrong length accepted")
 	}
 }
@@ -499,15 +500,15 @@ func TestSmoothingOptionChangesEstimate(t *testing.T) {
 	}
 	truth := grid.NewHist(dom)
 	truth.Set(geom.Cell{X: 2, Y: 2}, 5000)
-	noisy, err := plain.Collect(truth.Mass, rng.New(11))
+	agg := plain.NewAggregate()
+	if err := fo.Accumulate(plain, agg, truth.Mass, rng.New(11)); err != nil {
+		t.Fatal(err)
+	}
+	a, err := plain.Estimate(agg.Planes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := plain.Estimate(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := smooth.Estimate(noisy)
+	b, err := smooth.Estimate(agg.Planes[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ type Mechanism struct {
 	ballR    float64 // ball radius in cell units realising k cells
 	channel  *fo.ConvChannel
 	ballOffs []geom.Cell
-	workers  int // collection fan-out: 1 = sequential, 0 = GOMAXPROCS
 
 	samplersOnce sync.Once
 	samplers     []*rng.Alias
@@ -53,22 +52,12 @@ type Mechanism struct {
 type Option func(*config)
 
 type config struct {
-	k       *int
-	workers *int
+	k *int
 }
 
 // WithSubsetSize overrides the subset size k.
 func WithSubsetSize(k int) Option {
 	return func(c *config) { c.k = &k }
-}
-
-// WithWorkers routes EstimateHist's collection step through
-// CollectParallel with this many workers (0 = GOMAXPROCS). The default of
-// 1 keeps collection sequential on the caller's RNG stream; any other
-// value draws per-worker streams, so results are reproducible only for a
-// fixed seed and worker count.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = &n }
 }
 
 // New builds SEM-Geo-I with per-cell-unit budget epsGeo > 0.
@@ -88,14 +77,7 @@ func New(dom grid.Domain, epsGeo float64, opts ...Option) (*Mechanism, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("semgeoi: subset size %d outside [1, %d]", k, n)
 	}
-	workers := 1
-	if cfg.workers != nil {
-		workers = *cfg.workers
-		if workers < 0 {
-			return nil, fmt.Errorf("semgeoi: negative worker count %d", workers)
-		}
-	}
-	m := &Mechanism{dom: dom, epsGeo: epsGeo, k: k, workers: workers}
+	m := &Mechanism{dom: dom, epsGeo: epsGeo, k: k}
 	m.ballOffs = ballOffsets(k)
 	m.ballR = 0
 	for _, o := range m.ballOffs {
@@ -213,8 +195,7 @@ func (m *Mechanism) Scheme() string {
 func (m *Mechanism) ReportShape() []int { return []int{m.NumOutputs()} }
 
 // Report implements fo.Reporter: one user's noisy subset centre, drawn
-// through the cached alias samplers (the same draw the sequential
-// pipeline has always used, so it stays byte-identical).
+// through the cached alias samplers.
 func (m *Mechanism) Report(input int, r *rng.RNG) (fo.Report, error) {
 	samplers, err := m.Samplers()
 	if err != nil {
@@ -248,19 +229,6 @@ func (m *Mechanism) Estimate(counts []float64) ([]float64, error) {
 	return em.Estimate(m.channel, counts, nil)
 }
 
-// CollectParallel simulates every user's subset report with the per-user
-// draws fanned out across workers (contiguous input-cell chunks, one
-// deterministic RNG stream per worker — reproducible for a fixed seed and
-// worker count; validation lives in fo.CollectParallelAlias). workers ≤ 0
-// selects GOMAXPROCS.
-func (m *Mechanism) CollectParallel(trueCounts []float64, seed uint64, workers int) ([]float64, error) {
-	samplers, err := m.Samplers()
-	if err != nil {
-		return nil, err
-	}
-	return fo.CollectParallelAlias(samplers, m.NumOutputs(), trueCounts, seed, workers)
-}
-
 // EstimateFromAggregate decodes an accumulated aggregate (one shard or a
 // merge of many) into the estimated input distribution via EM.
 func (m *Mechanism) EstimateFromAggregate(agg *fo.Aggregate) (*grid.Hist2D, error) {
@@ -274,28 +242,15 @@ func (m *Mechanism) EstimateFromAggregate(agg *fo.Aggregate) (*grid.Hist2D, erro
 	return grid.HistFromMass(m.dom, est)
 }
 
-// EstimateHist runs the full report lifecycle in-process. With
-// WithWorkers ≠ 1 the collection step fans out through CollectParallel,
-// seeded from the caller's stream.
+// EstimateHist runs the full report lifecycle in-process: every user's
+// report accumulates into one aggregate, then EM estimates from it.
 func (m *Mechanism) EstimateHist(truth *grid.Hist2D, r *rng.RNG) (*grid.Hist2D, error) {
 	if truth.Dom.D != m.dom.D {
 		return nil, fmt.Errorf("semgeoi: histogram d=%d, mechanism d=%d", truth.Dom.D, m.dom.D)
 	}
-	var agg *fo.Aggregate
-	if m.workers != 1 {
-		counts, err := m.CollectParallel(truth.Mass, r.Uint64(), m.workers)
-		if err != nil {
-			return nil, err
-		}
-		agg, err = fo.AggregateFromCounts(m.Scheme(), counts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		agg = m.NewAggregate()
-		if err := fo.Accumulate(m, agg, truth.Mass, r); err != nil {
-			return nil, err
-		}
+	agg := m.NewAggregate()
+	if err := fo.Accumulate(m, agg, truth.Mass, r); err != nil {
+		return nil, err
 	}
 	return m.EstimateFromAggregate(agg)
 }
