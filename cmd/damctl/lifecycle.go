@@ -184,7 +184,7 @@ func consumeInput(path string) (*collector.Pipeline, *dpspatial.Aggregate, error
 		defer f.Close()
 		rd = f
 	}
-	br := bufio.NewReaderSize(rd, 1<<20)
+	br := bufio.NewReader(rd)
 	first, err := br.ReadBytes('\n')
 	if err != nil && len(first) == 0 {
 		return nil, nil, fmt.Errorf("empty input")
@@ -207,17 +207,8 @@ func consumeInput(path string) (*collector.Pipeline, *dpspatial.Aggregate, error
 			planes[i] = make([]float64, n)
 		}
 		agg := &dpspatial.Aggregate{Scheme: hdr.Scheme, Planes: planes}
-		dec := json.NewDecoder(br)
-		for {
-			var rep dpspatial.Report
-			if err := dec.Decode(&rep); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, nil, fmt.Errorf("bad report line: %v", err)
-			}
-			if err := agg.Add(rep); err != nil {
-				return nil, nil, err
-			}
+		if err := collector.ReadReports(br, agg); err != nil {
+			return nil, nil, err
 		}
 		return &hdr, agg, nil
 	case aggregateFormat:

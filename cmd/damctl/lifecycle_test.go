@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,5 +110,28 @@ func TestAggregateRejectsMixedSchemes(t *testing.T) {
 	})
 	if err := cmdAggregate([]string{"--out", filepath.Join(dir, "x.json"), dam, mdsw}); err == nil {
 		t.Fatal("aggregating DAM and MDSW reports together should fail")
+	}
+}
+
+// TestAggregateRefusesBadReportLines checks the errors `damctl
+// aggregate` answers for report lines it cannot count: a line that is
+// not JSON, a line with the wrong plane count, and a line without
+// "planes" after a valid one.
+func TestAggregateRefusesBadReportLines(t *testing.T) {
+	const hdr = `{"format":"dpspatial-reports/1","mech":"DAM","d":2,"eps":1,"scheme":"s","shape":[9],"domain":{"minX":0,"minY":0,"side":1}}` + "\n"
+	dir := t.TempDir()
+	for i, tc := range []struct{ lines, want string }{
+		{"{\"planes\":[[3]]}\nnope\n", "bad report line: invalid character 'o' in literal null (expecting 'u')"},
+		{"{\"planes\":[[3],[4]]}\n", "fo: report has 2 planes, aggregate 1"},
+		{"{\"planes\":[[3]]}\n{}\n", "fo: report has 0 planes, aggregate 1"},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("r%d.jsonl", i))
+		if err := os.WriteFile(path, []byte(hdr+tc.lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := cmdAggregate([]string{"--out", filepath.Join(dir, "agg.json"), path})
+		if want := path + ": " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("aggregating %q: got %v, want %q", tc.lines, err, want)
+		}
 	}
 }

@@ -480,10 +480,12 @@ func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
 	// every early (4xx) return.
 	readSpan := trace.SpanFrom(r.Context()).Child("collector.body.read")
 	defer readSpan.End()
-	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes), 1<<20)
-	// A read error leaves first empty or cut short, which ParseStreamHead
-	// refuses; EOF after an unterminated line is a one-line stream.
-	first, _ := br.ReadBytes('\n')
+	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	first, err := br.ReadBytes('\n') // a line of any length; EOF ends a one-line stream
+	if err != nil && err != io.EOF {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
+		return
+	}
 	hdr, firstReport, err := ParseStreamHead(first)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -507,19 +509,9 @@ func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	dec := json.NewDecoder(br)
-	for {
-		var rep fo.Report
-		if err := dec.Decode(&rep); err == io.EOF {
-			break
-		} else if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad report line: %v", err))
-			return
-		}
-		if err := shard.Add(rep); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	if err := ReadReports(br, shard); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	readSpan.SetAttr(trace.Float("reports", shard.N))
 	readSpan.End()

@@ -1,0 +1,332 @@
+package collector_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"dpspatial/internal/collector"
+	"dpspatial/internal/fo"
+	"dpspatial/internal/rng"
+	"dpspatial/internal/sam"
+)
+
+// serve sends one request straight through the collector's handler.
+func serve(c *collector.Collector, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// refusal returns the error text of a refused request, failing the test
+// unless it answered want.
+func refusal(t *testing.T, rec *httptest.ResponseRecorder, want int) string {
+	t.Helper()
+	if rec.Code != want {
+		t.Fatalf("answered %d (%s), want %d", rec.Code, strings.TrimSpace(rec.Body.String()), want)
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("error body %q: %v", rec.Body.String(), err)
+	}
+	return e.Error
+}
+
+// accepted decodes the ack of an accepted submission.
+func accepted(t *testing.T, rec *httptest.ResponseRecorder) collector.SubmitResponse {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("answered %d (%s), want 200", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	var ack collector.SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
+// reportLines renders n reports of mech, drawn over its inputs in turn,
+// as NDJSON lines.
+func reportLines(t *testing.T, mech *sam.Mechanism, n int, seed uint64) []string {
+	t.Helper()
+	r := rng.New(seed)
+	lines := make([]string, n)
+	for i := range lines {
+		rep, err := mech.Report(i%mech.NumInputs(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(&rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = string(b) + "\n"
+	}
+	return lines
+}
+
+// TestReportSubmitAllocations pins the garbage one 200-report POST
+// /v1/report leaves: the stream is read through a small buffer and every
+// line decodes into one reused value. Garbage per submit drives GC over
+// the ack log, which can cost more CPU than the submits themselves.
+func TestReportSubmitAllocations(t *testing.T) {
+	mech := newDAM(t, 15, 3.5)
+	c, err := collector.New(collector.Config{Mechanism: mech})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	body := []byte(mustJSONLine(t, durPipeline(mech, 15, 3.5)) + strings.Join(reportLines(t, mech, 200, 5), ""))
+	submit := func(req *http.Request) {
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("submit answered %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for i := 0; i < 3; i++ {
+		submit(httptest.NewRequest(http.MethodPost, "/v1/report", bytes.NewReader(body)))
+	}
+	const submits = 25
+	reqs := make([]*http.Request, submits)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/report", bytes.NewReader(body))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs {
+		submit(req)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / submits
+	t.Logf("one 200-report submit allocates %d bytes", per)
+	if per >= 256<<10 {
+		t.Fatalf("one 200-report submit allocates %d bytes, want under 256 KiB", per)
+	}
+}
+
+// TestReportStreamLongLines checks a line longer than any read buffer
+// is read whole: a header padded past 64 KiB and a report line padded
+// past 8 KiB, with JSON whitespace, count exactly like the plain stream.
+func TestReportStreamLongLines(t *testing.T) {
+	mech := newDAM(t, 5, 2.0)
+	hdr := mustJSONLine(t, durPipeline(mech, 5, 2.0))
+	lines := reportLines(t, mech, 40, 9)
+	plain := hdr + strings.Join(lines, "")
+	lines[7] = "{" + strings.Repeat(" \t", 4500) + lines[7][1:]
+	padded := "{" + strings.Repeat(" \t\r", 22000) + hdr[1:] + strings.Join(lines, "")
+	if len(lines[7]) <= 8<<10 || strings.IndexByte(padded, '\n') <= 64<<10 {
+		t.Fatal("padding too short")
+	}
+
+	var acks [2]collector.SubmitResponse
+	var blobs [2][]byte
+	for i, stream := range []string{plain, padded} {
+		c, err := collector.New(collector.Config{Mechanism: mech})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		acks[i] = accepted(t, serve(c, http.MethodPost, "/v1/report", []byte(stream)))
+		blobs[i] = serve(c, http.MethodGet, "/v1/aggregate", nil).Body.Bytes()
+	}
+	if acks[1].Reports != 40 || acks[1].Reports != acks[0].Reports || acks[1].TotalReports != acks[0].TotalReports {
+		t.Fatalf("padded stream acked %+v, plain stream %+v", acks[1], acks[0])
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatal("padded stream merged a different aggregate")
+	}
+}
+
+// TestReportStreamOddLines checks the answers to report lines that
+// decode into nothing, or into more than the wire names: a line without
+// "planes" is refused after a valid line, not read as that line again.
+func TestReportStreamOddLines(t *testing.T) {
+	mech := newDAM(t, 5, 2.0)
+	c, err := collector.New(collector.Config{Mechanism: mech})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	head := mustJSONLine(t, durPipeline(mech, 5, 2.0)) + `{"planes":[[3]]}` + "\n"
+	for _, tc := range []struct{ line, refusal string }{
+		{`{}`, "fo: report has 0 planes, aggregate 1"},
+		{`{"planes":null}`, "fo: report has 0 planes, aggregate 1"},
+		{`{"Planes":[[5]]}`, ""},
+		{`{"planes":[[5]],"weight":7}`, ""},
+	} {
+		t.Run(tc.line, func(t *testing.T) {
+			before := accepted(t, serve(c, http.MethodPost, "/v1/report", []byte(head)))
+			rec := serve(c, http.MethodPost, "/v1/report", []byte(head+tc.line+"\n"))
+			if tc.refusal == "" {
+				if ack := accepted(t, rec); ack.Reports != 2 || ack.TotalReports != before.TotalReports+2 {
+					t.Fatalf("acked %+v after %+v", ack, before)
+				}
+				return
+			}
+			if got := refusal(t, rec, http.StatusBadRequest); got != tc.refusal {
+				t.Fatalf("refused with %q, want %q", got, tc.refusal)
+			}
+			if ack := accepted(t, serve(c, http.MethodPost, "/v1/report", []byte(head))); ack.Generation != before.Generation+1 {
+				t.Fatalf("refused stream moved the generation: %d after %d", ack.Generation, before.Generation)
+			}
+		})
+	}
+}
+
+// TestMaxBodyBytesRefusesOverLimitBodies sets Config.MaxBodyBytes and
+// sends bodies over it to both submit endpoints of a durable collector:
+// a report stream cut inside its first line, one cut after it, and an
+// aggregate blob. Each answers 400 naming the limit, and none moves the
+// generation, the report total or the WAL.
+func TestMaxBodyBytesRefusesOverLimitBodies(t *testing.T) {
+	mech := newDAM(t, 4, 2.0)
+	hdr := mustJSONLine(t, durPipeline(mech, 4, 2.0))
+	lines := reportLines(t, mech, 100, 3)
+	_, c, st := startDurable(t, t.TempDir(), collector.Config{Build: durBuild(t), MaxBodyBytes: 1024})
+	t.Cleanup(c.Close)
+	ok := hdr + strings.Join(lines[:5], "")
+	if len(ok) > 1024 {
+		t.Fatalf("valid stream is %d bytes, over the limit", len(ok))
+	}
+	accepted(t, serve(c, http.MethodPost, "/v1/report", []byte(ok)))
+	stats := func() (gen uint64, reports float64, records uint64) {
+		var s collector.Stats
+		if err := json.Unmarshal(serve(c, http.MethodGet, "/v1/stats", nil).Body.Bytes(), &s); err != nil {
+			t.Fatal(err)
+		}
+		return s.Generation, s.Reports, st.Stats().RecordsAppended
+	}
+	gen, reports, records := stats()
+
+	blob, err := mech.NewAggregate().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		refusal    string
+	}{
+		{"stream cut inside its first line", "/v1/report",
+			[]byte("{" + strings.Repeat(" ", 2048) + hdr[1:] + lines[0]),
+			"reading body: http: request body too large"},
+		{"stream cut after its first line", "/v1/report",
+			[]byte(hdr + strings.Join(lines, "")),
+			"bad report line: http: request body too large"},
+		{"oversize blob", "/v1/aggregate",
+			append(blob, make([]byte, 2048)...),
+			"reading body: http: request body too large"},
+	} {
+		if len(tc.body) <= 1024 {
+			t.Fatalf("%s: body is %d bytes, not over the limit", tc.name, len(tc.body))
+		}
+		if got := refusal(t, serve(c, http.MethodPost, tc.path, tc.body), http.StatusBadRequest); got != tc.refusal {
+			t.Errorf("%s: refused with %q, want %q", tc.name, got, tc.refusal)
+		}
+		if g, r, w := stats(); g != gen || r != reports || w != records {
+			t.Errorf("%s: generation %d→%d, reports %g→%g, WAL records %d→%d", tc.name, gen, g, reports, r, records, w)
+		}
+	}
+}
+
+// readReportsFresh decodes each report line into a fresh fo.Report. It
+// is FuzzReportStream's reference: ReadReports, which reuses one value,
+// must answer as it does.
+func readReportsFresh(r io.Reader, agg *fo.Aggregate) error {
+	dec := json.NewDecoder(r)
+	for {
+		var rep fo.Report
+		if err := dec.Decode(&rep); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("bad report line: %v", err)
+		}
+		if err := agg.Add(rep); err != nil {
+			return err
+		}
+	}
+}
+
+// FuzzReportStream decodes arbitrary POST /v1/report bodies. The first
+// line goes through ParseStreamHead, which must not panic: an accepted
+// header re-marshals and parses back equal, an accepted report equals
+// json.Unmarshal into fo.Report. The other lines go through ReadReports
+// and readReportsFresh into aggregates of the header's shape (one plane
+// of 1000 cells without a usable header), which must answer alike.
+func FuzzReportStream(f *testing.F) {
+	hdr := func(shape ...int) string {
+		b, err := json.Marshal(&collector.Pipeline{
+			Format: collector.ReportsFormat, Mech: "DAM", D: 15, Eps: 3.5,
+			Scheme: "fuzz", Shape: shape, Domain: collector.DomainSpec{Side: 1},
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	for _, seed := range []string{
+		hdr(1000) + "{\"planes\":[[3]]}\n{\"planes\":[[999]]}\n",
+		"{\"planes\":[[7]]}\n{\"planes\":[[8]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[2]]}\n{}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[2]]}\n{\"planes\":null}\n",
+		hdr(16, 16) + "{\"planes\":[[1],[2,3]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[2",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		hdr, first, err := collector.ParseStreamHead(stream)
+		line, rest, _ := bytes.Cut(stream, []byte("\n"))
+		switch {
+		case err != nil:
+		case hdr != nil:
+			b, err := json.Marshal(hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, _, err := collector.ParseStreamHead(b)
+			if err != nil || !reflect.DeepEqual(back, hdr) {
+				t.Fatalf("header %+v parses back as %+v (%v)", hdr, back, err)
+			}
+		default:
+			var want fo.Report
+			if err := json.Unmarshal(line, &want); err != nil || !reflect.DeepEqual(*first, want) {
+				t.Fatalf("first report %+v, json.Unmarshal gives %+v (%v)", *first, want, err)
+			}
+		}
+
+		shape := []int{1000}
+		if hdr != nil && len(hdr.Shape) <= 4 {
+			shape = hdr.Shape
+			for _, n := range hdr.Shape {
+				if n < 0 || n > 4096 {
+					shape = []int{1000}
+				}
+			}
+		}
+		newAgg := func() *fo.Aggregate {
+			planes := make([][]float64, len(shape))
+			for i, n := range shape {
+				planes[i] = make([]float64, n)
+			}
+			return &fo.Aggregate{Planes: planes}
+		}
+		got, want := newAgg(), newAgg()
+		gotErr := collector.ReadReports(bytes.NewReader(rest), got)
+		wantErr := readReportsFresh(bytes.NewReader(rest), want)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("ReadReports answered %v, one value per line %v", gotErr, wantErr)
+		}
+		if gotErr == nil && (got.N != want.N || !reflect.DeepEqual(got.Planes, want.Planes)) {
+			t.Fatalf("ReadReports counted %g reports %v, one value per line %g reports %v", got.N, got.Planes, want.N, want.Planes)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"dpspatial/internal/durable"
 	"dpspatial/internal/fo"
@@ -87,10 +88,13 @@ func (p *Pipeline) Compatible(q *Pipeline) error {
 	return nil
 }
 
-// ParseStreamHead parses the first line of a report stream: a Pipeline
-// header line (hdr set) or a bare first report (first set). Every error
-// is the submitter's, a 400 at either tier.
+// ParseStreamHead parses a report stream's first line, ignoring what
+// follows it: a Pipeline header line (hdr set) or a bare first report
+// (first set). Every error is the submitter's, a 400 at either tier.
 func ParseStreamHead(line []byte) (hdr *Pipeline, first *fo.Report, err error) {
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i]
+	}
 	if len(bytes.TrimSpace(line)) == 0 {
 		return nil, nil, fmt.Errorf("empty report stream")
 	}
@@ -115,6 +119,23 @@ func ParseStreamHead(line []byte) (hdr *Pipeline, first *fo.Report, err error) {
 		return nil, first, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown format %q", probe.Format)
+	}
+}
+
+// ReadReports counts the report lines after a stream's head into agg.
+func ReadReports(r io.Reader, agg *fo.Aggregate) error {
+	dec := json.NewDecoder(r)
+	var rep fo.Report // decodes every line: Add keeps nothing of it
+	for {
+		rep.Planes = rep.Planes[:0] // else a line without "planes" re-adds the last report
+		if err := dec.Decode(&rep); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("bad report line: %v", err)
+		}
+		if err := agg.Add(rep); err != nil {
+			return err
+		}
 	}
 }
 

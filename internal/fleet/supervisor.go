@@ -234,11 +234,7 @@ func (s *Supervisor) handleReport(w http.ResponseWriter, r *http.Request) {
 		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
 		return
 	}
-	first := body
-	if i := bytes.IndexByte(body, '\n'); i >= 0 {
-		first = body[:i]
-	}
-	hdr, _, err := collector.ParseStreamHead(first)
+	hdr, _, err := collector.ParseStreamHead(body)
 	if err != nil {
 		collector.WriteError(w, http.StatusBadRequest, err)
 		return
