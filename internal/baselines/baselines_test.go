@@ -127,51 +127,6 @@ func TestPlanarLaplaceGeoIBound(t *testing.T) {
 	}
 }
 
-func TestPlanarLaplaceContinuousSampler(t *testing.T) {
-	p, err := NewPlanarLaplace(testDomain(t, 4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(3)
-	const n = 100000
-	var sumR, sumX, sumY float64
-	for i := 0; i < n; i++ {
-		x, y := p.SampleContinuous(0, 0, r)
-		sumR += math.Hypot(x, y)
-		sumX += x
-		sumY += y
-	}
-	// Polar planar Laplace: E[r] = 2/ε, E[x] = E[y] = 0.
-	if got, want := sumR/n, 2.0/2; math.Abs(got-want) > 0.02 {
-		t.Fatalf("mean radius %v, want %v", got, want)
-	}
-	if math.Abs(sumX/n) > 0.02 || math.Abs(sumY/n) > 0.02 {
-		t.Fatalf("noise not centred: (%v, %v)", sumX/n, sumY/n)
-	}
-}
-
-func TestInverseGammaCDFMonotone(t *testing.T) {
-	prev := -1.0
-	for _, u := range []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
-		r := inverseGammaCDF(u, 1.5)
-		if r < prev {
-			t.Fatalf("inverse CDF not monotone at u=%v", u)
-		}
-		prev = r
-	}
-	if inverseGammaCDF(0, 1) != 0 {
-		t.Fatal("u=0 should map to radius 0")
-	}
-	// Round trip: CDF(inverse(u)) ≈ u.
-	for _, u := range []float64{0.25, 0.5, 0.75} {
-		r := inverseGammaCDF(u, 2)
-		back := 1 - (1+2*r)*math.Exp(-2*r)
-		if math.Abs(back-u) > 1e-9 {
-			t.Fatalf("round trip u=%v -> r=%v -> %v", u, r, back)
-		}
-	}
-}
-
 func TestPlanarLaplaceEstimateRecovers(t *testing.T) {
 	dom := testDomain(t, 4)
 	p, err := NewPlanarLaplace(dom, 6)

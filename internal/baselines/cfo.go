@@ -46,12 +46,6 @@ func NewCFO(dom grid.Domain, eps float64) (*CFO, error) {
 // Name returns the mechanism's display name.
 func (c *CFO) Name() string { return "CFO" }
 
-// Epsilon returns the budget.
-func (c *CFO) Epsilon() float64 { return c.grr.Epsilon() }
-
-// Channel exposes the GRR channel over cells.
-func (c *CFO) Channel() *fo.Channel { return c.grr.Channel() }
-
 // Scheme implements fo.Reporter: the report format is the GRR output over
 // the d² grid cells.
 func (c *CFO) Scheme() string {

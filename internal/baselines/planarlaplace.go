@@ -28,19 +28,16 @@ type PlanarLaplace struct {
 }
 
 // plState is the channel state shared by every PlanarLaplace instance
-// with the same grid and budget: the convolutional channel, the lazily-
-// built alias samplers and the lazily-materialised dense matrix. All
-// fields are built once and read-only afterwards, so sharing across
-// mechanisms — and across goroutines — is safe.
+// with the same grid and budget: the convolutional channel and the
+// lazily-built alias samplers. All fields are built once and read-only
+// afterwards, so sharing across mechanisms — and across goroutines — is
+// safe.
 type plState struct {
 	channel *fo.ConvChannel
 
 	samplersOnce sync.Once
 	samplers     []*rng.Alias
 	samplersErr  error
-
-	denseOnce sync.Once
-	dense     *fo.Channel
 }
 
 // plKey identifies one memoized channel build (grid.Domain is a small
@@ -106,56 +103,6 @@ func buildPLState(dom grid.Domain, epsGeo float64) (*plState, error) {
 
 // Name returns the mechanism's display name.
 func (p *PlanarLaplace) Name() string { return "PlanarLaplace" }
-
-// EpsilonGeo returns the per-cell-unit Geo-I budget.
-func (p *PlanarLaplace) EpsilonGeo() float64 { return p.epsGeo }
-
-// Channel exposes the discretised cell channel as a dense matrix,
-// materialised lazily from the convolutional rows. Callers that only
-// sweep should prefer Linear.
-func (p *PlanarLaplace) Channel() *fo.Channel {
-	s := p.state
-	s.denseOnce.Do(func() { s.dense = s.channel.Dense() })
-	return s.dense
-}
-
-// Linear exposes the channel in its operative, convolutional form.
-func (p *PlanarLaplace) Linear() fo.LinearChannel { return p.state.channel }
-
-// SampleContinuous draws a continuous planar-Laplace perturbation of a
-// point, in cell units: the angle is uniform and the radius follows the
-// Gamma(2, 1/ε) law of the polar decomposition (inverse CDF via Lambert-W
-// style bisection on 1−(1+εr)e^{−εr}).
-func (p *PlanarLaplace) SampleContinuous(x, y float64, r *rng.RNG) (float64, float64) {
-	theta := 2 * math.Pi * r.Float64()
-	u := r.Float64()
-	rad := inverseGammaCDF(u, p.epsGeo)
-	return x + rad*math.Cos(theta), y + rad*math.Sin(theta)
-}
-
-// inverseGammaCDF solves 1 − (1+εr)·e^{−εr} = u for r by bisection.
-func inverseGammaCDF(u, eps float64) float64 {
-	if u <= 0 {
-		return 0
-	}
-	if u >= 1 {
-		u = 1 - 1e-12
-	}
-	cdf := func(r float64) float64 { return 1 - (1+eps*r)*math.Exp(-eps*r) }
-	lo, hi := 0.0, 1.0
-	for cdf(hi) < u {
-		hi *= 2
-	}
-	for iter := 0; iter < 200 && hi-lo > 1e-12*(1+hi); iter++ {
-		mid := (lo + hi) / 2
-		if cdf(mid) < u {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
 
 // Samplers returns the per-input-cell alias tables for O(1) perturbation,
 // building them once on first use (the old per-EstimateHist rebuild paid
@@ -226,37 +173,4 @@ func (p *PlanarLaplace) EstimateHist(truth *grid.Hist2D, r *rng.RNG) (*grid.Hist
 		return nil, err
 	}
 	return p.EstimateFromAggregate(agg)
-}
-
-// GeoIRatioHolds verifies the discretised channel's Geo-I guarantee
-// within tol. The grid restriction renormalises each row by Z_i, so the
-// exact bound on Pr[j|i1]/Pr[j|i2] is e^{ε·d(i1,i2)} · Z_{i2}/Z_{i1}
-// (triangle inequality on the density, normaliser ratio folded in); the
-// normaliser ratio itself is at most e^{ε·d(i1,i2)}, so the mechanism
-// satisfies 2ε-Geo-I in the worst case and ε-Geo-I up to border effects —
-// exactly the truncation caveat Andrés et al. note.
-func (p *PlanarLaplace) GeoIRatioHolds(tol float64) bool {
-	n := p.dom.NumCells()
-	norms := p.state.channel.Normalizers()
-	ch := p.Channel()
-	for i1 := 0; i1 < n; i1++ {
-		for i2 := i1 + 1; i2 < n; i2++ {
-			normRatio := math.Max(norms[i1]/norms[i2], norms[i2]/norms[i1])
-			bound := math.Exp(p.epsGeo*p.dom.CellAt(i1).CenterDist(p.dom.CellAt(i2))) * normRatio
-			for j := 0; j < n; j++ {
-				q1, q2 := ch.At(i1, j), ch.At(i2, j)
-				if q1 == 0 || q2 == 0 {
-					return false
-				}
-				ratio := q1 / q2
-				if ratio < 1 {
-					ratio = 1 / ratio
-				}
-				if ratio > bound*(1+tol) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

@@ -117,8 +117,8 @@ type Config struct {
 // may have to replay.
 const DefaultSnapshotEvery = 256
 
-// DefaultMaxBodyBytes is the request-body cap applied when a collector
-// or fleet supervisor config leaves MaxBodyBytes unset.
+// DefaultMaxBodyBytes is the request-body cap of the fleet supervisor,
+// and of a collector whose config leaves MaxBodyBytes unset.
 const DefaultMaxBodyBytes = 64 << 20
 
 // DedupWindow bounds the idempotency logs of collectors and

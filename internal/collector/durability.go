@@ -354,12 +354,3 @@ func (c *Collector) snapshotLocked() error {
 	c.pipelinePersisted = c.pipeline != nil
 	return nil
 }
-
-// Snapshot forces an immediate durable snapshot of the collector state,
-// compacting the WAL. It is a no-op on a collector without a store or
-// before a mechanism is installed.
-func (c *Collector) Snapshot() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.snapshotLocked()
-}

@@ -290,8 +290,3 @@ func (c *Collector) registerCollectorMetrics() {
 		"Bytes of an incomplete final WAL write discarded at startup recovery.",
 		func() float64 { return float64(st.Stats().TornTailBytes) })
 }
-
-// Metrics returns the collector's metric registry — what GET /metrics
-// serves, and the hook for embedding callers that mount the exposition
-// elsewhere.
-func (c *Collector) Metrics() *metrics.Registry { return c.engine.reg }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -295,4 +296,47 @@ func TestQueryErrors(t *testing.T) {
 	if resp2.StatusCode != http.StatusConflict {
 		t.Fatalf("mechanism-less query answered %d, want 409", resp2.StatusCode)
 	}
+}
+
+// FuzzParseQueryRequest parses arbitrary /v1/query strings the way the
+// engine does: url.ParseQuery, keeping whatever pairs it could read as
+// r.URL.Query does, then ParseQueryRequest. It must not panic, an
+// accepted top-k request has K >= 1, and an accepted request renders
+// through Values and parses back equal.
+func FuzzParseQueryRequest(f *testing.F) {
+	for _, seed := range []string{
+		"type=topk&k=3",
+		"type=range&x0=1&y0=1&x1=3&y1=3",
+		"type=bogus&k=3",
+		"type=topk",
+		"type=topk&k=0",
+		"type=topk&k=two",
+		"type=range&x0=1&y0=1&x1=3",
+		"type=range&x0=a&y0=1&x1=3&y1=3",
+		"type=range&x0=3&y0=1&x1=1&y1=3",
+		"type=range&x0=0&y0=0&x1=9&y1=9",
+		"type=range&x0=-1&y0=0&x1=2&y1=2",
+		"type=range&x0=1&y0=1&x1=3&y1=3&k=0",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		v, _ := url.ParseQuery(raw)
+		req, err := collector.ParseQueryRequest(v)
+		if err != nil {
+			return
+		}
+		if req.Type == collector.QueryTypeTopK && req.K < 1 {
+			t.Fatalf("%q: accepted top-k request with k = %d", raw, req.K)
+		}
+		back, err := req.Values()
+		if err != nil {
+			t.Fatalf("%q: accepted request %+v does not render: %v", raw, req, err)
+		}
+		again, err := collector.ParseQueryRequest(back)
+		if err != nil || again != req {
+			t.Fatalf("%q: %+v renders as %q and parses back as %+v (%v)", raw, req, back.Encode(), again, err)
+		}
+	})
 }

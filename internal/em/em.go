@@ -36,8 +36,10 @@ type Options struct {
 	// copied; entries must be non-negative and are renormalised. Zero
 	// entries are floored at a 1e-12 share of uniform mass so a warm
 	// start can never permanently erase support the merged data calls
-	// for. Warm-starting from the previous estimate after an aggregate
-	// merge converges in far fewer iterations than a cold start.
+	// for. A warm start saves iterations only when EM reaches Tol
+	// before MaxIter, and its result depends on the estimate it starts
+	// from, so a warm-chained estimate can differ from a cold decode of
+	// the same counts.
 	Init []float64
 }
 

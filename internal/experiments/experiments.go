@@ -53,8 +53,6 @@ type Config struct {
 	// LPCalibration enables Local-Privacy calibration of SEM-Geo-I's ε'
 	// against DAM (Section VII-B). When disabled, ε' = ε directly.
 	LPCalibration bool
-	// SinkhornReg overrides the entropic regularisation (0 = default).
-	SinkhornReg float64
 	// Workers bounds the suite's concurrent trial execution (0 =
 	// GOMAXPROCS). Per-trial RNG streams derive from the trial's identity,
 	// not its worker, so results are byte-identical for any value.
@@ -173,11 +171,7 @@ func (c Config) W2(a, b *grid.Hist2D, m Metric) (float64, error) {
 	case MetricExact:
 		return transport.W2Exact(a, b)
 	case MetricSinkhorn, MetricSinkhornDebiased:
-		opts := &transport.SinkhornOptions{
-			Reg:    c.SinkhornReg,
-			Debias: m == MetricSinkhornDebiased,
-		}
-		return transport.W2Sinkhorn(a, b, opts)
+		return transport.W2Sinkhorn(a, b, &transport.SinkhornOptions{Debias: m == MetricSinkhornDebiased})
 	default:
 		return 0, fmt.Errorf("experiments: unknown metric %d", m)
 	}
@@ -369,17 +363,6 @@ func (s *Suite) buildMechanism(name string, dom grid.Domain, eps float64) (Estim
 	default:
 		return nil, fmt.Errorf("experiments: unknown mechanism %q", name)
 	}
-}
-
-// evalOne measures the mean W₂ of a mechanism on one dataset at (d, eps):
-// averaged over the dataset's parts and the configured repeats, with the
-// trials fanned out over the suite's worker pool.
-func (s *Suite) evalOne(mechName, dataset string, d int, eps float64, metric Metric) (float64, error) {
-	means, err := s.runCells([]evalCell{s.mechCell(mechName, dataset, d, eps, metric)})
-	if err != nil {
-		return 0, err
-	}
-	return means[0], nil
 }
 
 func hashName(s string) uint64 {

@@ -426,16 +426,6 @@ func (s *Suite) runTrajectoryCells(mechs []string, ds []int, epss []float64) ([]
 	return means, nil
 }
 
-// evalTrajectory measures the point-distribution W₂ of one trajectory
-// mechanism at (d, eps) following the seven-step protocol of Appendix D.
-func (s *Suite) evalTrajectory(mech string, d int, eps float64) (float64, error) {
-	means, err := s.runTrajectoryCells([]string{mech}, []int{d}, []float64{eps})
-	if err != nil {
-		return 0, err
-	}
-	return means[0], nil
-}
-
 // TrajectoryMechanismNames lists the Figure 14 legend.
 func TrajectoryMechanismNames() []string {
 	return []string{"LDPTrace", "PivotTrace", "DAM"}

@@ -7,8 +7,3 @@ import "encoding/json"
 func (f *Figure) JSON() ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
-
-// JSON renders a table as deterministic JSON.
-func (t *Table) JSON() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
-}

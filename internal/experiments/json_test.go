@@ -22,22 +22,3 @@ func TestFigureJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
-
-func TestTableJSONRoundTrip(t *testing.T) {
-	tab := &Table{
-		Name: "tabX", Title: "demo",
-		Header: []string{"a", "b"},
-		Rows:   [][]string{{"1", "2"}},
-	}
-	out, err := tab.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Table
-	if err := json.Unmarshal(out, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Rows[0][1] != "2" {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-}

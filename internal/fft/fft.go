@@ -64,9 +64,6 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// Size returns the transform size.
-func (p *Plan) Size() int { return p.n }
-
 // Forward computes the unscaled forward DFT of re/im (length n) in place:
 // X_k = Σ_j x_j · e^{-2πijk/n}.
 func (p *Plan) Forward(re, im []float64) {
@@ -222,19 +219,6 @@ func (p *Plan) Forward2(re1, im1, re2, im2 []float64) {
 	}
 }
 
-// Inverse computes the scaled inverse DFT of re/im in place:
-// x_j = (1/n) Σ_k X_k · e^{+2πijk/n}. It uses the swap identity
-// IDFT(X) = swap(DFT(swap(X)))/n, so Forward and Inverse share one
-// twiddle table and one code path.
-func (p *Plan) Inverse(re, im []float64) {
-	p.Forward(im, re)
-	s := p.inv
-	for i := range re[:p.n] {
-		re[i] *= s
-		im[i] *= s
-	}
-}
-
 // inverseRaw / inverseRaw2 are the unscaled inverse transforms (the swap
 // identity without the 1/n pass). The 2-D convolver pre-folds both
 // dimensions' scalings into the kernel spectrum, so its inverse passes
@@ -331,9 +315,6 @@ func (c *RealConv2D) NewScratch() *ConvScratch {
 		z2im: make([]float64, c.n),
 	}
 }
-
-// Size returns the grid side n.
-func (c *RealConv2D) Size() int { return c.n }
 
 // Apply computes dst = src ⊛ kernel (circular convolution) when correlate
 // is false, or the circular cross-correlation Σ_s src(s)·kernel(s−t) when

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -38,10 +37,9 @@ type member struct {
 	nonEmpty bool
 }
 
-func newMember(url, authToken string, httpClient *http.Client) *member {
+func newMember(url, authToken string) *member {
 	c := collector.NewClient(url)
 	c.AuthToken = authToken
-	c.HTTPClient = httpClient
 	return &member{url: strings.TrimRight(url, "/"), client: c, healthy: true}
 }
 

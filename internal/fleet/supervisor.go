@@ -76,11 +76,6 @@ type Config struct {
 	// GET /healthz, and presents it to members, which run with the same
 	// --auth-token.
 	AuthToken string
-	// MaxBodyBytes caps accepted request bodies (default 64 MiB).
-	MaxBodyBytes int64
-	// HTTPClient is used for member requests (default
-	// http.DefaultClient).
-	HTTPClient *http.Client
 	// DisableMetrics leaves GET /metrics unrouted (404). The supervisor
 	// still accounts internally; only the exposition endpoint is gated.
 	DisableMetrics bool
@@ -145,9 +140,6 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Mechanism != nil && cfg.Pipeline == nil {
 		return nil, fmt.Errorf("fleet: a pre-built Mechanism needs its Pipeline metadata (members adopt from it)")
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = collector.DefaultMaxBodyBytes
-	}
 	s := &Supervisor{
 		cfg:      cfg,
 		acks:     collector.NewAckLog(collector.DedupWindow),
@@ -176,7 +168,7 @@ func New(cfg Config) (*Supervisor, error) {
 	s.met = s.engine.Instruments()
 	seen := make(map[string]bool, len(cfg.Members))
 	for _, url := range cfg.Members {
-		m := newMember(url, cfg.AuthToken, cfg.HTTPClient)
+		m := newMember(url, cfg.AuthToken)
 		if seen[m.url] {
 			return nil, fmt.Errorf("fleet: duplicate member %s", m.url)
 		}
@@ -229,7 +221,7 @@ func (s *Supervisor) handleReport(w http.ResponseWriter, r *http.Request) {
 		collector.WriteJSON(w, http.StatusOK, &prev)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, collector.DefaultMaxBodyBytes))
 	if err != nil {
 		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
 		return
@@ -259,7 +251,7 @@ func (s *Supervisor) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		collector.WriteJSON(w, http.StatusOK, &prev)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, collector.DefaultMaxBodyBytes))
 	if err != nil {
 		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
 		return

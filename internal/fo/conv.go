@@ -129,11 +129,6 @@ func (c *ConvChannel) NumInputs() int { return c.n }
 // NumOutputs implements LinearChannel.
 func (c *ConvChannel) NumOutputs() int { return c.n }
 
-// Normalizers returns the per-row pre-normalisation masses z_i, exactly
-// the row sums a dense construction would have computed. The returned
-// slice is the channel's backing store — treat it as read-only.
-func (c *ConvChannel) Normalizers() []float64 { return c.z }
-
 // scratch borrows per-sweep working memory from the pool.
 func (c *ConvChannel) scratch() *convScratch {
 	if s, ok := c.pool.Get().(*convScratch); ok {
@@ -229,10 +224,6 @@ func (c *ConvChannel) Validate() error {
 	}
 	return nil
 }
-
-// MaxRatio returns the worst-case likelihood ratio over materialised
-// rows, as Channel.MaxRatio.
-func (c *ConvChannel) MaxRatio() float64 { return maxRatioByRows(c) }
 
 // Samplers builds one alias table per row — identical tables to the
 // dense channel's, one dense row at a time.

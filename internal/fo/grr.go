@@ -37,14 +37,8 @@ func NewGRR(k int, eps float64) (*GRR, error) {
 // NumInputs returns the input domain size k.
 func (g *GRR) NumInputs() int { return g.k }
 
-// NumOutputs returns the output domain size k.
-func (g *GRR) NumOutputs() int { return g.k }
-
 // Epsilon returns the privacy budget.
 func (g *GRR) Epsilon() float64 { return g.eps }
-
-// TruthProb returns p, the probability of reporting truthfully.
-func (g *GRR) TruthProb() float64 { return g.p }
 
 // Perturb randomises one input index into an output index (the paper's
 // FO.T).
@@ -97,14 +91,6 @@ func (g *GRR) Report(input int, r *rng.RNG) (Report, error) {
 		return Report{}, fmt.Errorf("fo: GRR input %d outside [0, %d)", input, g.k)
 	}
 	return SingleIndexReport(g.Perturb(input, r)), nil
-}
-
-// EstimateAggregate recovers frequencies from an accumulated aggregate.
-func (g *GRR) EstimateAggregate(agg *Aggregate) ([]float64, error) {
-	if err := agg.Compatible(g); err != nil {
-		return nil, err
-	}
-	return g.Estimate(agg.Planes[0])
 }
 
 // Linear returns GRR's channel in its two-valued closed form (p on the

@@ -256,9 +256,6 @@ func (u *UniformSparse) NumOutputs() int { return u.out }
 // NNZ returns the total number of stored overrides.
 func (u *UniformSparse) NNZ() int { return len(u.idx) }
 
-// Base returns row i's uniform value.
-func (u *UniformSparse) Base(i int) float64 { return u.base[i] }
-
 // Row implements LinearChannel, materialising row i into a fresh slice.
 func (u *UniformSparse) Row(i int) []float64 {
 	row := make([]float64, u.out)
@@ -362,10 +359,6 @@ func (u *UniformSparse) Validate() error {
 	return nil
 }
 
-// MaxRatio returns the worst-case likelihood ratio, as Channel.MaxRatio,
-// working off materialised rows on demand (no dense matrix is retained).
-func (u *UniformSparse) MaxRatio() float64 { return maxRatioByRows(u) }
-
 // Samplers builds one alias table per materialised row for O(1)
 // perturbation — identical tables to the dense channel's, without ever
 // holding more than one dense row.
@@ -412,9 +405,6 @@ func (t *TwoValue) NumInputs() int { return t.k }
 // NumOutputs implements LinearChannel.
 func (t *TwoValue) NumOutputs() int { return t.k }
 
-// PQ returns (diag, off).
-func (t *TwoValue) PQ() (float64, float64) { return t.diag, t.off }
-
 // Row implements LinearChannel.
 func (t *TwoValue) Row(i int) []float64 {
 	row := make([]float64, t.k)
@@ -450,34 +440,6 @@ func (t *TwoValue) Backward(w, out []float64) {
 	for i := 0; i < t.k; i++ {
 		out[i] = t.off*wSum + d*w[i]
 	}
-}
-
-// Validate checks the row-distribution invariant (guaranteed by
-// construction; provided for interface parity).
-func (t *TwoValue) Validate() error {
-	if sum := t.diag + float64(t.k-1)*t.off; math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("fo: two-value row sums to %v", sum)
-	}
-	return nil
-}
-
-// MaxRatio returns the closed-form worst-case likelihood ratio diag/off
-// (+Inf when off = 0 and k > 1).
-func (t *TwoValue) MaxRatio() float64 {
-	if t.k == 1 {
-		return 1
-	}
-	hi, lo := t.diag, t.off
-	if hi < lo {
-		hi, lo = lo, hi
-	}
-	if lo == 0 {
-		if hi == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return hi / lo
 }
 
 // --- Generic helpers over materialised rows ---

@@ -40,9 +40,6 @@ func (o *OUE) NumCategories() int { return o.k }
 // NumInputs implements Reporter.
 func (o *OUE) NumInputs() int { return o.k }
 
-// Epsilon returns the privacy budget.
-func (o *OUE) Epsilon() float64 { return o.eps }
-
 // PerturbBits randomises one user's value into a reported bit vector.
 func (o *OUE) PerturbBits(input int, r *rng.RNG) []bool {
 	bits := make([]bool, o.k)
@@ -90,15 +87,6 @@ func (o *OUE) Report(input int, r *rng.RNG) (Report, error) {
 		}
 	}
 	return Report{Planes: [][]int{set}}, nil
-}
-
-// EstimateAggregate recovers frequencies from an accumulated aggregate,
-// using the aggregate's report count as the user total.
-func (o *OUE) EstimateAggregate(agg *Aggregate) ([]float64, error) {
-	if err := agg.Compatible(o); err != nil {
-		return nil, err
-	}
-	return o.EstimateBits(agg.Planes[0], agg.N)
 }
 
 // EstimateBits recovers normalised frequencies from support counts over n

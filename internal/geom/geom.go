@@ -58,16 +58,6 @@ func CellRect(c Cell) Rect {
 	}
 }
 
-// Area returns the rectangle's area (zero for inverted rectangles).
-func (r Rect) Area() float64 {
-	w := r.MaxX - r.MinX
-	h := r.MaxY - r.MinY
-	if w <= 0 || h <= 0 {
-		return 0
-	}
-	return w * h
-}
-
 // Contains reports whether the point lies in the closed rectangle.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
@@ -78,13 +68,5 @@ func (r Rect) Contains(p Point) bool {
 func (r Rect) minDistToOrigin() float64 {
 	dx := math.Max(0, math.Max(r.MinX, -r.MaxX))
 	dy := math.Max(0, math.Max(r.MinY, -r.MaxY))
-	return math.Hypot(dx, dy)
-}
-
-// maxDistToOrigin returns the largest distance from the origin to any point
-// of the rectangle (always a corner).
-func (r Rect) maxDistToOrigin() float64 {
-	dx := math.Max(math.Abs(r.MinX), math.Abs(r.MaxX))
-	dy := math.Max(math.Abs(r.MinY), math.Abs(r.MaxY))
 	return math.Hypot(dx, dy)
 }

@@ -214,30 +214,6 @@ func TestTotalVariationSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestKLDivergence(t *testing.T) {
-	dom := mustDomain(t, 0, 0, 1, 2)
-	a := NewHist(dom)
-	for i := range a.Mass {
-		a.Mass[i] = 0.25
-	}
-	kl, err := KLDivergence(a, a, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(kl) > 1e-12 {
-		t.Fatalf("self-KL %v", kl)
-	}
-	b := a.Clone()
-	b.Mass[0], b.Mass[1] = 0.4, 0.1
-	kl, err = KLDivergence(a, b, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kl <= 0 {
-		t.Fatalf("KL to different distribution %v, want > 0", kl)
-	}
-}
-
 func TestRenderShape(t *testing.T) {
 	dom := mustDomain(t, 0, 0, 1, 4)
 	h := NewHist(dom)

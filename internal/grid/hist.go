@@ -109,25 +109,6 @@ func TotalVariation(a, b *Hist2D) (float64, error) {
 	return sum / 2, nil
 }
 
-// KLDivergence returns D(a‖b) in nats for normalised histograms, treating
-// 0·log(0/x) as 0 and smoothing b's zeros with eps to keep the value
-// finite.
-func KLDivergence(a, b *Hist2D, eps float64) (float64, error) {
-	if len(a.Mass) != len(b.Mass) {
-		return 0, fmt.Errorf("grid: histogram sizes differ (%d vs %d)", len(a.Mass), len(b.Mass))
-	}
-	sum := 0.0
-	for i := range a.Mass {
-		p := a.Mass[i]
-		if p <= 0 {
-			continue
-		}
-		q := math.Max(b.Mass[i], eps)
-		sum += p * math.Log(p/q)
-	}
-	return sum, nil
-}
-
 // Render draws the histogram as a rough ASCII density map (darkest = most
 // mass), row y = d-1 on top, for terminal inspection in the examples.
 func (h *Hist2D) Render() string {

@@ -39,12 +39,6 @@ func NewMDSW(dom grid.Domain, eps float64) (*MDSW, error) {
 // Name returns the mechanism's display name.
 func (m *MDSW) Name() string { return "MDSW" }
 
-// Epsilon returns the total budget.
-func (m *MDSW) Epsilon() float64 { return m.eps }
-
-// Domain returns the input grid.
-func (m *MDSW) Domain() grid.Domain { return m.dom }
-
 // AxisReport is one user's noisy output: a perturbed bucket per
 // dimension.
 type AxisReport struct {

@@ -136,13 +136,6 @@ func (s *SW) NumInputs() int { return s.d }
 // NumOutputs returns the padded output bucket count.
 func (s *SW) NumOutputs() int { return s.d + 2*s.pad }
 
-// Epsilon returns the budget.
-func (s *SW) Epsilon() float64 { return s.eps }
-
-// Linear exposes the exact bucket-level channel in its structured
-// uniform-plus-sparse form — the representation estimation runs on.
-func (s *SW) Linear() *fo.UniformSparse { return s.linear }
-
 // Channel materialises the dense bucket-level channel on first use
 // (shared; treat as read-only). Estimation never needs it.
 func (s *SW) Channel() *fo.Channel {

@@ -90,9 +90,6 @@ type Gauge struct{ v value }
 // Set replaces the value.
 func (g *Gauge) Set(x float64) { g.v.set(x) }
 
-// Add adds delta (negative deltas decrease the gauge).
-func (g *Gauge) Add(delta float64) { g.v.add(delta) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.load() }
 
@@ -116,9 +113,6 @@ func (h *Histogram) Observe(x float64) {
 	h.inf.Add(1)
 	h.sum.add(x)
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.inf.Load() }
 
 // series is one label-set instance inside a family.
 type series struct {
@@ -209,12 +203,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Gauge registers (or fetches) a single-series gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, KindGauge, nil, nil).get(nil).gauge
-}
-
-// Histogram registers (or fetches) a single-series histogram over the
-// given bucket upper bounds (sorted ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, KindHistogram, nil, buckets).get(nil).hist
 }
 
 // CounterFunc registers a counter whose value is fn() at scrape time —

@@ -32,16 +32,15 @@ type AHEAD struct {
 	eps    float64
 	levels int
 	// infos[ℓ] (ℓ = 1..levels-1) is the frontier assignment of level ℓ:
-	// the quadtree structure depends only on d, so the per-level node
-	// lists, cell→frontier-position maps and OUE oracles are fixed at
+	// the quadtree structure depends only on d, so the per-level
+	// cell→frontier-position maps and OUE oracles are fixed at
 	// construction and shared by every report and decode.
 	infos []levelAssign
 }
 
 // levelAssign is one hierarchy level's fixed reporting assignment.
 type levelAssign struct {
-	nodes  []*Node // template frontier, deterministic order
-	byCell []int   // cell index → frontier position
+	byCell []int // cell index → frontier position
 	oracle *fo.OUE
 }
 
@@ -71,7 +70,7 @@ func NewAHEAD(dom grid.Domain, eps float64) (*AHEAD, error) {
 			if err != nil {
 				return nil, err
 			}
-			a.infos[l] = levelAssign{nodes: nodes, byCell: byCell, oracle: oue}
+			a.infos[l] = levelAssign{byCell: byCell, oracle: oue}
 		}
 	}
 	return a, nil
@@ -179,8 +178,8 @@ func (a *AHEAD) EstimateTreeFromAggregate(agg *fo.Aggregate) (*Quadtree, *grid.H
 	levels := a.levels
 
 	// The decode walks the fresh tree's nodes; Frontier order is
-	// deterministic, so fresh frontier position pos corresponds to the
-	// template node a.infos[l].nodes[pos] the supports were counted over.
+	// deterministic, so fresh frontier position pos is the template
+	// frontier position the supports were counted over.
 	frontiers := make([][]*Node, levels)
 	for l := 1; l < levels; l++ {
 		frontiers[l] = tree.Frontier(l)

@@ -235,21 +235,6 @@ func TestWeightedChoiceMatchesAlias(t *testing.T) {
 	}
 }
 
-func TestMultinomialConservesTrials(t *testing.T) {
-	r := New(41)
-	counts, err := Multinomial(r, 12345, []float64{3, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 12345 {
-		t.Fatalf("multinomial total %d, want 12345", total)
-	}
-}
-
 func TestQuickIntnInRange(t *testing.T) {
 	r := New(43)
 	f := func(n uint16) bool {

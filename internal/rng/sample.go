@@ -105,18 +105,3 @@ func WeightedChoice(r *RNG, weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Multinomial distributes n trials across categories proportional to
-// weights, drawing each trial independently through an alias table.
-// It returns per-category counts.
-func Multinomial(r *RNG, n int, weights []float64) ([]int, error) {
-	table, err := NewAlias(weights)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(weights))
-	for i := 0; i < n; i++ {
-		counts[table.Draw(r)]++
-	}
-	return counts, nil
-}

@@ -278,27 +278,11 @@ func (m *Mechanism) buildChannel() error {
 // Name returns the mechanism's display name.
 func (m *Mechanism) Name() string { return m.name }
 
-// Epsilon returns the privacy budget.
-func (m *Mechanism) Epsilon() float64 { return m.eps }
-
-// BHat returns the discrete high-probability radius in cell units.
-func (m *Mechanism) BHat() int { return m.bHat }
-
-// Domain returns the input grid domain.
-func (m *Mechanism) Domain() grid.Domain { return m.dom }
-
 // NumInputs returns d².
 func (m *Mechanism) NumInputs() int { return m.dom.NumCells() }
 
 // NumOutputs returns |D̃|.
 func (m *Mechanism) NumOutputs() int { return len(m.out) }
-
-// OutputCells returns the output domain in channel order (shared slice;
-// do not modify).
-func (m *Mechanism) OutputCells() []geom.Cell { return m.out }
-
-// PQ returns the discrete unit-cell probabilities (p̂, q̂).
-func (m *Mechanism) PQ() (float64, float64) { return m.pHat, m.qHat }
 
 // Linear returns the exact per-cell reporting channel in its structured
 // uniform-plus-sparse form — the representation estimation runs on
@@ -327,24 +311,6 @@ func (m *Mechanism) Samplers() ([]*rng.Alias, error) {
 		m.samplers, m.samplersErr = m.linear.Samplers()
 	})
 	return m.samplers, m.samplersErr
-}
-
-// Perturb randomises one user's input cell index into an output cell
-// index (GridAreaResponse, Algorithm 2: the two-stage weighted sampling
-// over {pure-low, shrunken, complement, pure-high} collapses to one exact
-// categorical draw over the channel row), through the cached alias
-// samplers — O(1) per draw instead of the former O(|D̃|) linear scan.
-// The draw consumes the same stream as Report always has; it differs
-// from the pre-alias WeightedChoice stream (two uniforms per draw
-// instead of one), which only ever fed Perturb-driven test loops.
-func (m *Mechanism) Perturb(input int, r *rng.RNG) int {
-	samplers, err := m.Samplers()
-	if err != nil {
-		// Unreachable: the channel is validated at construction, so every
-		// row yields a well-formed alias table.
-		panic(fmt.Sprintf("sam: samplers unavailable: %v", err))
-	}
-	return samplers[input].Draw(r)
 }
 
 // emOptions assembles the EM options shared by every estimation entry

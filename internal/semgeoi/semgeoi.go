@@ -24,7 +24,6 @@ import (
 
 	"dpspatial/internal/em"
 	"dpspatial/internal/fo"
-	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
 	"dpspatial/internal/localprivacy"
 	"dpspatial/internal/rng"
@@ -33,12 +32,10 @@ import (
 
 // Mechanism is the discrete SEM-Geo-I reporter/estimator over a d×d grid.
 type Mechanism struct {
-	dom      grid.Domain
-	epsGeo   float64 // ε' per unit cell distance
-	k        int     // subset size (ball cell count)
-	ballR    float64 // ball radius in cell units realising k cells
-	channel  *fo.ConvChannel
-	ballOffs []geom.Cell
+	dom     grid.Domain
+	epsGeo  float64 // ε' per unit cell distance
+	k       int     // subset size (ball cell count)
+	channel *fo.ConvChannel
 
 	samplersOnce sync.Once
 	samplers     []*rng.Alias
@@ -48,81 +45,18 @@ type Mechanism struct {
 	dense     *fo.Channel
 }
 
-// Option configures the mechanism.
-type Option func(*config)
-
-type config struct {
-	k *int
-}
-
-// WithSubsetSize overrides the subset size k.
-func WithSubsetSize(k int) Option {
-	return func(c *config) { c.k = &k }
-}
-
-// New builds SEM-Geo-I with per-cell-unit budget epsGeo > 0.
-func New(dom grid.Domain, epsGeo float64, opts ...Option) (*Mechanism, error) {
+// New builds SEM-Geo-I with per-cell-unit budget epsGeo > 0. The subset
+// size is k = max(1, n/e^ε'), which lies in [1, n] for every ε' > 0.
+func New(dom grid.Domain, epsGeo float64) (*Mechanism, error) {
 	if epsGeo <= 0 || math.IsNaN(epsGeo) || math.IsInf(epsGeo, 0) {
 		return nil, fmt.Errorf("semgeoi: invalid epsilon %v", epsGeo)
 	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	n := dom.NumCells()
-	k := int(math.Max(1, float64(n)/math.Exp(epsGeo)))
-	if cfg.k != nil {
-		k = *cfg.k
-	}
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("semgeoi: subset size %d outside [1, %d]", k, n)
-	}
+	k := int(math.Max(1, float64(dom.NumCells())/math.Exp(epsGeo)))
 	m := &Mechanism{dom: dom, epsGeo: epsGeo, k: k}
-	m.ballOffs = ballOffsets(k)
-	m.ballR = 0
-	for _, o := range m.ballOffs {
-		m.ballR = math.Max(m.ballR, o.CenterDist(geom.Cell{}))
-	}
 	if err := m.buildChannel(); err != nil {
 		return nil, fmt.Errorf("semgeoi: internal channel invalid: %w", err)
 	}
 	return m, nil
-}
-
-// ballOffsets returns the k cell offsets closest to the origin (ties
-// broken deterministically), forming a discrete ball of k cells.
-func ballOffsets(k int) []geom.Cell {
-	reach := 1
-	for (2*reach+1)*(2*reach+1) < k {
-		reach++
-	}
-	type distCell struct {
-		d float64
-		c geom.Cell
-	}
-	cells := make([]distCell, 0, (2*reach+1)*(2*reach+1))
-	for y := -reach; y <= reach; y++ {
-		for x := -reach; x <= reach; x++ {
-			c := geom.Cell{X: x, Y: y}
-			cells = append(cells, distCell{d: c.CenterDist(geom.Cell{}), c: c})
-		}
-	}
-	// Deterministic sort: by distance, then y, then x.
-	for i := 1; i < len(cells); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cells[j-1], cells[j]
-			if b.d < a.d || (b.d == a.d && (b.c.Y < a.c.Y || (b.c.Y == a.c.Y && b.c.X < a.c.X))) {
-				cells[j-1], cells[j] = cells[j], cells[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	offs := make([]geom.Cell, k)
-	for i := 0; i < k; i++ {
-		offs[i] = cells[i].c
-	}
-	return offs
 }
 
 // buildChannel installs the exact per-centre channel: outputs are the
@@ -150,15 +84,6 @@ func (m *Mechanism) buildChannel() error {
 
 // Name returns the mechanism's display name.
 func (m *Mechanism) Name() string { return "SEM-Geo-I" }
-
-// EpsilonGeo returns the per-cell-unit Geo-I budget ε'.
-func (m *Mechanism) EpsilonGeo() float64 { return m.epsGeo }
-
-// SubsetSize returns k.
-func (m *Mechanism) SubsetSize() int { return m.k }
-
-// Domain returns the input grid.
-func (m *Mechanism) Domain() grid.Domain { return m.dom }
 
 // NumInputs returns d².
 func (m *Mechanism) NumInputs() int { return m.dom.NumCells() }
@@ -210,20 +135,6 @@ func (m *Mechanism) Report(input int, r *rng.RNG) (fo.Report, error) {
 // NewAggregate allocates an empty aggregate for this mechanism's reports.
 func (m *Mechanism) NewAggregate() *fo.Aggregate { return fo.NewAggregateFor(m) }
 
-// Subset expands a reported centre index into the cells of the reported
-// subset, clamped to the grid.
-func (m *Mechanism) Subset(center int) []geom.Cell {
-	c := m.dom.CellAt(center)
-	out := make([]geom.Cell, 0, len(m.ballOffs))
-	for _, off := range m.ballOffs {
-		cc := c.Add(off)
-		cc.X = clampInt(cc.X, 0, m.dom.D-1)
-		cc.Y = clampInt(cc.Y, 0, m.dom.D-1)
-		out = append(out, cc)
-	}
-	return out
-}
-
 // Estimate recovers the input distribution from per-centre counts via EM.
 func (m *Mechanism) Estimate(counts []float64) ([]float64, error) {
 	return em.Estimate(m.channel, counts, nil)
@@ -253,33 +164,6 @@ func (m *Mechanism) EstimateHist(truth *grid.Hist2D, r *rng.RNG) (*grid.Hist2D, 
 		return nil, err
 	}
 	return m.EstimateFromAggregate(agg)
-}
-
-// GeoIRatioHolds verifies the Geo-I guarantee on the channel: for every
-// output and every input pair, Pr[o|v1]/Pr[o|v2] ≤ e^{ε'·dis(v1,v2)}.
-// Exposed for tests and audits.
-func (m *Mechanism) GeoIRatioHolds(tol float64) bool {
-	n := m.NumInputs()
-	ch := m.Channel()
-	for i1 := 0; i1 < n; i1++ {
-		for i2 := i1 + 1; i2 < n; i2++ {
-			bound := math.Exp(m.epsGeo * m.dom.CellAt(i1).CenterDist(m.dom.CellAt(i2)))
-			for j := 0; j < m.NumOutputs(); j++ {
-				p1, p2 := ch.At(i1, j), ch.At(i2, j)
-				if p2 == 0 || p1 == 0 {
-					return false
-				}
-				r := p1 / p2
-				if r < 1 {
-					r = 1 / r
-				}
-				if r > bound*(1+tol) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // calibrationKey identifies one CalibrateToDAM result. Both the DAM target
@@ -344,14 +228,4 @@ func calibrateToDAM(d int, eps float64) (float64, error) {
 		}
 		return m.Channel(), nil
 	}, 1e-2, 60)
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -81,33 +81,16 @@ func TestDefaultSubsetSizeFollowsComplexityRule(t *testing.T) {
 	}
 }
 
-func TestSubsetSizeOverrideAndBounds(t *testing.T) {
-	dom := testDomain(t, 4)
-	m, err := New(dom, 1, WithSubsetSize(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SubsetSize() != 5 {
-		t.Fatalf("k = %d, want 5", m.SubsetSize())
-	}
-	if got := len(m.Subset(0)); got != 5 {
-		t.Fatalf("subset has %d cells, want 5", got)
-	}
-	if _, err := New(dom, 1, WithSubsetSize(0)); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := New(dom, 1, WithSubsetSize(17)); err == nil {
-		t.Fatal("k>n accepted")
-	}
-}
-
 func TestSubsetCellsInsideGrid(t *testing.T) {
 	dom := testDomain(t, 4)
-	m, err := New(dom, 0.5, WithSubsetSize(9))
+	m, err := New(dom, 0.5) // k = ⌊16/e^0.5⌋ = 9
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < m.NumOutputs(); c++ {
+		if got := len(m.Subset(c)); got != m.SubsetSize() {
+			t.Fatalf("subset of centre %d has %d cells, want %d", c, got, m.SubsetSize())
+		}
 		for _, cell := range m.Subset(c) {
 			if !dom.Contains(cell) {
 				t.Fatalf("subset of centre %d contains out-of-grid cell %v", c, cell)

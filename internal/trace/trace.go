@@ -200,9 +200,6 @@ func Int(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 // Float builds a float attribute.
 func Float(key string, value float64) Attr { return Attr{Key: key, Value: value} }
 
-// Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
-
 // EventData is one point-in-time annotation inside a span — how
 // failover hops and sticky pins are recorded without opening a span per
 // incident.
@@ -353,15 +350,6 @@ type Span struct {
 	attrs  []Attr
 	events []EventData
 	ended  bool
-}
-
-// Context returns the span's trace context — what Outgoing injects into
-// the traceparent header of downstream requests.
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return s.sc
 }
 
 // TraceID returns the span's 32-hex-character trace ID, empty on a nil

@@ -474,3 +474,32 @@ func TestMiddlewareNilTracerPassthrough(t *testing.T) {
 		t.Fatalf("nil-tracer middleware altered the response: %d %q", rr.Code, rr.Header().Get(TraceIDHeader))
 	}
 }
+
+// FuzzParseTraceparent parses arbitrary traceparent header values, which
+// both tiers read from every request. It must not panic, an accepted
+// context is Valid, and an accepted version-00 value renders back byte
+// for byte through Traceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		NewSpanContext().Traceparent(),
+		"00-00000000000000000000000000000000-0000000000000000-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", s, sc)
+		}
+		if strings.HasPrefix(s, "00-") && sc.Traceparent() != s {
+			t.Fatalf("ParseTraceparent(%q) renders back as %q", s, sc.Traceparent())
+		}
+	})
+}

@@ -143,12 +143,3 @@ func PointHist(dom grid.Domain, trajs []Trajectory) *grid.Hist2D {
 	}
 	return h
 }
-
-// Points flattens trajectories into a single point slice.
-func Points(trajs []Trajectory) []geom.Point {
-	var out []geom.Point
-	for _, tr := range trajs {
-		out = append(out, tr...)
-	}
-	return out
-}
