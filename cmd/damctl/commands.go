@@ -10,7 +10,6 @@ import (
 
 	"dpspatial"
 	"dpspatial/internal/experiments"
-	"dpspatial/internal/geom"
 	"dpspatial/internal/rng"
 	"dpspatial/internal/synth"
 )
@@ -145,41 +144,9 @@ func cmdGen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	r := rng.New(hc.seed)
-	var pts []geom.Point
-	switch *dataset {
-	case "Crime":
-		ds, err := synth.ChicagoCrimeLike(r, synth.Scale(hc.scale))
-		if err != nil {
-			return err
-		}
-		pts = ds.Points
-	case "NYC":
-		ds, err := synth.NYCGreenTaxiLike(r, synth.Scale(hc.scale))
-		if err != nil {
-			return err
-		}
-		pts = ds.Points
-	case "Normal":
-		var err error
-		pts, err = synth.Normal(r, synth.Scale(hc.scale).Of(300000), 0, 0, 1, 1, 0.5, 5)
-		if err != nil {
-			return err
-		}
-	case "SZipf":
-		var err error
-		pts, err = synth.SkewZipf(r, synth.Scale(hc.scale).Of(100000))
-		if err != nil {
-			return err
-		}
-	case "MNormal":
-		var err error
-		pts, err = synth.MNormal(r, synth.Scale(hc.scale).Of(300000))
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
+	ds, err := synth.Generate(*dataset, rng.New(hc.seed), synth.Scale(hc.scale))
+	if err != nil {
+		return err
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -193,7 +160,7 @@ func cmdGen(args []string) error {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 	fmt.Fprintln(bw, "x,y")
-	for _, p := range pts {
+	for _, p := range ds.Points {
 		fmt.Fprintf(bw, "%g,%g\n", p.X, p.Y)
 	}
 	return nil

@@ -14,7 +14,7 @@
 //	damctl estimate --from-aggregate agg.json
 //	damctl estimate --from-url http://127.0.0.1:8080
 //	damctl serve  [--addr 127.0.0.1:8080] [--cadence 2s] [--auth-token s3cret] [--mech DAM --d 15 --eps 3.5] [--data-dir state/] [--slow-ms 250 --log-format json] [--pprof] [--tls-cert c.pem --tls-key k.pem]
-//	damctl supervise --member http://c1:8080 --member http://c2:8080 [--policy hash] [--auth-token s3cret] [--slow-ms 250] [--tls-cert c.pem --tls-key k.pem]
+//	damctl supervise --member http://c1:8080 --member http://c2:8080 [--mech DAM --d 15 --eps 3.5] [--auth-token s3cret] [--slow-ms 250] [--tls-cert c.pem --tls-key k.pem]
 //	damctl submit --url http://127.0.0.1:8080 [--retries 3] [--submission-id id] [--tls-ca ca.pem] rep-000.jsonl shard.json blob.dpa ...
 //	damctl query  --url http://127.0.0.1:8080 --range 2,2,8,8 | --topk 5   (or --from-aggregate agg.json)
 //	damctl demo                   # before/after ASCII density maps
@@ -88,8 +88,9 @@ Commands:
   serve     run the HTTP collector daemon (merges shards, re-estimates
             on --cadence with warm-started EM; --data-dir makes the
             merged state crash-safe and restarts recover it)
-  supervise run the fleet supervisor: route submissions across --member
-            collectors and serve the hierarchically merged estimate
+  supervise run the fleet supervisor: route submissions round-robin
+            across --member collectors and serve the hierarchically
+            merged estimate
 
             both daemons trace every request (W3C traceparent in, spans
             out on GET /v1/traces, X-Dpspatial-Trace-Id echoed back),

@@ -6,12 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
 	"dpspatial"
@@ -30,15 +25,8 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	cadence := fs.Duration("cadence", 2*time.Second, "background re-estimate cadence (0 = decode only on demand)")
 	authToken := fs.String("auth-token", "", "shared bearer-token secret; every endpoint except /healthz requires it")
-	mech := fs.String("mech", "", "pre-build this mechanism at startup (default: adopt from the first submission): "+strings.Join(dpspatial.MechanismNames(), ", "))
-	d := fs.Int("d", 15, "grid side length (with --mech)")
-	eps := fs.Float64("eps", 3.5, "privacy budget (with --mech)")
-	minX := fs.Float64("minx", 0, "domain lower-left x (with --mech)")
-	minY := fs.Float64("miny", 0, "domain lower-left y (with --mech)")
-	side := fs.Float64("side", 1, "domain side length (with --mech)")
 	dataDir := fs.String("data-dir", "", "durable state directory: snapshots + write-ahead log; a restart with the same directory recovers the merged state and the recent-ack log")
 	snapshotEvery := fs.Int("snapshot-every", 0, "WAL records between snapshots with --data-dir (0 = default, negative = snapshot only at shutdown)")
-	metricsOn := fs.Bool("metrics", true, "serve the Prometheus text exposition on GET /metrics (behind --auth-token like the data endpoints)")
 	df := addDaemonFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -50,86 +38,41 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-
+	pipeline, mech, err := df.pipeline()
+	if err != nil {
+		return err
+	}
 	cfg := collector.Config{
+		Mechanism:      mech,
+		Pipeline:       pipeline,
+		Build:          adoptMechanism,
 		Cadence:        *cadence,
 		AuthToken:      *authToken,
-		DisableMetrics: !*metricsOn,
+		DisableMetrics: !*df.metrics,
 		DisableTraces:  df.tracingDisabled(),
 		TraceCapacity:  df.traceCapacity(),
 		SlowLog:        slowLog,
 		EnablePprof:    *df.pprof,
-		// Adopt the mechanism from the first submission's pipeline
-		// metadata (a report stream's header line, or the
-		// X-Dpspatial-Pipeline header on a binary aggregate POST).
-		Build: func(p *collector.Pipeline) (collector.Estimator, error) {
-			return dpspatial.NewMechanismFromPipeline(p)
-		},
-	}
-	if *mech != "" {
-		dom, err := dpspatial.NewDomain(*minX, *minY, *side, *d)
-		if err != nil {
-			return err
-		}
-		pipeline, m, err := dpspatial.NewCollectorPipeline(*mech, dom, *eps)
-		if err != nil {
-			return err
-		}
-		cfg.Mechanism = m
-		cfg.Pipeline = pipeline
+		SnapshotEvery:  *snapshotEvery,
 	}
 	if *dataDir != "" {
-		st, err := durable.Open(*dataDir)
-		if err != nil {
+		if cfg.Store, err = durable.Open(*dataDir); err != nil {
 			return err
 		}
-		// Deferred before the collector's Close below, so LIFO ordering
-		// closes the WAL handle only after the final snapshot flushed.
-		defer st.Close()
-		cfg.Store = st
-		cfg.SnapshotEvery = *snapshotEvery
 	}
 	c, err := collector.New(cfg)
 	if err != nil {
+		if cfg.Store != nil {
+			cfg.Store.Close()
+		}
 		return err
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	c.Start()
-	defer c.Close()
-	srv := &http.Server{Handler: c}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- df.serve(srv, ln) }()
-	fmt.Printf("damctl: collector listening on %s://%s (cadence %s)\n", df.scheme(), ln.Addr(), *cadence)
-	if *metricsOn {
-		fmt.Printf("damctl: metrics exposition at %s://%s%s\n", df.scheme(), ln.Addr(), collector.MetricsPath)
-	}
-	if !df.tracingDisabled() {
-		fmt.Printf("damctl: trace buffer at %s://%s%s\n", df.scheme(), ln.Addr(), collector.TracesPath)
 	}
 	if cfg.Store != nil {
 		ds := cfg.Store.Stats()
 		fmt.Printf("damctl: durable state in %s (snapshot seq %d, %d WAL records replayed in %dms)\n",
 			*dataDir, ds.SnapshotSeq, ds.RecordsReplayed, ds.RecoveryMillis)
 	}
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// Stop accepting, then let the deferred collector Close flush a
-		// final snapshot before the store's WAL handle closes.
-		fmt.Println("damctl: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
-	}
+	return df.runDaemon(*addr, c, cfg.Store, "collector", fmt.Sprintf("cadence %s", *cadence))
 }
 
 func cmdSubmit(args []string) error {

@@ -15,11 +15,7 @@ import (
 // (adopt-from-first-submission) under an httptest server.
 func startTestCollector(t *testing.T) *httptest.Server {
 	t.Helper()
-	c, err := collector.New(collector.Config{
-		Build: func(p *collector.Pipeline) (collector.Estimator, error) {
-			return dpspatial.NewMechanismFromPipeline(p)
-		},
-	})
+	c, err := collector.New(collector.Config{Build: adoptMechanism})
 	if err != nil {
 		t.Fatal(err)
 	}

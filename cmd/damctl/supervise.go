@@ -1,18 +1,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"dpspatial"
 	"dpspatial/internal/fleet"
 )
 
@@ -43,16 +36,8 @@ func cmdSupervise(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:9090", "listen address")
 	var members memberList
 	fs.Var(&members, "member", "downstream collector base URL (repeat or comma-separate for a fleet)")
-	policy := fs.String("policy", fleet.PolicyRoundRobin, "routing policy: "+strings.Join(fleet.Policies(), ", "))
 	cadence := fs.Duration("cadence", 2*time.Second, "health-probe + merge + warm-re-estimate cadence (0 = pull only on demand)")
 	authToken := fs.String("auth-token", "", "shared bearer-token secret: required on our endpoints and presented to members")
-	mech := fs.String("mech", "", "pre-build this mechanism at startup (default: adopt from the first submission): "+strings.Join(dpspatial.MechanismNames(), ", "))
-	d := fs.Int("d", 15, "grid side length (with --mech)")
-	eps := fs.Float64("eps", 3.5, "privacy budget (with --mech)")
-	minX := fs.Float64("minx", 0, "domain lower-left x (with --mech)")
-	minY := fs.Float64("miny", 0, "domain lower-left y (with --mech)")
-	side := fs.Float64("side", 1, "domain side length (with --mech)")
-	metricsOn := fs.Bool("metrics", true, "serve the Prometheus text exposition on GET /metrics (behind --auth-token like the data endpoints)")
 	df := addDaemonFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,59 +48,30 @@ func cmdSupervise(args []string) error {
 	if err := df.validate(); err != nil {
 		return err
 	}
-
-	opts := []dpspatial.FleetOption{
-		dpspatial.WithFleetPolicy(*policy),
-		dpspatial.WithFleetCadence(*cadence),
-		dpspatial.WithFleetAuthToken(*authToken),
-		dpspatial.WithFleetMetrics(*metricsOn),
-		dpspatial.WithFleetTracing(!df.tracingDisabled()),
-		dpspatial.WithFleetTraceBuffer(df.traceCapacity()),
-		dpspatial.WithFleetSlowLog(time.Duration(*df.slowMs*float64(time.Millisecond)), *df.logFormat == "json"),
-		dpspatial.WithFleetPprof(*df.pprof),
-	}
-	var sup *dpspatial.FleetSupervisor
-	var err error
-	if *mech != "" {
-		dom, derr := dpspatial.NewDomain(*minX, *minY, *side, *d)
-		if derr != nil {
-			return derr
-		}
-		_, sup, err = dpspatial.NewFleetPipeline(*mech, dom, *eps, members, opts...)
-	} else {
-		sup, err = dpspatial.NewFleetSupervisor(members, opts...)
-	}
+	slowLog, err := df.slowLogger()
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", *addr)
+	pipeline, mech, err := df.pipeline()
 	if err != nil {
 		return err
 	}
-	sup.Start()
-	defer sup.Close()
-	srv := &http.Server{Handler: sup}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- df.serve(srv, ln) }()
-	fmt.Printf("damctl: fleet supervisor listening on %s://%s (%d members, %s routing, cadence %s)\n",
-		df.scheme(), ln.Addr(), len(members), *policy, *cadence)
-	if *metricsOn {
-		fmt.Printf("damctl: metrics exposition at %s://%s/metrics\n", df.scheme(), ln.Addr())
-	}
-	if !df.tracingDisabled() {
-		fmt.Printf("damctl: trace buffer at %s://%s/v1/traces\n", df.scheme(), ln.Addr())
-	}
-
-	select {
-	case err := <-errc:
+	sup, err := fleet.New(fleet.Config{
+		Members:        members,
+		Mechanism:      mech,
+		Pipeline:       pipeline,
+		Build:          adoptMechanism,
+		Cadence:        *cadence,
+		AuthToken:      *authToken,
+		DisableMetrics: !*df.metrics,
+		DisableTraces:  df.tracingDisabled(),
+		TraceCapacity:  df.traceCapacity(),
+		SlowLog:        slowLog,
+		EnablePprof:    *df.pprof,
+	})
+	if err != nil {
 		return err
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
 	}
+	return df.runDaemon(*addr, sup, nil, "fleet supervisor",
+		fmt.Sprintf("%d members, cadence %s", len(members), *cadence))
 }

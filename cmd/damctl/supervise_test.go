@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"dpspatial"
+	"dpspatial/internal/fleet"
 )
 
 // startTestFleet wires two adopt-mode collectors under an adopt-mode
@@ -19,7 +19,7 @@ func startTestFleet(t *testing.T) *httptest.Server {
 		srv := startTestCollector(t)
 		urls[i] = srv.URL
 	}
-	sup, err := dpspatial.NewFleetSupervisor(urls)
+	sup, err := fleet.New(fleet.Config{Members: urls, Build: adoptMechanism})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -392,10 +393,8 @@ func (r *reach) markRoots() {
 // markTestUses marks the exported declarations that _test.go files use
 // from packages in other directories. In-package test files are checked
 // with their package, and an external test package sees that package.
-// go test would also rebuild any module package the external test
-// imports that imports the package under test; the gate does not, so
-// such a test fails the gate with type errors rather than passing it
-// wrongly.
+// As go test does, each module package that imports the package under
+// test is checked again against that view for the external test.
 func (r *reach) markTestUses() {
 	for _, p := range r.sorted() {
 		if len(p.tests)+len(p.xtests) == 0 {
@@ -408,12 +407,20 @@ func (r *reach) markTestUses() {
 			under = r.typeCheck(p.path, files, r.stdOrModule(r.check), info)
 		}
 		if len(p.xtests) > 0 {
-			r.typeCheck(p.path+"_test", p.xtests, r.stdOrModule(func(q *goPackage) *types.Package {
-				if q == p {
-					return under
+			views := map[*goPackage]*types.Package{p: under}
+			var view func(q *goPackage) *types.Package
+			view = func(q *goPackage) *types.Package {
+				if v, ok := views[q]; ok {
+					return v
 				}
-				return r.check(q)
-			}), info)
+				v := r.check(q)
+				if under != p.types && r.imports(q, p, map[*goPackage]bool{}) {
+					v = r.typeCheck(q.path, q.files, r.stdOrModule(view), nil)
+				}
+				views[q] = v
+				return v
+			}
+			r.typeCheck(p.path+"_test", p.xtests, r.stdOrModule(view), info)
 		}
 		for _, f := range append(append([]*ast.File{}, p.tests...), p.xtests...) {
 			eachUse(f, info, func(obj types.Object) {
@@ -423,6 +430,21 @@ func (r *reach) markTestUses() {
 			})
 		}
 	}
+}
+
+// imports reports whether q's non-test files import p, directly or
+// through other module packages; seen holds the packages already walked.
+func (r *reach) imports(q, p *goPackage, seen map[*goPackage]bool) bool {
+	seen[q] = true
+	for _, f := range q.files {
+		for _, s := range f.Imports {
+			path, _ := strconv.Unquote(s.Path.Value)
+			if d := r.pkgs[path]; d == p || d != nil && !seen[d] && r.imports(d, p, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // walk marks everything live declarations use, until nothing changes.

@@ -29,19 +29,3 @@ func AuthorizeBearer(r *http.Request, token string) bool {
 	}
 	return subtle.ConstantTimeCompare([]byte(strings.TrimSpace(h[len(prefix):])), []byte(token)) == 1
 }
-
-// RequireBearer wraps a handler, refusing every request except GET
-// /healthz unless it presents the bearer token. An empty token disables
-// the check.
-func RequireBearer(token string, next http.Handler) http.Handler {
-	if token == "" {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" && !AuthorizeBearer(r, token) {
-			writeError(w, http.StatusUnauthorized, errUnauthorized)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,8 +25,9 @@ import (
 // a StateSource, and the Engine owns everything downstream of it: the
 // per-state estimate and quadtree caches, decode accounting and
 // metrics, the decode spans, the GET /v1/estimate and /v1/query
-// handlers, the cadence loop, and the mux, tracer and middleware
-// wiring around the tier's own submission, stats and health handlers.
+// handlers, the cadence loop, and the one request path — bearer gate,
+// request accounting, tracing and slow log — around the tier's own
+// submission, stats and health handlers.
 
 // State is one read of a tier's merged state.
 type State struct {
@@ -75,11 +78,12 @@ type EngineConfig struct {
 // Engine is the shared read path of a serving tier. It implements
 // http.Handler over the tier's full route set.
 type Engine struct {
-	cfg     EngineConfig
-	handler http.Handler
-	reg     *metrics.Registry
-	met     *ServiceMetrics
-	tracer  *trace.Tracer // nil when tracing is disabled
+	cfg    EngineConfig
+	mux    *http.ServeMux
+	routes map[string]bool // registered routes: each counts under its own request-series label
+	reg    *metrics.Registry
+	met    *ServiceMetrics
+	tracer *trace.Tracer // nil when tracing is disabled
 
 	// decodeMu serialises state reads and decodes, so concurrent reads
 	// never duplicate a decode; the tier's submissions proceed
@@ -115,43 +119,133 @@ type view struct {
 	tree     *rangequery.Quadtree
 }
 
-// NewEngine builds the engine and its handler chain.
+// NewEngine builds the engine and routes the tier's handlers.
 func NewEngine(cfg EngineConfig) *Engine {
-	e := &Engine{cfg: cfg, reg: metrics.New(), cache: map[string]*view{}, stop: make(chan struct{})}
+	e := &Engine{cfg: cfg, mux: http.NewServeMux(), routes: map[string]bool{},
+		reg: metrics.New(), cache: map[string]*view{}, stop: make(chan struct{})}
 	e.met = NewServiceMetrics(e.reg)
 	if !cfg.DisableTraces {
 		e.tracer = trace.NewTracer(cfg.Service, cfg.TraceCapacity)
 	}
-	mux := http.NewServeMux()
-	for path, h := range cfg.Routes {
-		mux.HandleFunc(path, h)
+	handle := func(path string, h http.HandlerFunc) {
+		e.mux.HandleFunc(path, h)
+		e.routes[path] = true
 	}
-	mux.HandleFunc("/v1/estimate", MethodOnly(http.MethodGet, e.handleEstimate))
-	mux.HandleFunc("/v1/query", MethodOnly(http.MethodGet, e.handleQuery))
+	for path, h := range cfg.Routes {
+		handle(path, h)
+	}
+	handle("/v1/estimate", MethodOnly(http.MethodGet, e.handleEstimate))
+	handle("/v1/query", MethodOnly(http.MethodGet, e.handleQuery))
 	if !cfg.DisableMetrics {
-		mux.Handle(MetricsPath, e.reg.Handler())
+		e.mux.Handle(MetricsPath, e.reg.Handler())
 	}
 	if e.tracer != nil {
-		mux.Handle(TracesPath, e.tracer.Handler())
+		e.mux.Handle(TracesPath, e.tracer.Handler())
 	}
 	if cfg.EnablePprof {
 		// Inside the bearer gate — profiles leak code layout and timing —
 		// and outside request accounting and tracing, so a profile run
 		// perturbs neither the /metrics series nor the trace ring.
-		mux.HandleFunc(PprofPathPrefix, pprof.Index)
-		mux.HandleFunc(PprofPathPrefix+"cmdline", pprof.Cmdline)
-		mux.HandleFunc(PprofPathPrefix+"profile", pprof.Profile)
-		mux.HandleFunc(PprofPathPrefix+"symbol", pprof.Symbol)
-		mux.HandleFunc(PprofPathPrefix+"trace", pprof.Trace)
+		e.mux.HandleFunc(PprofPathPrefix, pprof.Index)
+		e.mux.HandleFunc(PprofPathPrefix+"cmdline", pprof.Cmdline)
+		e.mux.HandleFunc(PprofPathPrefix+"profile", pprof.Profile)
+		e.mux.HandleFunc(PprofPathPrefix+"symbol", pprof.Symbol)
+		e.mux.HandleFunc(PprofPathPrefix+"trace", pprof.Trace)
 	}
-	e.handler = trace.Middleware(cfg.Service, e.tracer, cfg.SlowLog, UntracedPath,
-		InstrumentHTTP(e.met, RequireBearer(cfg.AuthToken, mux)))
 	return e
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP is the one request path of a serving tier. Every path but
+// /healthz is behind the bearer gate. The observability surfaces —
+// /metrics, /v1/traces and /debug/pprof/ — are neither counted nor
+// traced, so reading them cannot change what they expose. /healthz is
+// counted but not traced, so probes cannot evict real traces from the
+// bounded ring. Every other request, 401s included, is counted under
+// the route it was registered as (else "other"), traced as
+// "<METHOD> <path>" joined to an incoming traceparent with the trace ID
+// echoed in X-Dpspatial-Trace-Id, and slow-logged.
 func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	e.handler.ServeHTTP(w, r)
+	p := r.URL.Path
+	if p == MetricsPath || p == TracesPath || strings.HasPrefix(p, PprofPathPrefix) {
+		e.serveGated(w, r)
+		return
+	}
+	traced := p != "/healthz"
+	var span *trace.Span
+	if traced && e.tracer != nil {
+		var remote trace.SpanContext
+		if tp := r.Header.Get(trace.TraceparentHeader); tp != "" {
+			if sc, err := trace.ParseTraceparent(tp); err == nil {
+				remote = sc
+			}
+		}
+		span = e.tracer.Root(r.Method+" "+p, remote)
+		span.SetAttr(trace.String("method", r.Method), trace.String("path", p))
+		w.Header().Set(trace.TraceIDHeader, span.TraceID())
+		r = r.WithContext(trace.ContextWithSpan(r.Context(), span))
+	}
+	rec := &statusRecorder{ResponseWriter: w}
+	t0 := time.Now()
+	e.serveGated(rec, r)
+	elapsed := time.Since(t0)
+	if rec.status == 0 {
+		rec.status = http.StatusOK
+	}
+
+	route := "other"
+	if e.routes[p] {
+		route = p
+	}
+	code := strconv.Itoa(rec.status)
+	e.met.Requests.With(route, code).Inc()
+	e.met.Latency.With(route).Observe(elapsed.Seconds())
+	if rec.status >= 400 {
+		// Deriving the refusal counters from the status covers every
+		// writeError path of every handler without instrumenting each.
+		switch {
+		case r.Method == http.MethodPost && (route == "/v1/report" || route == "/v1/aggregate"):
+			e.met.Submissions.With(SubmissionRefused).Inc()
+			e.met.SubmissionRefusals.With(code).Inc()
+		case route == "/v1/query":
+			e.met.QueryRefusals.With(code).Inc()
+		}
+	}
+	if traced {
+		span.SetStatus(rec.status)
+		span.End()
+		e.cfg.SlowLog.Log(e.cfg.Service, span.TraceID(), r.Method, p, rec.status, elapsed)
+	}
+}
+
+// serveGated refuses every request but /healthz that lacks the bearer
+// token (when one is configured) and routes the rest.
+func (e *Engine) serveGated(w http.ResponseWriter, r *http.Request) {
+	if e.cfg.AuthToken != "" && r.URL.Path != "/healthz" && !AuthorizeBearer(r, e.cfg.AuthToken) {
+		writeError(w, http.StatusUnauthorized, errUnauthorized)
+		return
+	}
+	e.mux.ServeHTTP(w, r)
+}
+
+// statusRecorder captures the status code a handler wrote: 0 until the
+// handler writes, 200 when it writes a body without calling WriteHeader.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	if r.status == 0 {
+		r.status = code
+	}
+	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(b []byte) (int, error) {
+	if r.status == 0 {
+		r.status = http.StatusOK
+	}
+	return r.ResponseWriter.Write(b)
 }
 
 // Tracer is the completed-trace ring, nil when tracing is disabled.

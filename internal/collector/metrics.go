@@ -1,12 +1,6 @@
 package collector
 
-import (
-	"net/http"
-	"strconv"
-	"time"
-
-	"dpspatial/internal/metrics"
-)
+import "dpspatial/internal/metrics"
 
 // The /metrics operator surface of the collector tier. Metric names are
 // a stable contract — docs/OPERATIONS.md documents every series and
@@ -18,7 +12,7 @@ import (
 
 // MetricsPath is the exposition endpoint both tiers serve. It sits
 // behind the same bearer-token gate as the data endpoints, and is one
-// of the paths InstrumentHTTP does NOT count — scraping must not
+// of the paths Engine.ServeHTTP does NOT count — scraping must not
 // perturb the series being scraped, or two scrapes of a quiesced
 // service could never be byte-identical.
 const MetricsPath = "/metrics"
@@ -31,20 +25,9 @@ const MetricsPath = "/metrics"
 const TracesPath = "/v1/traces"
 
 // PprofPathPrefix is where --pprof mounts net/http/pprof on both tiers
-// — behind the bearer gate, excluded from accounting and tracing, and
-// collapsed out of the path label space so profiling endpoints cannot
-// widen metric cardinality.
+// — behind the bearer gate, excluded from accounting and tracing, so
+// profiling endpoints cannot widen metric cardinality.
 const PprofPathPrefix = "/debug/pprof/"
-
-// UntracedPath reports the paths the tracing middleware must pass
-// through unrecorded: the observability surfaces themselves (metrics,
-// traces, pprof) — reading them must not generate entries in what they
-// expose — and health probes, whose per-cadence noise would evict every
-// interesting trace from the bounded ring.
-func UntracedPath(p string) bool {
-	return p == MetricsPath || p == TracesPath || p == "/healthz" ||
-		len(p) >= len(PprofPathPrefix) && p[:len(PprofPathPrefix)] == PprofPathPrefix
-}
 
 // Submission-outcome label values of dpspatial_submissions_total.
 const (
@@ -151,85 +134,6 @@ func NewServiceMetrics(reg *metrics.Registry) *ServiceMetrics {
 		DecodeIterationsSaved: reg.Counter("dpspatial_decode_iterations_saved_total",
 			"EM iterations warm-started decodes saved relative to the cold baseline decode."),
 	}
-}
-
-// statusRecorder captures the status code a handler wrote, defaulting
-// to 200 when the handler never called WriteHeader explicitly.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// instrumentedPaths are the endpoints counted under their own path
-// label; anything else collapses into "other" so request metrics stay
-// bounded-cardinality no matter what clients probe for.
-var instrumentedPaths = map[string]bool{
-	"/healthz":      true,
-	"/v1/report":    true,
-	"/v1/aggregate": true,
-	"/v1/estimate":  true,
-	"/v1/query":     true,
-	"/v1/stats":     true,
-}
-
-func normalizePath(p string) string {
-	if instrumentedPaths[p] {
-		return p
-	}
-	return "other"
-}
-
-// InstrumentHTTP wraps a tier's full handler chain (including the
-// bearer-token gate, so 401s are counted) with request accounting:
-// per-path request and latency series, plus the refused-submission and
-// refused-query counters derived from the response status — which is
-// what guarantees every writeError path in every handler is covered
-// without instrumenting each one. Requests to MetricsPath, TracesPath
-// and the pprof prefix pass through uncounted: scraping any
-// observability surface must leave the request series byte-identical —
-// the same exclusion set the tracing middleware applies (UntracedPath
-// minus /healthz, which IS counted, just never traced).
-func InstrumentHTTP(m *ServiceMetrics, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if p := r.URL.Path; p != "/healthz" && UntracedPath(p) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		path := normalizePath(r.URL.Path)
-		rec := &statusRecorder{ResponseWriter: w}
-		t0 := time.Now()
-		next.ServeHTTP(rec, r)
-		code := rec.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		m.Requests.With(path, strconv.Itoa(code)).Inc()
-		m.Latency.With(path).Observe(time.Since(t0).Seconds())
-		if code < 400 {
-			return
-		}
-		switch {
-		case r.Method == http.MethodPost && (path == "/v1/report" || path == "/v1/aggregate"):
-			m.Submissions.With(SubmissionRefused).Inc()
-			m.SubmissionRefusals.With(strconv.Itoa(code)).Inc()
-		case path == "/v1/query":
-			m.QueryRefusals.With(strconv.Itoa(code)).Inc()
-		}
-	})
 }
 
 // registerCollectorMetrics layers the collector-only series over the

@@ -102,7 +102,7 @@ func readChunk(data []byte, what string) ([]byte, []byte, error) {
 // records, the offset of the first byte NOT covered by a complete valid
 // record (the truncation point for a torn tail), and an error for any
 // damage a torn final write cannot explain: a CRC or structural failure
-// with more bytes following, a sequence break, a bad header.
+// with more bytes following, a sequence 0 or break, a bad header.
 func parseWAL(data []byte) ([]Record, int64, error) {
 	if len(data) == 0 {
 		return nil, 0, nil
@@ -143,7 +143,10 @@ func parseWAL(data []byte) ([]Record, int64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("record %d at offset %d: %w", len(recs)+1, off, err)
 		}
-		if prevSeq != 0 && rec.Seq != prevSeq+1 {
+		if rec.Seq == 0 {
+			return nil, 0, fmt.Errorf("record at offset %d has sequence 0, which Append never assigns", off)
+		}
+		if len(recs) > 0 && rec.Seq != prevSeq+1 {
 			return nil, 0, fmt.Errorf("record at offset %d has sequence %d after %d: records are missing", off, rec.Seq, prevSeq)
 		}
 		prevSeq = rec.Seq

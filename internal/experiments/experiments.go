@@ -230,40 +230,13 @@ func (s *Suite) parts(name string) ([]partData, error) {
 		return p, nil
 	}
 	r := rng.New(s.cfg.Seed ^ hashName(name))
-	var parts []partData
-	switch name {
-	case "Crime":
-		ds, err := synth.ChicagoCrimeLike(r, s.cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
+	ds, err := synth.Generate(name, r, s.cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	parts := []partData{{name: "all", points: ds.Points}}
+	if len(ds.Parts) > 0 {
 		parts = splitParts(ds)
-	case "NYC":
-		ds, err := synth.NYCGreenTaxiLike(r, s.cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		parts = splitParts(ds)
-	case "Normal":
-		pts, err := synth.Normal(r, s.cfg.Scale.Of(300000), 0, 0, 1, 1, 0.5, 5)
-		if err != nil {
-			return nil, err
-		}
-		parts = []partData{{name: "all", points: pts}}
-	case "SZipf":
-		pts, err := synth.SkewZipf(r, s.cfg.Scale.Of(100000))
-		if err != nil {
-			return nil, err
-		}
-		parts = []partData{{name: "all", points: pts}}
-	case "MNormal":
-		pts, err := synth.MNormal(r, s.cfg.Scale.Of(300000))
-		if err != nil {
-			return nil, err
-		}
-		parts = []partData{{name: "all", points: pts}}
-	default:
-		return nil, fmt.Errorf("experiments: unknown dataset %q", name)
 	}
 	if s.cfg.MaxPoints > 0 {
 		for i := range parts {

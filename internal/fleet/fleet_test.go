@@ -69,7 +69,7 @@ type testFleet struct {
 // startFleet wires n adopt-mode collectors under a supervisor. A nil
 // mech starts the supervisor in adopt mode too; otherwise the fleet is
 // pre-built and pinned to mech's pipeline.
-func startFleet(t *testing.T, n int, mech *sam.Mechanism, pipeline *collector.Pipeline, opts func(*fleet.Config)) *testFleet {
+func startFleet(t *testing.T, n int, mech *sam.Mechanism, pipeline *collector.Pipeline) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	urls := make([]string, n)
@@ -89,9 +89,6 @@ func startFleet(t *testing.T, n int, mech *sam.Mechanism, pipeline *collector.Pi
 		cfg.Pipeline = pipeline
 	} else {
 		cfg.Build = damBuild(t)
-	}
-	if opts != nil {
-		opts(&cfg)
 	}
 	sup, err := fleet.New(cfg)
 	if err != nil {
@@ -158,9 +155,9 @@ func collectReports(t *testing.T, mech *sam.Mechanism, n int, seed uint64) []fo.
 
 // TestFleetEstimateByteIdenticalToInProcess is the acceptance check one
 // level up from the collector's: shards routed through a supervisor —
-// for any member count and either routing policy — decode to exactly
-// the histogram EstimateFromAggregate produces on the union of the same
-// shards in process. The fleet's first decode is a hierarchical merge
+// for any member count — decode to exactly the histogram
+// EstimateFromAggregate produces on the union of the same shards in
+// process. The fleet's first decode is a hierarchical merge
 // followed by a cold start, so this holds bit-for-bit.
 func TestFleetEstimateByteIdenticalToInProcess(t *testing.T) {
 	mech := newDAM(t, 6, 1.5)
@@ -179,55 +176,51 @@ func TestFleetEstimateByteIdenticalToInProcess(t *testing.T) {
 	}
 
 	for _, members := range []int{1, 2, 3} {
-		for _, policy := range fleet.Policies() {
-			t.Run(fmt.Sprintf("members=%d/%s", members, policy), func(t *testing.T) {
-				f := startFleet(t, members, newDAM(t, 6, 1.5), pipeline, func(c *fleet.Config) {
-					c.Policy = policy
-				})
-				ctx := context.Background()
-				// Mix the framings: binary aggregate shards without
-				// metadata (the supervisor injects the pin) and one
-				// report stream shard.
-				for _, s := range shards {
-					if _, err := f.client.SubmitAggregate(ctx, s, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := f.client.SubmitReports(ctx, pipeline, reports); err != nil {
+		t.Run(fmt.Sprintf("members=%d/round-robin", members), func(t *testing.T) {
+			f := startFleet(t, members, newDAM(t, 6, 1.5), pipeline)
+			ctx := context.Background()
+			// Mix the framings: binary aggregate shards without
+			// metadata (the supervisor injects the pin) and one
+			// report stream shard.
+			for _, s := range shards {
+				if _, err := f.client.SubmitAggregate(ctx, s, nil); err != nil {
 					t.Fatal(err)
 				}
-				got, meta, err := f.client.Estimate(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if meta.Warm {
-					t.Fatal("first fleet decode should be a cold start")
-				}
-				if meta.Reports != inproc.N {
-					t.Fatalf("fleet merged %g reports, want %g", meta.Reports, inproc.N)
-				}
-				if got.Dom != want.Dom {
-					t.Fatalf("domain mismatch: %+v vs %+v", got.Dom, want.Dom)
-				}
-				if !reflect.DeepEqual(got.Mass, want.Mass) {
-					t.Fatal("fleet estimate is not byte-identical to the in-process EstimateFromAggregate")
-				}
-				// The fleet-merged aggregate blob equals the in-process
-				// union's encoding, so supervisors chain losslessly.
-				merged, err := f.client.FetchAggregate(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(merged, inproc) {
-					t.Fatal("fleet-merged aggregate differs from the in-process union")
-				}
-			})
-		}
+			}
+			if _, err := f.client.SubmitReports(ctx, pipeline, reports); err != nil {
+				t.Fatal(err)
+			}
+			got, meta, err := f.client.Estimate(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Warm {
+				t.Fatal("first fleet decode should be a cold start")
+			}
+			if meta.Reports != inproc.N {
+				t.Fatalf("fleet merged %g reports, want %g", meta.Reports, inproc.N)
+			}
+			if got.Dom != want.Dom {
+				t.Fatalf("domain mismatch: %+v vs %+v", got.Dom, want.Dom)
+			}
+			if !reflect.DeepEqual(got.Mass, want.Mass) {
+				t.Fatal("fleet estimate is not byte-identical to the in-process EstimateFromAggregate")
+			}
+			// The fleet-merged aggregate blob equals the in-process
+			// union's encoding, so supervisors chain losslessly.
+			merged, err := f.client.FetchAggregate(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(merged, inproc) {
+				t.Fatal("fleet-merged aggregate differs from the in-process union")
+			}
+		})
 	}
 }
 
 // TestFleetConcurrentRandomizedByteIdentity randomises both the member
-// assignment (hash routing over shuffled submission order) and the
+// assignment (round-robin over a shuffled submission order) and the
 // arrival interleaving (concurrent goroutines), across several trials:
 // every trial's fleet estimate must be byte-identical to the serial
 // in-process decode of the union.
@@ -242,10 +235,7 @@ func TestFleetConcurrentRandomizedByteIdentity(t *testing.T) {
 
 	shuffle := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 4; trial++ {
-		policy := fleet.Policies()[trial%len(fleet.Policies())]
-		f := startFleet(t, 3, newDAM(t, 5, 2.0), pipeline, func(c *fleet.Config) {
-			c.Policy = policy
-		})
+		f := startFleet(t, 3, newDAM(t, 5, 2.0), pipeline)
 		ctx := context.Background()
 		order := shuffle.Perm(len(shards))
 		var wg sync.WaitGroup
@@ -269,7 +259,7 @@ func TestFleetConcurrentRandomizedByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Mass, want.Mass) {
-			t.Fatalf("trial %d (%s): concurrent randomized fleet estimate differs from the serial decode", trial, policy)
+			t.Fatalf("trial %d: concurrent randomized fleet estimate differs from the serial decode", trial)
 		}
 	}
 }
@@ -286,7 +276,7 @@ func TestFleetMixedVersionShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := startFleet(t, 2, newDAM(t, 5, 1.2), pipeline, nil)
+	f := startFleet(t, 2, newDAM(t, 5, 1.2), pipeline)
 	ctx := context.Background()
 	v1, err := shards[0].MarshalBinaryV1()
 	if err != nil {
@@ -317,7 +307,7 @@ func TestFleetMixedVersionShards(t *testing.T) {
 func TestFleetTransactionalAdoption(t *testing.T) {
 	mech := newDAM(t, 5, 1.5)
 	pipeline := damPipeline(mech, 5, 1.5)
-	f := startFleet(t, 2, nil, nil, nil)
+	f := startFleet(t, 2, nil, nil)
 	ctx := context.Background()
 	shards := accumulateShards(t, mech, 2, 3)
 
@@ -897,7 +887,7 @@ func TestFleetWarmRefreshStats(t *testing.T) {
 	mech := newDAM(t, 4, 3.5)
 	pipeline := damPipeline(mech, 4, 3.5)
 	shards := accumulateShards(t, mech, 2, 5)
-	f := startFleet(t, 2, mech, pipeline, nil)
+	f := startFleet(t, 2, mech, pipeline)
 	ctx := context.Background()
 
 	if _, err := f.client.SubmitAggregate(ctx, shards[0], nil); err != nil {

@@ -93,7 +93,7 @@ func fleetSeriesSum(t *testing.T, exposition, family string) float64 {
 func TestFleetMetricsLockstep(t *testing.T) {
 	mech := newDAM(t, 5, 1.8)
 	pipeline := damPipeline(mech, 5, 1.8)
-	f := startFleet(t, 2, mech, pipeline, nil)
+	f := startFleet(t, 2, mech, pipeline)
 	ctx := context.Background()
 	shards := accumulateShards(t, mech, 4, 33)
 

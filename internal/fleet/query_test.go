@@ -38,9 +38,9 @@ func fleetSameAnswer(t *testing.T, label string, got, want *collector.QueryRespo
 }
 
 // TestFleetQueryByteIdenticalToInProcess is the /v1/query acceptance
-// check one tier up: for any member count and either routing policy,
-// range and top-k answers served by the supervisor equal, bit for bit,
-// AnswerQueryFromAggregate on the in-process union of the same shards.
+// check one tier up: for any member count, range and top-k answers
+// served by the supervisor equal, bit for bit, AnswerQueryFromAggregate
+// on the in-process union of the same shards.
 func TestFleetQueryByteIdenticalToInProcess(t *testing.T) {
 	mech := newDAM(t, 6, 1.5)
 	pipeline := damPipeline(mech, 6, 1.5)
@@ -62,33 +62,29 @@ func TestFleetQueryByteIdenticalToInProcess(t *testing.T) {
 	}
 
 	for _, members := range []int{1, 2, 3} {
-		for _, policy := range fleet.Policies() {
-			t.Run(fmt.Sprintf("members=%d/%s", members, policy), func(t *testing.T) {
-				f := startFleet(t, members, newDAM(t, 6, 1.5), pipeline, func(c *fleet.Config) {
-					c.Policy = policy
-				})
-				ctx := context.Background()
-				for _, s := range shards {
-					if _, err := f.client.SubmitAggregate(ctx, s, nil); err != nil {
-						t.Fatal(err)
-					}
-				}
-				gotRange, err := f.client.Query(ctx, rangeReq)
-				if err != nil {
+		t.Run(fmt.Sprintf("members=%d/round-robin", members), func(t *testing.T) {
+			f := startFleet(t, members, newDAM(t, 6, 1.5), pipeline)
+			ctx := context.Background()
+			for _, s := range shards {
+				if _, err := f.client.SubmitAggregate(ctx, s, nil); err != nil {
 					t.Fatal(err)
 				}
-				fleetSameAnswer(t, "range", gotRange, wantRange)
-				gotTopK, err := f.client.Query(ctx, topkReq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fleetSameAnswer(t, "topk", gotTopK, wantTopK)
-				if gotRange.Generation != uint64(len(shards)) {
-					t.Fatalf("fleet served generation %d, want routed count %d",
-						gotRange.Generation, len(shards))
-				}
-			})
-		}
+			}
+			gotRange, err := f.client.Query(ctx, rangeReq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleetSameAnswer(t, "range", gotRange, wantRange)
+			gotTopK, err := f.client.Query(ctx, topkReq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleetSameAnswer(t, "topk", gotTopK, wantTopK)
+			if gotRange.Generation != uint64(len(shards)) {
+				t.Fatalf("fleet served generation %d, want routed count %d",
+					gotRange.Generation, len(shards))
+			}
+		})
 	}
 }
 

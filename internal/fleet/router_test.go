@@ -13,49 +13,14 @@ func ringMembers(n int) []*member {
 	return out
 }
 
-// TestHashRingOrder checks the consistent-hash ring's contract: a key's
-// preference order is deterministic, covers every member exactly once,
-// and keys spread across members rather than piling on one.
-func TestHashRingOrder(t *testing.T) {
-	members := ringMembers(5)
-	ring := newHashRing(members)
-	hits := make(map[string]int)
-	for key := 0; key < 2000; key++ {
-		body := []byte(fmt.Sprintf("submission-body-%d", key))
-		order := ring.order(body)
-		if len(order) != len(members) {
-			t.Fatalf("order has %d members, want %d", len(order), len(members))
-		}
-		seen := map[string]bool{}
-		for _, m := range order {
-			if seen[m.url] {
-				t.Fatalf("member %s appears twice in the order", m.url)
-			}
-			seen[m.url] = true
-		}
-		again := ring.order(body)
-		for i := range order {
-			if order[i] != again[i] {
-				t.Fatal("hash order is not deterministic")
-			}
-		}
-		hits[order[0].url]++
-	}
-	for _, m := range members {
-		if hits[m.url] == 0 {
-			t.Fatalf("member %s never preferred — ring badly unbalanced", m.url)
-		}
-	}
-}
-
 // TestRoundRobinOrder checks the rotation covers members evenly and the
 // failover order walks the rest of the fleet.
 func TestRoundRobinOrder(t *testing.T) {
 	members := ringMembers(3)
-	rr := &roundRobin{members: members}
+	rr := &Supervisor{members: members}
 	firsts := make(map[string]int)
 	for i := 0; i < 9; i++ {
-		order := rr.order(nil)
+		order := rr.order()
 		if len(order) != 3 {
 			t.Fatalf("order has %d members, want 3", len(order))
 		}
@@ -65,12 +30,5 @@ func TestRoundRobinOrder(t *testing.T) {
 		if firsts[m.url] != 3 {
 			t.Fatalf("member %s preferred %d times in 9 picks, want 3", m.url, firsts[m.url])
 		}
-	}
-}
-
-// TestNewRouterRejectsUnknownPolicy pins the config error path.
-func TestNewRouterRejectsUnknownPolicy(t *testing.T) {
-	if _, err := newRouter("random", ringMembers(2)); err == nil {
-		t.Fatal("unknown policy should be rejected")
 	}
 }

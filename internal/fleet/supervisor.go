@@ -8,18 +8,18 @@
 // envelopes — so clients, `damctl submit` and `damctl estimate
 // --from-url` point at a supervisor transparently, and supervisors chain
 // under bigger supervisors exactly like collectors chain under a
-// supervisor. Submissions are routed across the fleet (round-robin or
-// consistent hash, failing over past unhealthy members off /healthz),
-// and the estimate is decoded from the hierarchical merge of every
-// member's canonical aggregate, pulled as DPA2 blobs.
+// supervisor. Submissions are routed across the fleet round-robin,
+// failing over past unhealthy members off /healthz, and the estimate is
+// decoded from the hierarchical merge of every member's canonical
+// aggregate, pulled as DPA2 blobs.
 //
 // The collector's headline invariant carries over one level up: because
 // fo.Aggregate.Merge is associative and commutative over exactly
 // representable counts, the fleet-merged aggregate — and therefore the
 // cold first decode — is byte-identical to EstimateFromAggregate on the
-// union of all shards, for any member count, routing policy, and arrival
-// interleaving. Later decodes warm-start from the previous estimate on
-// the merge cadence, like a single collector's.
+// union of all shards, for any member count, any assignment of shards to
+// members, and any arrival interleaving. Later decodes warm-start from
+// the previous estimate on the merge cadence, like a single collector's.
 //
 // One pipeline is enforced fleet-wide with the collector's transactional
 // adopt-from-first-submission semantics: pre-adoption submissions are
@@ -38,6 +38,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpspatial/internal/collector"
@@ -64,9 +65,6 @@ type Config struct {
 	// pipeline metadata. Until then, submissions without metadata are
 	// rejected with 409.
 	Build func(p *collector.Pipeline) (collector.Estimator, error)
-	// Policy picks the routing policy: PolicyRoundRobin (default) or
-	// PolicyHash.
-	Policy string
 	// Cadence is the background period of the member health probes and
 	// the hierarchical merge + warm re-estimate. Zero disables the loop;
 	// GET /v1/estimate still pulls and re-decodes on demand.
@@ -104,7 +102,9 @@ type Supervisor struct {
 	// accounting and tracing.
 	engine  *collector.Engine
 	members []*member
-	router  router
+	// next is the round-robin counter: submission k prefers member
+	// k mod len(members).
+	next atomic.Uint64
 
 	// adoptMu serialises submissions that arrive before a mechanism is
 	// pinned, making fleet-wide adoption transactional: one candidate in
@@ -175,21 +175,12 @@ func New(cfg Config) (*Supervisor, error) {
 		seen[m.url] = true
 		s.members = append(s.members, m)
 	}
-	r, err := newRouter(cfg.Policy, s.members)
-	if err != nil {
-		return nil, err
-	}
-	s.router = r
 	if cfg.Mechanism != nil {
 		s.mech = cfg.Mechanism
 		pin := *cfg.Pipeline
 		s.pipeline = &pin
 		s.stats.Scheme = s.mech.Scheme()
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyRoundRobin
-	}
-	s.stats.Policy = cfg.Policy
 	s.stats.CadenceMillis = cfg.Cadence.Milliseconds()
 	s.registerFleetMetrics()
 	return s, nil
@@ -360,7 +351,7 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 		}
 	}
 
-	resp, m, status, err := s.forward(r.Context(), kind, forwardBody, forwardHdr, body, id)
+	resp, m, status, err := s.forward(r.Context(), kind, forwardBody, forwardHdr, id)
 	if err != nil {
 		if errors.As(err, new(*unknownStateError)) {
 			w.Header().Set(collector.SubmissionStateHeader, collector.SubmissionStateUnknown)
@@ -429,10 +420,22 @@ func marshalHeaderLine(p *collector.Pipeline) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// forward tries members in the router's preference order — healthy ones
-// first, then (as a last-ditch revival pass) any member not yet tried
-// in this call, so a recovered member rejoins without waiting for a
-// probe and a member that just failed is not immediately re-tried.
+// order returns every member, most-preferred first: the preferred
+// member rotates one place per submission, and the rest follow in fleet
+// order as the failover sequence.
+func (s *Supervisor) order() []*member {
+	start := int((s.next.Add(1) - 1) % uint64(len(s.members)))
+	out := make([]*member, 0, len(s.members))
+	for i := range s.members {
+		out = append(out, s.members[(start+i)%len(s.members)])
+	}
+	return out
+}
+
+// forward tries members in routing order — healthy ones first, then (as
+// a last-ditch revival pass) any member not yet tried in this call, so a
+// recovered member rejoins without waiting for a probe and a member that
+// just failed is not immediately re-tried.
 //
 // Failover is only safe when the shard provably did not merge at the
 // attempted member, so each outcome is classified:
@@ -452,15 +455,12 @@ func marshalHeaderLine(p *collector.Pipeline) ([]byte, error) {
 //     pinned to this member and the client told to retry — the replay
 //     routes back here and the member's idempotency log answers
 //     exactly once.
-//
-// routeBody is the submission as the client sent it (before any header
-// injection), so the hash policy keys on the client's bytes.
-func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body []byte, hdr *collector.Pipeline, routeBody []byte, id string) (*collector.SubmitResponse, *member, int, error) {
+func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body []byte, hdr *collector.Pipeline, id string) (*collector.SubmitResponse, *member, int, error) {
 	span := trace.SpanFrom(ctx)
 	s.mu.Lock()
 	pinned := s.sticky[id]
 	s.mu.Unlock()
-	order := s.router.order(routeBody)
+	order := s.order()
 	if pinned != nil {
 		// An earlier attempt of this ID died mid-response at pinned:
 		// only it may answer, or the shard could merge twice.
@@ -717,8 +717,6 @@ func (s *Supervisor) memberStats(ctx context.Context) []MemberStats {
 type Stats struct {
 	// Scheme is empty until the fleet adopts a mechanism.
 	Scheme string `json:"scheme"`
-	// Policy is the routing policy in force.
-	Policy string `json:"policy"`
 	// Routed counts submissions accepted by a member via this
 	// supervisor; ReportShards / AggregateShards split it by framing.
 	// Generation mirrors Routed under the collector stats key.

@@ -190,7 +190,7 @@ func TestFleetTraceStackedWithFailover(t *testing.T) {
 func TestFleetTraceScrapeUnderTraffic(t *testing.T) {
 	mech := newDAM(t, 5, 1.8)
 	pipeline := damPipeline(mech, 5, 1.8)
-	f := startFleet(t, 2, newDAM(t, 5, 1.8), pipeline, nil)
+	f := startFleet(t, 2, newDAM(t, 5, 1.8), pipeline)
 
 	shard := accumulateShards(t, mech, 1, 31)[0]
 	blob, err := shard.MarshalBinary()

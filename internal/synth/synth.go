@@ -49,6 +49,34 @@ func (d *Dataset) Extract(p Part) []geom.Point {
 	return out
 }
 
+// Generate draws the named evaluation dataset at the given scale: the
+// city-like "Crime" and "NYC", split into their Table III parts, or one
+// of the unsplit synthetic families at the paper's sizes — "Normal"
+// (300,000 points of Normal(0,0,1,1,0.5) clipped to (−5, 5)²), "SZipf"
+// (100,000) and "MNormal" (300,000).
+func Generate(name string, r *rng.RNG, scale Scale) (*Dataset, error) {
+	var pts []geom.Point
+	var err error
+	switch name {
+	case "Crime":
+		return ChicagoCrimeLike(r, scale)
+	case "NYC":
+		return NYCGreenTaxiLike(r, scale)
+	case "Normal":
+		pts, err = Normal(r, scale.Of(300000), 0, 0, 1, 1, 0.5, 5)
+	case "SZipf":
+		pts, err = SkewZipf(r, scale.Of(100000))
+	case "MNormal":
+		pts, err = MNormal(r, scale.Of(300000))
+	default:
+		return nil, fmt.Errorf("synth: unknown dataset %q", name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{Name: name, Points: pts}, nil
+}
+
 // Normal draws n points from a correlated 2-D Gaussian
 // (µx, µy, σx², σy², ρ), rejecting points outside the clip square
 // [−clip, clip]² — the paper's Normal(0,0,1,1,0.5) keeps points within

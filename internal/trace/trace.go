@@ -3,10 +3,11 @@
 // span recording, and a bounded in-memory ring of completed traces that
 // GET /v1/traces serves.
 //
-// The model is deliberately small. A request owns one root span (opened
-// by the HTTP middleware); handlers hang child spans and point-in-time
-// events off it for the phases worth attributing — body read, WAL
-// append+fsync, merge, ack, EM decode, per-member routing attempts.
+// The model is deliberately small. A request owns one root span, opened
+// by collector.Engine.ServeHTTP, the one request path of both tiers;
+// handlers hang child spans and point-in-time events off it for the
+// phases worth attributing — body read, WAL append+fsync, merge, ack, EM
+// decode, per-member routing attempts.
 // When the root span ends, the whole trace is assembled and pushed into
 // the tracer's ring, newest first. Cross-tier causality rides the W3C
 // `traceparent` header: the client mints one per submission, every tier
@@ -644,72 +645,6 @@ func (t *Tracer) Handler() http.Handler {
 			"traces":  traces,
 		})
 	})
-}
-
-// Middleware wraps a tier's full handler chain with request tracing: a
-// root span per request (joined to the incoming traceparent when one
-// parses), the trace ID echoed in the X-Dpspatial-Trace-Id response
-// header, the response status recorded on the span, and — when slow is
-// non-nil — a structured log line for requests at or over the slow
-// threshold. A nil tracer records no spans and echoes no trace ID, but
-// slow requests are still logged, with an empty trace ID; with neither
-// a tracer nor a slow logger, next is returned unwrapped. Paths for
-// which skip returns true pass through untouched: the metrics, traces
-// and pprof surfaces must not generate traffic in the very ring and
-// series they expose, and health probes would drown the ring in noise.
-// service is the tier name each slow-request line carries, the same name
-// the tier's tracer records under.
-func Middleware(service string, t *Tracer, slow *SlowLogger, skip func(path string) bool, next http.Handler) http.Handler {
-	if t == nil && slow == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if skip != nil && skip(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		var remote SpanContext
-		if tp := r.Header.Get(TraceparentHeader); tp != "" {
-			if sc, err := ParseTraceparent(tp); err == nil {
-				remote = sc
-			}
-		}
-		span := t.Root(r.Method+" "+r.URL.Path, remote)
-		span.SetAttr(String("method", r.Method), String("path", r.URL.Path))
-		if span != nil {
-			w.Header().Set(TraceIDHeader, span.TraceID())
-		}
-		rec := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(ContextWithSpan(r.Context(), span)))
-		code := rec.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		span.SetStatus(code)
-		span.End()
-		slow.Log(service, span.TraceID(), r.Method, r.URL.Path, code, time.Since(start))
-	})
-}
-
-// statusWriter captures the response status for the root span.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
 }
 
 // SlowLogger emits one structured log line per request at or over its

@@ -337,77 +337,6 @@ func TestHandlerFiltersAndErrors(t *testing.T) {
 	}
 }
 
-func TestMiddleware(t *testing.T) {
-	tr := NewTracer("collector", 8)
-	var slowBuf bytes.Buffer
-	slow := &SlowLogger{W: &slowBuf, JSON: true, Threshold: 0}
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		span := SpanFrom(r.Context())
-		if r.URL.Path == "/metrics" {
-			if span != nil {
-				t.Error("skipped path has a span in context")
-			}
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		if span == nil {
-			t.Error("no span in handler context")
-		}
-		child := span.Child("inner.op")
-		child.End()
-		w.WriteHeader(http.StatusAccepted)
-	})
-	skip := func(path string) bool { return path == "/metrics" }
-	h := Middleware("collector", tr, slow, skip, inner)
-
-	remote := NewSpanContext()
-	req := httptest.NewRequest(http.MethodPost, "/v1/report", strings.NewReader("x"))
-	req.Header.Set(TraceparentHeader, remote.Traceparent())
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-
-	gotID := rr.Header().Get(TraceIDHeader)
-	if gotID != remote.TraceIDString() {
-		t.Fatalf("echoed trace ID %q, want joined remote %q", gotID, remote.TraceIDString())
-	}
-	traces := tr.Snapshot(0, "", 0)
-	if len(traces) != 1 {
-		t.Fatalf("got %d traces", len(traces))
-	}
-	td := traces[0]
-	if td.Root != "POST /v1/report" || td.TraceID != remote.TraceIDString() {
-		t.Fatalf("trace = %+v", td)
-	}
-	if td.Spans[0].Status != http.StatusAccepted {
-		t.Fatalf("root status = %d", td.Spans[0].Status)
-	}
-	if len(td.Spans) != 2 || td.Spans[1].Name != "inner.op" {
-		t.Fatalf("spans = %+v", td.Spans)
-	}
-
-	var line map[string]any
-	if err := json.Unmarshal(slowBuf.Bytes(), &line); err != nil {
-		t.Fatalf("slow log not JSON: %v (%q)", err, slowBuf.String())
-	}
-	if line["traceId"] != gotID || line["path"] != "/v1/report" || line["status"].(float64) != 202 {
-		t.Fatalf("slow line = %v", line)
-	}
-
-	// Skipped path: no trace, no header, no log.
-	slowBuf.Reset()
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rr.Header().Get(TraceIDHeader) != "" {
-		t.Fatal("skipped path got a trace header")
-	}
-	if tr.Completed() != 1 {
-		t.Fatalf("skipped path recorded a trace: %d", tr.Completed())
-	}
-	if slowBuf.Len() != 0 {
-		t.Fatal("skipped path logged")
-	}
-}
-
 func TestSlowLoggerThresholdAndText(t *testing.T) {
 	var buf bytes.Buffer
 	l := &SlowLogger{W: &buf, Threshold: 100 * time.Millisecond}
@@ -421,57 +350,6 @@ func TestSlowLoggerThresholdAndText(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Fatalf("text line %q missing %q", line, want)
 		}
-	}
-}
-
-// TestMiddlewareNilTracerSlowLog: with tracing off, a slow logger still
-// logs every non-skipped request, under the tier name given to the
-// middleware and with an empty trace ID, and no trace header is echoed.
-func TestMiddlewareNilTracerSlowLog(t *testing.T) {
-	var buf bytes.Buffer
-	slow := &SlowLogger{W: &buf, JSON: true}
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if SpanFrom(r.Context()) != nil {
-			t.Error("untraced request has a span in context")
-		}
-		if r.URL.Path == "/v1/report" {
-			w.WriteHeader(http.StatusAccepted)
-		}
-	})
-	h := Middleware("collector", nil, slow, func(path string) bool { return path == "/metrics" }, inner)
-	for _, path := range []string{"/v1/report", "/metrics", "/v1/estimate"} {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
-		if _, ok := rr.Header()[TraceIDHeader]; ok {
-			t.Fatalf("%s: untraced request echoed a trace header", path)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d slow lines, want 2:\n%s", len(lines), buf.String())
-	}
-	for i, want := range []struct {
-		path   string
-		status float64
-	}{{"/v1/report", 202}, {"/v1/estimate", 200}} {
-		var line map[string]any
-		if err := json.Unmarshal([]byte(lines[i]), &line); err != nil {
-			t.Fatalf("slow line %d not JSON: %v (%q)", i, err, lines[i])
-		}
-		if line["path"] != want.path || line["status"] != want.status ||
-			line["service"] != "collector" || line["traceId"] != "" {
-			t.Fatalf("slow line %d = %v", i, line)
-		}
-	}
-}
-
-func TestMiddlewareNilTracerPassthrough(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(204) })
-	h := Middleware("collector", nil, nil, nil, inner)
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/x", nil))
-	if rr.Code != 204 || rr.Header().Get(TraceIDHeader) != "" {
-		t.Fatalf("nil-tracer middleware altered the response: %d %q", rr.Code, rr.Header().Get(TraceIDHeader))
 	}
 }
 

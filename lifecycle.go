@@ -2,15 +2,12 @@ package dpspatial
 
 import (
 	"fmt"
-	"os"
-	"time"
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/em"
 	"dpspatial/internal/fleet"
 	"dpspatial/internal/fo"
 	"dpspatial/internal/grid"
-	"dpspatial/internal/trace"
 )
 
 // This file surfaces the three-stage report lifecycle — client,
@@ -237,112 +234,22 @@ type FleetStats = fleet.Stats
 // FleetMemberStats is one member's entry in FleetStats.
 type FleetMemberStats = fleet.MemberStats
 
-// FleetOption adjusts a fleet supervisor's configuration.
-type FleetOption func(*fleet.Config)
-
-// WithFleetPolicy picks the routing policy: "round-robin" (default) or
-// "hash" (consistent hash of the submission body over a virtual-node
-// ring). The fleet estimate is byte-identical under either.
-func WithFleetPolicy(policy string) FleetOption {
-	return func(c *fleet.Config) { c.Policy = policy }
-}
-
-// WithFleetCadence sets the background health-probe and merge +
-// warm-re-estimate period (0 = pull only on demand).
-func WithFleetCadence(d time.Duration) FleetOption {
-	return func(c *fleet.Config) { c.Cadence = d }
-}
-
-// WithFleetAuthToken sets the fleet's shared bearer-token secret: the
-// supervisor requires it on its own endpoints and presents it to
-// members started with the same --auth-token.
-func WithFleetAuthToken(token string) FleetOption {
-	return func(c *fleet.Config) { c.AuthToken = token }
-}
-
-// WithFleetMetrics gates the supervisor's GET /metrics exposition
-// endpoint (enabled by default). Disabling only unroutes the endpoint;
-// the supervisor keeps accounting internally either way.
-func WithFleetMetrics(enabled bool) FleetOption {
-	return func(c *fleet.Config) { c.DisableMetrics = !enabled }
-}
-
-// WithFleetTracing gates the supervisor's in-memory request tracing and
-// its GET /v1/traces surface (enabled by default). Disabling removes
-// the endpoint and skips span recording entirely; requests then carry
-// no X-Dpspatial-Trace-Id response header from this tier, though
-// traceparent propagation to members still happens via the client.
-func WithFleetTracing(enabled bool) FleetOption {
-	return func(c *fleet.Config) { c.DisableTraces = !enabled }
-}
-
-// WithFleetTraceBuffer sets how many completed traces the supervisor
-// retains in memory for GET /v1/traces (0 or negative = the default
-// capacity). The buffer is a ring: new traces evict the oldest.
-func WithFleetTraceBuffer(capacity int) FleetOption {
-	return func(c *fleet.Config) { c.TraceCapacity = capacity }
-}
-
-// WithFleetSlowLog enables structured slow-request logging on the
-// supervisor: every request taking at least threshold emits one line to
-// stderr carrying the method, path, status, duration and trace ID — the
-// join key into GET /v1/traces. A zero threshold logs every request; a
-// negative threshold disables the log. jsonFormat selects one-line JSON
-// objects over the plain-text format.
-func WithFleetSlowLog(threshold time.Duration, jsonFormat bool) FleetOption {
-	return func(c *fleet.Config) {
-		if threshold < 0 {
-			c.SlowLog = nil
-			return
-		}
-		c.SlowLog = &trace.SlowLogger{W: os.Stderr, Threshold: threshold, JSON: jsonFormat}
-	}
-}
-
-// WithFleetPprof mounts net/http/pprof's profiling handlers under
-// /debug/pprof/ on the supervisor, behind the same bearer token as the
-// data endpoints (disabled by default).
-func WithFleetPprof(enabled bool) FleetOption {
-	return func(c *fleet.Config) { c.EnablePprof = enabled }
-}
-
 // NewFleetPipeline builds a supervisor fronting the collectors at
 // memberURLs, pre-built around the named mechanism over the domain, and
 // returns the fleet-wide pinned pipeline alongside it. The supervisor
 // injects the pipeline into forwarded submissions, so members may start
 // bare (`damctl serve` with no --mech) and adopt on first contact. The
 // fleet estimate is byte-identical to EstimateFromAggregate on the
-// union of all submitted shards, for any member count, routing policy
-// and arrival interleaving.
-func NewFleetPipeline(mechName string, dom Domain, eps float64, memberURLs []string, opts ...FleetOption) (*CollectorPipeline, *FleetSupervisor, error) {
+// union of all submitted shards, for any member count and arrival
+// interleaving.
+func NewFleetPipeline(mechName string, dom Domain, eps float64, memberURLs []string) (*CollectorPipeline, *FleetSupervisor, error) {
 	p, rm, err := NewCollectorPipeline(mechName, dom, eps)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := fleet.Config{Members: memberURLs, Mechanism: rm, Pipeline: p}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	sup, err := fleet.New(cfg)
+	sup, err := fleet.New(fleet.Config{Members: memberURLs, Mechanism: rm, Pipeline: p})
 	if err != nil {
 		return nil, nil, err
 	}
 	return p, sup, nil
-}
-
-// NewFleetSupervisor builds a supervisor with no pre-built mechanism:
-// the fleet adopts its pipeline from the first accepted submission that
-// carries pipeline metadata, transactionally — a rejected submission
-// can never lock the fleet.
-func NewFleetSupervisor(memberURLs []string, opts ...FleetOption) (*FleetSupervisor, error) {
-	cfg := fleet.Config{
-		Members: memberURLs,
-		Build: func(p *collector.Pipeline) (collector.Estimator, error) {
-			return NewMechanismFromPipeline(p)
-		},
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return fleet.New(cfg)
 }

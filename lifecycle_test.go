@@ -529,56 +529,53 @@ func TestFleetPipelinePublic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, policy := range []string{"round-robin", "hash"} {
-		// Two fresh collectors in adopt mode per policy: the supervisor
-		// injects the pinned pipeline, so neither needs pre-building.
-		memberURLs := make([]string, 2)
-		for i := range memberURLs {
-			c, err := collector.New(collector.Config{
-				Build: func(p *collector.Pipeline) (collector.Estimator, error) {
-					return NewMechanismFromPipeline(p)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(c)
-			defer srv.Close()
-			memberURLs[i] = srv.URL
-		}
-		pipeline, sup, err := NewFleetPipeline("DAM", dom, 2.0, memberURLs, WithFleetPolicy(policy))
+	// Two collectors in adopt mode: the supervisor injects the pinned
+	// pipeline, so neither needs pre-building.
+	memberURLs := make([]string, 2)
+	for i := range memberURLs {
+		c, err := collector.New(collector.Config{
+			Build: func(p *collector.Pipeline) (collector.Estimator, error) {
+				return NewMechanismFromPipeline(p)
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pipeline.Scheme != rm.Scheme() {
-			t.Fatalf("fleet pipeline scheme %q, mechanism scheme %q", pipeline.Scheme, rm.Scheme())
-		}
-		supSrv := httptest.NewServer(sup)
-		client := NewCollectorClient(supSrv.URL)
-		ctx := context.Background()
-		for _, shard := range shards {
-			if _, err := client.SubmitAggregate(ctx, shard, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, meta, err := client.Estimate(ctx)
-		if err != nil {
+		srv := httptest.NewServer(c)
+		defer srv.Close()
+		memberURLs[i] = srv.URL
+	}
+	pipeline, sup, err := NewFleetPipeline("DAM", dom, 2.0, memberURLs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipeline.Scheme != rm.Scheme() {
+		t.Fatalf("fleet pipeline scheme %q, mechanism scheme %q", pipeline.Scheme, rm.Scheme())
+	}
+	supSrv := httptest.NewServer(sup)
+	defer func() { supSrv.Close(); sup.Close() }()
+	client := NewCollectorClient(supSrv.URL)
+	ctx := context.Background()
+	for _, shard := range shards {
+		if _, err := client.SubmitAggregate(ctx, shard, nil); err != nil {
 			t.Fatal(err)
 		}
-		if meta.Warm {
-			t.Fatal("first fleet decode should be cold")
-		}
-		if !reflect.DeepEqual(got.Mass, want.Mass) {
-			t.Fatalf("%s: fleet estimate is not byte-identical to the in-process EstimateFromAggregate", policy)
-		}
-		var stats *CollectorStats
-		if stats, err = client.Stats(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if stats.Generation != uint64(len(shards)) || stats.Reports != union.N {
-			t.Fatalf("%s: fleet stats did not count the submissions: %+v", policy, stats)
-		}
-		supSrv.Close()
-		sup.Close()
+	}
+	got, meta, err := client.Estimate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Warm {
+		t.Fatal("first fleet decode should be cold")
+	}
+	if !reflect.DeepEqual(got.Mass, want.Mass) {
+		t.Fatal("fleet estimate is not byte-identical to the in-process EstimateFromAggregate")
+	}
+	var stats *CollectorStats
+	if stats, err = client.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Generation != uint64(len(shards)) || stats.Reports != union.N {
+		t.Fatalf("fleet stats did not count the submissions: %+v", stats)
 	}
 }
