@@ -16,12 +16,10 @@
 package collector
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -163,18 +161,17 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.Mechanism == nil && cfg.Build == nil {
 		return nil, fmt.Errorf("collector: config needs a Mechanism or a Build hook")
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	c := &Collector{cfg: cfg, store: cfg.Store, acks: NewAckLog(DedupWindow)}
 	c.engine = NewEngine(EngineConfig{
 		Tier: "collector", Service: "collector",
-		Source: c.mergedState,
+		Source:       c.mergedState,
+		Replay:       c.replay,
+		Commit:       c.commit,
+		Aggregate:    c.aggregateBlob,
+		MaxBodyBytes: cfg.MaxBodyBytes,
 		Routes: map[string]http.HandlerFunc{
-			"/healthz":      MethodOnly(http.MethodGet, c.handleHealthz),
-			"/v1/report":    MethodOnly(http.MethodPost, c.handleReport),
-			"/v1/aggregate": c.handleAggregate,
-			"/v1/stats":     MethodOnly(http.MethodGet, c.handleStats),
+			"/healthz":  MethodOnly(http.MethodGet, c.handleHealthz),
+			"/v1/stats": MethodOnly(http.MethodGet, c.handleStats),
 		},
 		Cadence:        cfg.Cadence,
 		AuthToken:      cfg.AuthToken,
@@ -258,15 +255,6 @@ func ResolveMechanism(tier string, installed Estimator, pinned, p *Pipeline, bui
 	return candidate, true, nil
 }
 
-// resolveMechanism is ResolveMechanism against the collector's state;
-// callers commit an adopted candidate with adoptLocked.
-func (c *Collector) resolveMechanism(p *Pipeline) (Estimator, bool, error) {
-	c.mu.Lock()
-	installed, pipeline := c.mech, c.pipeline
-	c.mu.Unlock()
-	return ResolveMechanism("collector", installed, pipeline, p, c.cfg.Build)
-}
-
 // adoptLocked installs a validated candidate mechanism — unless a
 // concurrent submission already installed one, in which case the
 // candidate must agree on the scheme. Callers hold mu.
@@ -286,18 +274,18 @@ func (c *Collector) adoptLocked(mech Estimator, p *Pipeline) error {
 }
 
 // checkAndPinPipelineLocked validates a submission's pipeline metadata
-// at commit time — under mu, because the resolveMechanism snapshot may
-// be stale by the time the body has been processed — and records the
-// first cross-checkable metadata when the collector was constructed
-// with a bare Mechanism and no Pipeline. The report scheme alone does
-// not encode the geographic domain, so without the pin a same-scheme
-// shard collected over a different region would merge silently; once
-// pinned, Pipeline.Compatible refuses it, including for concurrent
-// first submissions racing each other. A header only becomes the pin if
-// its scheme and (when present) shape agree with the installed
-// mechanism, so one misconfigured client cannot poison the pin and
-// lock every later correct submission out. Callers hold mu; c.mech is
-// installed.
+// at commit time — under mu, because the state commit resolved the
+// mechanism against may be stale by the time the body has been
+// processed — and records the first cross-checkable metadata when the
+// collector was constructed with a bare Mechanism and no Pipeline. The
+// report scheme alone does not encode the geographic domain, so without
+// the pin a same-scheme shard collected over a different region would
+// merge silently; once pinned, Pipeline.Compatible refuses it,
+// including for concurrent first submissions racing each other. A
+// header only becomes the pin if its scheme and (when present) shape
+// agree with the installed mechanism, so one misconfigured client
+// cannot poison the pin and lock every later correct submission out.
+// Callers hold mu; c.mech is installed.
 func (c *Collector) checkAndPinPipelineLocked(p *Pipeline) error {
 	if p == nil {
 		return nil
@@ -329,14 +317,41 @@ func (c *Collector) checkAndPinPipelineLocked(p *Pipeline) error {
 	return nil
 }
 
+// commit is the collector's step of the Engine's submit path: resolve
+// the mechanism (building a not-yet-installed candidate on first
+// contact), then count a report stream into a shard aggregate — outside
+// the lock, so report counting never blocks other shards — or check a
+// blob against the mechanism, and commit the shard. Adoption commits
+// only after the whole submission validated: a bad shard must not lock
+// the collector.
+func (c *Collector) commit(ctx context.Context, sub *Submission) (SubmitResponse, error) {
+	c.mu.Lock()
+	installed, pinned := c.mech, c.pipeline
+	c.mu.Unlock()
+	mech, adopted, err := ResolveMechanism("collector", installed, pinned, sub.Pipeline, c.cfg.Build)
+	if err != nil {
+		return SubmitResponse{}, err
+	}
+	shard := sub.Shard
+	if shard == nil {
+		shard = mech.NewAggregate()
+		if err := sub.ReadReports(shard); err != nil {
+			return SubmitResponse{}, err
+		}
+	} else if err := shard.Compatible(mech); err != nil {
+		return SubmitResponse{}, err
+	}
+	return c.commitShard(ctx, shard, sub.Pipeline, mech, adopted, sub.ID, sub.Kind)
+}
+
 // commitShard runs the locked commit of a fully parsed and validated
 // submission: replay-check the submission ID, install an adopted
 // candidate mechanism, validate and pin the pipeline metadata, persist
 // the submission to the WAL (durable collectors), merge the shard, and
-// count it. Both submission handlers share it so the adoption
-// transaction cannot diverge between the report and aggregate paths. A
-// replayed ID returns the original ack without merging, which is what
-// makes client retries after a lost response exactly-once.
+// count it. Both submission kinds run it, so the adoption transaction
+// cannot diverge between the report and aggregate paths. A replayed ID
+// returns the original ack without merging, which is what makes client
+// retries after a lost response exactly-once.
 //
 // The commit order is what extends that guarantee across a crash: the
 // ack is constructed from the post-merge totals, fsync'd into the WAL,
@@ -346,15 +361,9 @@ func (c *Collector) checkAndPinPipelineLocked(p *Pipeline) error {
 // memory and disk in lockstep.
 func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *Pipeline, mech Estimator, adopted bool, id string, kind ShardKind) (SubmitResponse, error) {
 	span := trace.SpanFrom(ctx)
-	span.SetAttr(trace.String("submissionId", id), trace.String("shardKind", kind.String()))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.acks.Get(id); ok {
-		c.stats.DuplicateShards++
-		c.engine.met.Submissions.With(SubmissionDuplicate).Inc()
-		// The replayed ack carries the ORIGINAL submission's trace ID —
-		// the one whose trace actually holds the merge spans.
-		span.Event("duplicate.replay", trace.String("originalTraceId", prev.TraceID))
+	if prev, ok := c.replayLocked(span, id); ok {
 		return prev, nil
 	}
 	if adopted {
@@ -406,18 +415,23 @@ func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *P
 	return resp, nil
 }
 
-// replayedAck answers a submission whose ID was already merged without
-// touching the request body — the handlers' fast path.
-func (c *Collector) replayedAck(r *http.Request) (SubmitResponse, bool) {
-	id := r.Header.Get(SubmissionIDHeader)
+// replay is the collector's ack-log lookup for the Engine's replay
+// check, made before the body is read.
+func (c *Collector) replay(ctx context.Context, id string) (SubmitResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.replayLocked(trace.SpanFrom(ctx), id)
+}
+
+// replayLocked answers a replayed submission ID from the ack log and
+// counts the duplicate. The replayed ack carries the ORIGINAL
+// submission's trace ID — the one whose trace holds the merge spans.
+// Callers hold mu.
+func (c *Collector) replayLocked(span *trace.Span, id string) (SubmitResponse, bool) {
 	prev, ok := c.acks.Get(id)
 	if ok {
 		c.stats.DuplicateShards++
 		c.engine.met.Submissions.With(SubmissionDuplicate).Inc()
-		span := trace.SpanFrom(r.Context())
-		span.SetAttr(trace.String("submissionId", id))
 		span.Event("duplicate.replay", trace.String("originalTraceId", prev.TraceID))
 	}
 	return prev, ok
@@ -450,6 +464,18 @@ func (c *Collector) mergedState(_ context.Context, cached uint64, ok bool) (Stat
 	return st, nil
 }
 
+// aggregateBlob is the collector's GET /v1/aggregate: the canonical
+// aggregate as a DPA2 blob, with the pinned pipeline.
+func (c *Collector) aggregateBlob(context.Context) ([]byte, *Pipeline, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.mech == nil {
+		return nil, nil, errNoMechanism
+	}
+	blob, err := c.agg.MarshalBinary()
+	return blob, c.pipeline, err
+}
+
 // --- HTTP handlers ---
 
 func (c *Collector) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -463,147 +489,6 @@ func (c *Collector) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "scheme": scheme, "generation": gen,
 	})
-}
-
-// handleReport accepts a report stream: the cmd/damctl reports framing
-// (a Pipeline header line, then one JSON report per line), or bare
-// report lines when the collector is already locked to a scheme. The
-// whole stream counts as one shard and merges atomically.
-func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
-	if prev, ok := c.replayedAck(r); ok {
-		writeJSON(w, http.StatusOK, &prev)
-		return
-	}
-	// The body-read span covers probing, parsing and counting the whole
-	// stream into the shard aggregate. End is idempotent: the success
-	// path ends it with the report count, the deferred call closes it on
-	// every early (4xx) return.
-	readSpan := trace.SpanFrom(r.Context()).Child("collector.body.read")
-	defer readSpan.End()
-	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	first, err := br.ReadBytes('\n') // a line of any length; EOF ends a one-line stream
-	if err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
-		return
-	}
-	hdr, firstReport, err := ParseStreamHead(first)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	// Resolve the mechanism (building a not-yet-installed candidate on
-	// first contact), then count the stream into a shard aggregate
-	// outside the lock so report counting never blocks other shards.
-	// Adoption commits only after the whole stream parses.
-	mech, adopted, err := c.resolveMechanism(hdr)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-
-	shard := mech.NewAggregate()
-	if firstReport != nil {
-		if err := shard.Add(*firstReport); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if err := ReadReports(br, shard); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	readSpan.SetAttr(trace.Float("reports", shard.N))
-	readSpan.End()
-
-	resp, err := c.commitShard(r.Context(), shard, hdr, mech, adopted, r.Header.Get(SubmissionIDHeader), ShardReport)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &resp)
-}
-
-// handleAggregate accepts a serialized aggregate shard (POST, DPA1/DPA2
-// blob) or serves the merged canonical aggregate (GET, DPA2 blob).
-func (c *Collector) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-	case http.MethodGet:
-		c.serveAggregate(w)
-		return
-	default:
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST only"))
-		return
-	}
-	if prev, ok := c.replayedAck(r); ok {
-		writeJSON(w, http.StatusOK, &prev)
-		return
-	}
-	readSpan := trace.SpanFrom(r.Context()).Child("collector.body.read")
-	defer readSpan.End()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
-		return
-	}
-	shard := &fo.Aggregate{}
-	if err := shard.UnmarshalBinary(body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	readSpan.SetAttr(trace.Int("bodyBytes", int64(len(body))), trace.Float("reports", shard.N))
-	readSpan.End()
-	var hdr *Pipeline
-	if raw := r.Header.Get(PipelineHeader); raw != "" {
-		hdr = &Pipeline{}
-		if err := json.Unmarshal([]byte(raw), hdr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s header: %v", PipelineHeader, err))
-			return
-		}
-	}
-	mech, adopted, err := c.resolveMechanism(hdr)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	// Validate the shard against the resolved mechanism BEFORE any
-	// adoption commits: a bad blob must not lock the collector.
-	if err := shard.Compatible(mech); err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	resp, err := c.commitShard(r.Context(), shard, hdr, mech, adopted, r.Header.Get(SubmissionIDHeader), ShardAggregate)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &resp)
-}
-
-func (c *Collector) serveAggregate(w http.ResponseWriter) {
-	c.mu.Lock()
-	if c.mech == nil {
-		c.mu.Unlock()
-		writeError(w, http.StatusConflict, errNoMechanism)
-		return
-	}
-	blob, err := c.agg.MarshalBinary()
-	var hdr []byte
-	if c.pipeline != nil {
-		hdr, _ = json.Marshal(c.pipeline)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if hdr != nil {
-		w.Header().Set(PipelineHeader, string(hdr))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
 }
 
 func (c *Collector) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -627,11 +512,9 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// WriteError writes the wire error envelope both tiers answer with.
-func WriteError(w http.ResponseWriter, status int, err error) {
-	WriteJSON(w, status, &errorResponse{Error: err.Error()})
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) { WriteJSON(w, status, v) }
 
-func writeError(w http.ResponseWriter, status int, err error) { WriteError(w, status, err) }
+// writeError writes the wire error envelope both tiers answer with.
+func writeError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, &errorResponse{Error: err.Error()})
+}

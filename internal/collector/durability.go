@@ -2,7 +2,6 @@ package collector
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -90,27 +89,12 @@ func (k ShardKind) count(s *Stats) {
 	}
 }
 
-// storeError marks a submission failure in the durability layer rather
-// than the submission itself: the handlers answer 503 (retry the same
-// ID later) instead of 409 (the shard is wrong).
-type storeError struct{ err error }
-
-func (e *storeError) Error() string { return "durable store: " + e.err.Error() }
-func (e *storeError) Unwrap() error { return e.err }
-
-// writeSubmitError maps a commit failure onto the wire: a durability
-// failure is a 503 whose submission state is unknown — the WAL write
-// may have partially persisted, so only a retry of the SAME submission
-// ID is safe, never a failover — while everything else stays the 409
-// validation refusal.
-func writeSubmitError(w http.ResponseWriter, err error) {
-	var se *storeError
-	if errors.As(err, &se) {
-		w.Header().Set(SubmissionStateHeader, SubmissionStateUnknown)
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeError(w, http.StatusConflict, err)
+// storeFailure wraps a failure of the durability layer. A submission it
+// fails is refused 503 (retry later), not 409 (the shard is wrong), with
+// the submission state unknown: the WAL write may have partly persisted,
+// so only a retry of the SAME submission ID is safe, never a failover.
+func storeFailure(err error) error {
+	return &Refusal{Status: http.StatusServiceUnavailable, Unknown: true, Err: fmt.Errorf("durable store: %w", err)}
 }
 
 // snapshotEvery resolves the configured snapshot cadence.
@@ -272,17 +256,17 @@ func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, ac
 	if !c.pipelinePersisted && c.pipeline != nil {
 		meta, err := json.Marshal(c.pipeline)
 		if err != nil {
-			return &storeError{err}
+			return storeFailure(err)
 		}
 		recs = append(recs, durable.Record{Type: durable.RecordPipeline, Meta: meta})
 	}
 	blob, err := shard.MarshalBinary()
 	if err != nil {
-		return &storeError{err}
+		return storeFailure(err)
 	}
 	env, err := json.Marshal(&ackEnvelope{Kind: kind.String(), Ack: ack})
 	if err != nil {
-		return &storeError{err}
+		return storeFailure(err)
 	}
 	recs = append(recs, durable.Record{Type: durable.RecordSubmission, ID: id, Meta: env, Blob: blob})
 	walSpan := span.Child("collector.wal.append")
@@ -290,7 +274,7 @@ func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, ac
 	if err != nil {
 		walSpan.Fail(err)
 		walSpan.End()
-		return &storeError{err}
+		return storeFailure(err)
 	}
 	walSpan.SetAttr(
 		trace.Int("walRecords", int64(info.Records)),
@@ -334,7 +318,7 @@ func (c *Collector) snapshotLocked() error {
 	defer func() { c.snapshotTriedAt = c.store.RecordsSinceSnapshot() }()
 	state, err := c.agg.MarshalBinary()
 	if err != nil {
-		return &storeError{err}
+		return storeFailure(err)
 	}
 	meta, err := json.Marshal(&snapshotMeta{
 		Scheme:          c.mech.Scheme(),
@@ -345,10 +329,10 @@ func (c *Collector) snapshotLocked() error {
 		DuplicateShards: c.stats.DuplicateShards,
 	})
 	if err != nil {
-		return &storeError{err}
+		return storeFailure(err)
 	}
 	if err := c.store.WriteSnapshot(meta, state, c.acks.Entries()); err != nil {
-		return &storeError{err}
+		return storeFailure(err)
 	}
 	// The snapshot now covers the pipeline; the (reset) WAL need not.
 	c.pipelinePersisted = c.pipeline != nil

@@ -26,8 +26,9 @@ import (
 // per-state estimate and quadtree caches, decode accounting and
 // metrics, the decode spans, the GET /v1/estimate and /v1/query
 // handlers, the cadence loop, and the one request path — bearer gate,
-// request accounting, tracing and slow log — around the tier's own
-// submission, stats and health handlers.
+// request accounting, tracing and slow log — around every handler. The
+// write path follows the same pattern (submit.go): each tier supplies
+// its commit, and the Engine serves the submission endpoints around it.
 
 // State is one read of a tier's merged state.
 type State struct {
@@ -60,6 +61,18 @@ type EngineConfig struct {
 	Source StateSource
 	// ErrorStatus maps a read error to its HTTP status (nil: 409).
 	ErrorStatus func(error) int
+	// Replay, Commit and Aggregate are the tier's write path. With Commit
+	// set, the Engine serves POST /v1/report and /v1/aggregate and GET
+	// /v1/aggregate over them. Replay answers a replayed submission ID
+	// from the tier's ack log, counting the duplicate; Commit merges or
+	// forwards a parsed submission and returns its ack; Aggregate returns
+	// the merged aggregate as a DPA2 blob, with the pinned pipeline (nil
+	// while there is none).
+	Replay    func(ctx context.Context, id string) (SubmitResponse, bool)
+	Commit    func(ctx context.Context, sub *Submission) (SubmitResponse, error)
+	Aggregate func(ctx context.Context) (blob []byte, p *Pipeline, err error)
+	// MaxBodyBytes caps a submission body (0 = DefaultMaxBodyBytes).
+	MaxBodyBytes int64
 	// Routes are the tier's own handlers, by path.
 	Routes map[string]http.HandlerFunc
 	// Cadence is the background refresh period (0 = no loop); OnTick,
@@ -121,6 +134,9 @@ type view struct {
 
 // NewEngine builds the engine and routes the tier's handlers.
 func NewEngine(cfg EngineConfig) *Engine {
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+	}
 	e := &Engine{cfg: cfg, mux: http.NewServeMux(), routes: map[string]bool{},
 		reg: metrics.New(), cache: map[string]*view{}, stop: make(chan struct{})}
 	e.met = NewServiceMetrics(e.reg)
@@ -133,6 +149,12 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	for path, h := range cfg.Routes {
 		handle(path, h)
+	}
+	if cfg.Commit != nil {
+		handle("/v1/report", MethodOnly(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
+			e.submit(w, r, ShardReport)
+		}))
+		handle("/v1/aggregate", e.handleAggregate)
 	}
 	handle("/v1/estimate", MethodOnly(http.MethodGet, e.handleEstimate))
 	handle("/v1/query", MethodOnly(http.MethodGet, e.handleQuery))

@@ -38,7 +38,9 @@ const (
 	// SubmissionIDHeader carries a submission's idempotency ID: retries
 	// of the same logical shard reuse the ID, and collectors and
 	// supervisors answer a replay with the original ack instead of
-	// merging twice. The Client generates one per submission call.
+	// merging twice. The Client generates one per submission call; both
+	// tiers echo it on every submit answer, minting one for a request
+	// that has none.
 	SubmissionIDHeader = "X-Dpspatial-Submission-Id"
 	// SubmissionStateHeader, set to SubmissionStateUnknown on an error
 	// response, marks a refusal whose submission MAY still have merged

@@ -105,7 +105,3 @@ func (s *Supervisor) registerFleetMetrics() {
 			return float64(gen)
 		})
 }
-
-// Metrics returns the supervisor's metric registry — what GET /metrics
-// serves.
-func (s *Supervisor) Metrics() *metrics.Registry { return s.engine.Registry() }

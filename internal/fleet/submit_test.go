@@ -1,0 +1,182 @@
+package fleet_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"testing"
+
+	"dpspatial/internal/collector"
+	"dpspatial/internal/fleet"
+	"dpspatial/internal/trace"
+)
+
+// parityTier is one serving tier under TestSubmitPathParity.
+type parityTier struct {
+	name, url, readSpan string
+	ring                *trace.Tracer
+}
+
+// tierAnswer is one tier's answer to a raw submission.
+type tierAnswer struct {
+	status  int
+	errText string
+	echoed  string // X-Dpspatial-Submission-Id
+	ack     collector.SubmitResponse
+	trace   *trace.TraceData
+}
+
+// TestSubmitPathParity sends the same submissions to an adopt-mode
+// collector and to an adopt-mode supervisor in front of one such
+// collector. Both tiers run one submit path, so every row must answer
+// alike at both: the same status, the same error text on a refusal,
+// the submission ID echoed (minted when the request had none), and a
+// <tier>.body.read span in each traced submit that reads a body — and
+// none in one answered before its body is read.
+func TestSubmitPathParity(t *testing.T) {
+	mech := newDAM(t, 5, 2.0)
+	pipeline := damPipeline(mech, 5, 2.0)
+	blob, err := accumulateShards(t, mech, 1, 61)[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	col, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := fleet.New(fleet.Config{Members: []string{serve(member)}, Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := []parityTier{
+		{"collector", serve(col), "collector.body.read", col.Tracer()},
+		{"supervisor", serve(sup), "fleet.body.read", sup.Tracer()},
+	}
+	// Adopt the pipeline at both tiers under the ID the replay row reuses.
+	for _, tier := range tiers {
+		if _, err := collector.NewClient(tier.url).SubmitAggregateBlobWithID(context.Background(), blob, pipeline, "parity-acked"); err != nil {
+			t.Fatalf("%s: %v", tier.name, err)
+		}
+	}
+
+	send := func(t *testing.T, tier parityTier, method, path, id, pipelineHdr string, body []byte) tierAnswer {
+		t.Helper()
+		req, err := http.NewRequest(method, tier.url+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "" {
+			req.Header.Set(collector.SubmissionIDHeader, id)
+		}
+		if pipelineHdr != "" {
+			req.Header.Set(collector.PipelineHeader, pipelineHdr)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		raw, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := tierAnswer{status: res.StatusCode, echoed: res.Header.Get(collector.SubmissionIDHeader)}
+		if res.StatusCode == http.StatusOK {
+			err = json.Unmarshal(raw, &a.ack)
+		} else {
+			var e struct{ Error string }
+			err = json.Unmarshal(raw, &e)
+			a.errText = e.Error
+		}
+		if err != nil {
+			t.Fatalf("%s answered %d with %q: %v", tier.name, res.StatusCode, raw, err)
+		}
+		a.trace = ringTrace(t, tier.ring, res.Header.Get(trace.TraceIDHeader))
+		return a
+	}
+
+	garbage := append([]byte("DPA2"), bytes.Repeat([]byte{0xff}, 12)...)
+	minted := regexp.MustCompile(`^[0-9a-f]{32}$`)
+	for _, row := range []struct {
+		name, method, path, id, pipelineHdr string
+		body                                []byte
+		status                              int
+		readsBody, duplicate                bool
+	}{
+		{name: "empty stream", method: http.MethodPost, path: "/v1/report", id: "parity-empty",
+			status: http.StatusBadRequest, readsBody: true},
+		{name: "unparseable first line", method: http.MethodPost, path: "/v1/report", id: "parity-line",
+			body: []byte("not json\n"), status: http.StatusBadRequest, readsBody: true},
+		{name: "unknown format", method: http.MethodPost, path: "/v1/report", id: "parity-format",
+			body: []byte(`{"format":"dpspatial-reports/9"}` + "\n"), status: http.StatusBadRequest, readsBody: true},
+		{name: "bad pipeline header", method: http.MethodPost, path: "/v1/aggregate", id: "parity-header",
+			pipelineHdr: "{not json", body: blob, status: http.StatusBadRequest, readsBody: true},
+		{name: "non-DPA blob", method: http.MethodPost, path: "/v1/aggregate", id: "parity-magic",
+			body: []byte("not an aggregate"), status: http.StatusBadRequest, readsBody: true},
+		{name: "DPA2 garbage", method: http.MethodPost, path: "/v1/aggregate", id: "parity-garbage",
+			body: garbage, status: http.StatusBadRequest, readsBody: true},
+		{name: "PUT aggregate", method: http.MethodPut, path: "/v1/aggregate", id: "parity-put",
+			body: blob, status: http.StatusMethodNotAllowed},
+		{name: "valid without an ID", method: http.MethodPost, path: "/v1/aggregate",
+			body: blob, status: http.StatusOK, readsBody: true},
+		{name: "replayed ID with a garbage body", method: http.MethodPost, path: "/v1/aggregate", id: "parity-acked",
+			body: garbage, status: http.StatusOK, duplicate: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var answers []tierAnswer
+			for _, tier := range tiers {
+				a := send(t, tier, row.method, row.path, row.id, row.pipelineHdr, row.body)
+				answers = append(answers, a)
+				if a.status != row.status {
+					t.Fatalf("%s answered %d (%q), want %d", tier.name, a.status, a.errText, row.status)
+				}
+				switch {
+				case row.method != http.MethodPost:
+					if a.echoed != "" {
+						t.Errorf("%s echoed submission ID %q on a %s", tier.name, a.echoed, row.method)
+					}
+				case row.id == "":
+					if !minted.MatchString(a.echoed) {
+						t.Errorf("%s echoed %q for a submission without an ID, want a minted one", tier.name, a.echoed)
+					}
+				case a.echoed != row.id:
+					t.Errorf("%s echoed submission ID %q, want %q", tier.name, a.echoed, row.id)
+				}
+				if row.status == http.StatusOK && a.ack.Duplicate != row.duplicate {
+					t.Errorf("%s acked %+v, want duplicate=%v", tier.name, a.ack, row.duplicate)
+				}
+				if sp := traceSpan(a.trace, tier.readSpan); (sp != nil) != row.readsBody {
+					t.Errorf("%s trace has a %s span: %v, want %v", tier.name, tier.readSpan, sp != nil, row.readsBody)
+				} else if sp != nil && sp.ParentSpanID != a.trace.Spans[0].SpanID {
+					t.Errorf("%s: %s is not parented on the submit root", tier.name, tier.readSpan)
+				}
+			}
+			if answers[0].errText != answers[1].errText {
+				t.Errorf("collector refused with %q, supervisor with %q", answers[0].errText, answers[1].errText)
+			}
+			if row.id == "" && row.status == http.StatusOK {
+				// The minted ID is the key each tier acked under: a replay
+				// of it answers from the ack log before the body is read.
+				for i, tier := range tiers {
+					a := send(t, tier, http.MethodPost, row.path, answers[i].echoed, "", garbage)
+					if a.status != http.StatusOK || !a.ack.Duplicate || a.ack.Generation != answers[i].ack.Generation {
+						t.Errorf("%s: replaying the minted ID answered %d %+v, want the duplicate of %+v", tier.name, a.status, a.ack, answers[i].ack)
+					}
+				}
+			}
+		})
+	}
+}

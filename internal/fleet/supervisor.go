@@ -8,10 +8,13 @@
 // envelopes — so clients, `damctl submit` and `damctl estimate
 // --from-url` point at a supervisor transparently, and supervisors chain
 // under bigger supervisors exactly like collectors chain under a
-// supervisor. Submissions are routed across the fleet round-robin,
-// failing over past unhealthy members off /healthz, and the estimate is
-// decoded from the hierarchical merge of every member's canonical
-// aggregate, pulled as DPA2 blobs.
+// supervisor. Both tiers serve through collector.Engine: its submit path
+// reads, parses and answers every submission, and the supervisor's only
+// step is the commit that forwards the client's bytes to one member.
+// Submissions are routed across the fleet round-robin, failing over past
+// unhealthy members off /healthz, and the estimate is decoded from the
+// hierarchical merge of every member's canonical aggregate, pulled as
+// DPA2 blobs.
 //
 // The collector's headline invariant carries over one level up: because
 // fo.Aggregate.Merge is associative and commutative over exactly
@@ -35,7 +38,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -150,11 +152,12 @@ func New(cfg Config) (*Supervisor, error) {
 		Tier: "fleet", Service: "supervisor",
 		Source:      s.mergedState,
 		ErrorStatus: pullErrorStatus,
+		Replay:      s.replay,
+		Commit:      s.commit,
+		Aggregate:   s.mergedBlob,
 		Routes: map[string]http.HandlerFunc{
-			"/healthz":      collector.MethodOnly(http.MethodGet, s.handleHealthz),
-			"/v1/report":    collector.MethodOnly(http.MethodPost, s.handleReport),
-			"/v1/aggregate": s.handleAggregate,
-			"/v1/stats":     collector.MethodOnly(http.MethodGet, s.handleStats),
+			"/healthz":  collector.MethodOnly(http.MethodGet, s.handleHealthz),
+			"/v1/stats": collector.MethodOnly(http.MethodGet, s.handleStats),
 		},
 		Cadence:        cfg.Cadence,
 		OnTick:         s.probeMembers,
@@ -186,10 +189,6 @@ func New(cfg Config) (*Supervisor, error) {
 	return s, nil
 }
 
-// Tracer exposes the supervisor's completed-trace ring — nil when the
-// supervisor was built with DisableTraces.
-func (s *Supervisor) Tracer() *trace.Tracer { return s.engine.Tracer() }
-
 // ServeHTTP implements http.Handler.
 func (s *Supervisor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.engine.ServeHTTP(w, r)
@@ -203,108 +202,40 @@ func (s *Supervisor) Start() { s.engine.Start() }
 // Close stops the cadence loop. The handler stays usable.
 func (s *Supervisor) Close() { s.engine.Close() }
 
-// handleReport routes a report stream (the collector's POST /v1/report
-// framing) to one fleet member. A stream of bare report lines gets the
-// pinned pipeline header injected, so routing never depends on which
-// member happens to hold a mechanism already.
-func (s *Supervisor) handleReport(w http.ResponseWriter, r *http.Request) {
-	if prev, ok := s.replayedAck(r); ok {
-		collector.WriteJSON(w, http.StatusOK, &prev)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, collector.DefaultMaxBodyBytes))
+// commit is the supervisor's step of the Engine's submit path. It
+// validates a parsed submission against the fleet pipeline (building a
+// candidate mechanism on first contact), forwards the client's bytes to
+// a member with failover, and commits the routing counters — and, for a
+// first submission, the fleet-wide adoption — only after a member
+// accepted the shard. The submission ID is the idempotency key: a
+// replayed ID answers with the original ack, and an ID whose first
+// attempt died mid-response stays pinned to the member that may have
+// merged it. A retry under a fresh ID cannot be recognised as a replay
+// and may merge again; the Client and damctl reuse the ID, and the
+// Engine echoes the one it minted.
+func (s *Supervisor) commit(ctx context.Context, sub *collector.Submission) (collector.SubmitResponse, error) {
+	// Failover resends these exact bytes, so the stream is read whole.
+	body, err := sub.Body()
 	if err != nil {
-		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
-		return
+		return collector.SubmitResponse{}, err
 	}
-	hdr, _, err := collector.ParseStreamHead(body)
-	if err != nil {
-		collector.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.routeSubmission(w, r, collector.ShardReport, body, hdr)
-}
-
-// handleAggregate routes a DPA1/DPA2 blob submission (POST) or serves
-// the hierarchically merged fleet aggregate (GET, DPA2 blob — the
-// chaining primitive for stacking supervisors).
-func (s *Supervisor) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-	case http.MethodGet:
-		s.serveAggregate(w, r)
-		return
-	default:
-		collector.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST only"))
-		return
-	}
-	if prev, ok := s.replayedAck(r); ok {
-		collector.WriteJSON(w, http.StatusOK, &prev)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, collector.DefaultMaxBodyBytes))
-	if err != nil {
-		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
-		return
-	}
-	if !bytes.HasPrefix(body, []byte("DPA")) {
-		collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("fo: not a binary aggregate (bad magic)"))
-		return
-	}
-	var hdr *collector.Pipeline
-	if raw := r.Header.Get(collector.PipelineHeader); raw != "" {
-		hdr = &collector.Pipeline{}
-		if err := json.Unmarshal([]byte(raw), hdr); err != nil {
-			collector.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header: %v", collector.PipelineHeader, err))
-			return
-		}
-	}
-	s.routeSubmission(w, r, collector.ShardAggregate, body, hdr)
-}
-
-// routeSubmission validates a parsed submission against the fleet
-// pipeline (building a candidate mechanism on first contact), forwards
-// it to a member with failover, and commits the routing counters — and,
-// for a first submission, the fleet-wide adoption — only after a member
-// accepted the shard. Submissions are keyed by an idempotency ID:
-// client-supplied, or minted here and echoed back in the
-// X-Dpspatial-Submission-Id response header (including on the 503 for
-// an unknown-state failure), so any client that replays the echoed ID
-// gets exactly-once semantics. A replayed ID answers with the original
-// ack, and an ID whose first attempt died mid-response stays pinned to
-// the member that may have merged it; a retry WITHOUT the ID cannot be
-// recognised as a replay and may merge again — the Client and damctl
-// always send one.
-func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kind collector.ShardKind, body []byte, hdr *collector.Pipeline) {
-	span := trace.SpanFrom(r.Context())
-	id := r.Header.Get(collector.SubmissionIDHeader)
-	if id == "" {
-		id = collector.NewSubmissionID()
-	}
-	span.SetAttr(trace.String("submissionId", id), trace.String("shardKind", kind.String()))
-	w.Header().Set(collector.SubmissionIDHeader, id)
+	span := trace.SpanFrom(ctx)
+	id := sub.ID
 	// Reserve the ID before forwarding: a concurrent submission with
 	// the same ID would otherwise also miss the ack log and be routed —
 	// possibly to a different member — merging the shard twice. The
 	// loser is told to retry; by then the winner's ack is in the log.
 	s.mu.Lock()
-	if prev, ok := s.acks.Get(id); ok {
-		s.stats.Duplicates++
-		s.met.Submissions.With(collector.SubmissionDuplicate).Inc()
+	if prev, ok := s.replayLocked(span, id); ok {
 		s.mu.Unlock()
-		span.Event("duplicate.replay", trace.String("originalTraceId", prev.TraceID))
-		collector.WriteJSON(w, http.StatusOK, &prev)
-		return
+		return prev, nil
 	}
 	if s.inflight[id] {
 		s.mu.Unlock()
 		// The concurrent attempt's outcome is undetermined, so mark the
 		// refusal for any supervisor one tier up.
-		w.Header().Set(collector.SubmissionStateHeader, collector.SubmissionStateUnknown)
 		span.Event("inflight.conflict")
-		collector.WriteError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("a submission with this ID is already in flight; retry to collect its ack"))
-		return
+		return collector.SubmitResponse{}, unknownState("a submission with this ID is already in flight; retry to collect its ack")
 	}
 	s.inflight[id] = true
 	locked := s.mech != nil
@@ -324,10 +255,10 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	installed, pipeline := s.mech, s.pipeline
 	s.mu.Unlock()
 	// Refusals happen here rather than burning a round trip to a member.
+	hdr := sub.Pipeline
 	mech, adopted, err := collector.ResolveMechanism("fleet", installed, pipeline, hdr, s.cfg.Build)
 	if err != nil {
-		collector.WriteError(w, http.StatusConflict, err)
-		return
+		return collector.SubmitResponse{}, err
 	}
 	if adopted {
 		pin := *hdr
@@ -339,28 +270,24 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	// can adopt and cross-check the shard.
 	forwardBody, forwardHdr := body, hdr
 	if hdr == nil && pipeline != nil {
-		if kind == collector.ShardAggregate {
+		if sub.Kind == collector.ShardAggregate {
 			forwardHdr = pipeline
 		} else {
 			line, err := marshalHeaderLine(pipeline)
 			if err != nil {
-				collector.WriteError(w, http.StatusInternalServerError, err)
-				return
+				return collector.SubmitResponse{}, &collector.Refusal{Status: http.StatusInternalServerError, Err: err}
 			}
 			forwardBody = append(line, body...)
 		}
 	}
 
-	resp, m, status, err := s.forward(r.Context(), kind, forwardBody, forwardHdr, id)
+	resp, m, err := s.forward(ctx, sub.Kind, forwardBody, forwardHdr, id)
 	if err != nil {
-		if errors.As(err, new(*unknownStateError)) {
-			w.Header().Set(collector.SubmissionStateHeader, collector.SubmissionStateUnknown)
-		}
-		collector.WriteError(w, status, err)
-		return
+		return collector.SubmitResponse{}, err
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if adopted && s.mech == nil {
 		s.mech = mech
 		s.pipeline = pipeline
@@ -379,7 +306,7 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	if !resp.Duplicate || recovered {
 		s.stats.Routed++
 		s.met.Submissions.With(collector.SubmissionAccepted).Inc()
-		if kind == collector.ShardReport {
+		if sub.Kind == collector.ShardReport {
 			s.stats.ReportShards++
 		} else {
 			s.stats.AggregateShards++
@@ -404,8 +331,7 @@ func (s *Supervisor) routeSubmission(w http.ResponseWriter, r *http.Request, kin
 	ack, _ := json.Marshal(resp)
 	s.acks.Put(id, ack)
 	delete(s.sticky, id)
-	s.mu.Unlock()
-	collector.WriteJSON(w, http.StatusOK, resp)
+	return *resp, nil
 }
 
 // marshalHeaderLine renders the pinned pipeline as a reports-framing
@@ -435,7 +361,8 @@ func (s *Supervisor) order() []*member {
 // forward tries members in routing order — healthy ones first, then (as
 // a last-ditch revival pass) any member not yet tried in this call, so a
 // recovered member rejoins without waiting for a probe and a member that
-// just failed is not immediately re-tried.
+// just failed is not immediately re-tried. Every error it returns is a
+// collector.Refusal carrying the supervisor's answer.
 //
 // Failover is only safe when the shard provably did not merge at the
 // attempted member, so each outcome is classified:
@@ -455,7 +382,7 @@ func (s *Supervisor) order() []*member {
 //     pinned to this member and the client told to retry — the replay
 //     routes back here and the member's idempotency log answers
 //     exactly once.
-func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body []byte, hdr *collector.Pipeline, id string) (*collector.SubmitResponse, *member, int, error) {
+func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body []byte, hdr *collector.Pipeline, id string) (*collector.SubmitResponse, *member, error) {
 	span := trace.SpanFrom(ctx)
 	s.mu.Lock()
 	pinned := s.sticky[id]
@@ -492,7 +419,7 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 			if err == nil {
 				attempt.End()
 				m.markHealthy()
-				return resp, m, 0, nil
+				return resp, m, nil
 			}
 			attempt.Fail(err)
 			attempt.End()
@@ -503,8 +430,7 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 				// to it — a retry of the same ID must route back here.
 				s.pinSticky(id, m)
 				span.Event("sticky.pin", trace.String("member", m.url), trace.String("reason", "request cancelled mid-attempt"))
-				return nil, m, http.StatusServiceUnavailable, &unknownStateError{
-					fmt.Errorf("request cancelled while member %s was processing; retry with the same submission ID", m.url)}
+				return nil, nil, unknownState("request cancelled while member %s was processing; retry with the same submission ID", m.url)
 			}
 			var se *collector.StatusError
 			switch {
@@ -515,8 +441,7 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 				m.markUnhealthy(err)
 				s.pinSticky(id, m)
 				span.Event("sticky.pin", trace.String("member", m.url), trace.String("reason", "member reports unknown submission state"))
-				return nil, m, http.StatusServiceUnavailable, &unknownStateError{
-					fmt.Errorf("member %s reports this submission's state as unknown; retry with the same submission ID", m.url)}
+				return nil, nil, unknownState("member %s reports this submission's state as unknown; retry with the same submission ID", m.url)
 			case errors.As(err, &se) && (se.StatusCode == http.StatusBadRequest || se.StatusCode == http.StatusConflict):
 				// The member's submission handler runs its replay check
 				// before any validation, so a 400/409 proves this ID
@@ -524,7 +449,7 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 				s.mu.Lock()
 				delete(s.sticky, id)
 				s.mu.Unlock()
-				return nil, m, se.StatusCode, fmt.Errorf("member %s: %v", m.url, memberMessage(se))
+				return nil, nil, &collector.Refusal{Status: se.StatusCode, Err: fmt.Errorf("member %s: %v", m.url, memberMessage(se))}
 			case errors.As(err, &se) && (se.StatusCode < 500 || se.Message != ""),
 				collector.RequestNotSent(err):
 				// The member's own stack answered non-2xx before any
@@ -543,8 +468,7 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 				m.markUnhealthy(err)
 				s.pinSticky(id, m)
 				span.Event("sticky.pin", trace.String("member", m.url), trace.String("reason", "answer lost after send"))
-				return nil, m, http.StatusServiceUnavailable, &unknownStateError{
-					fmt.Errorf("member %s may hold this submission but its answer was lost (%v); retry with the same submission ID", m.url, err)}
+				return nil, nil, unknownState("member %s may hold this submission but its answer was lost (%v); retry with the same submission ID", m.url, err)
 			}
 		}
 	}
@@ -552,39 +476,35 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 		// The pinned member could not answer this retry, so the
 		// original attempt's merge state is STILL unknown — a stacked
 		// supervisor above must not read this 503 as safe to fail over.
-		return nil, pinned, http.StatusServiceUnavailable, &unknownStateError{
-			fmt.Errorf("pinned member %s is unreachable and may hold this submission (%v); retry with the same submission ID", pinned.url, lastErr)}
+		return nil, nil, unknownState("pinned member %s is unreachable and may hold this submission (%v); retry with the same submission ID", pinned.url, lastErr)
 	}
-	return nil, nil, http.StatusServiceUnavailable,
-		fmt.Errorf("no fleet member accepted the %s submission: %v", kind, lastErr)
+	return nil, nil, &collector.Refusal{Status: http.StatusServiceUnavailable,
+		Err: fmt.Errorf("no fleet member accepted the %s submission: %v", kind, lastErr)}
 }
 
-// unknownStateError marks a refusal whose submission may still have
-// merged somewhere below; routeSubmission translates it into the
-// X-Dpspatial-Submission-State response header so supervisors stack
-// without losing the distinction.
-type unknownStateError struct{ err error }
+// unknownState refuses a submission that may still have merged somewhere
+// below: 503, marked with the X-Dpspatial-Submission-State header so
+// supervisors stack without losing the distinction.
+func unknownState(format string, args ...any) error {
+	return &collector.Refusal{Status: http.StatusServiceUnavailable, Unknown: true, Err: fmt.Errorf(format, args...)}
+}
 
-func (e *unknownStateError) Error() string { return e.err.Error() }
-func (e *unknownStateError) Unwrap() error { return e.err }
-
-// replayedAck answers a replayed submission ID from the ack log before
-// the body is read — a retried max-size shard then costs a header, not
-// a 64 MiB upload. routeSubmission re-checks under the in-flight
-// reservation, which remains the authoritative gate.
-func (s *Supervisor) replayedAck(r *http.Request) (collector.SubmitResponse, bool) {
-	id := r.Header.Get(collector.SubmissionIDHeader)
-	if id == "" {
-		return collector.SubmitResponse{}, false
-	}
+// replay is the supervisor's ack-log lookup for the Engine's replay
+// check, made before the body is read. commit re-checks under the
+// in-flight reservation, which remains the authoritative gate.
+func (s *Supervisor) replay(ctx context.Context, id string) (collector.SubmitResponse, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.replayLocked(trace.SpanFrom(ctx), id)
+}
+
+// replayLocked answers a replayed submission ID from the ack log and
+// counts the duplicate. Callers hold mu.
+func (s *Supervisor) replayLocked(span *trace.Span, id string) (collector.SubmitResponse, bool) {
 	prev, ok := s.acks.Get(id)
 	if ok {
 		s.stats.Duplicates++
 		s.met.Submissions.With(collector.SubmissionDuplicate).Inc()
-		span := trace.SpanFrom(r.Context())
-		span.SetAttr(trace.String("submissionId", id))
 		span.Event("duplicate.replay", trace.String("originalTraceId", prev.TraceID))
 	}
 	return prev, ok
@@ -644,30 +564,18 @@ func (s *Supervisor) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveAggregate serves the fleet-merged aggregate as a DPA2 blob, with
-// the pinned pipeline in the response header — byte-compatible with a
-// collector's GET /v1/aggregate, so supervisors stack.
-func (s *Supervisor) serveAggregate(w http.ResponseWriter, r *http.Request) {
-	merged, _, err := s.pullMerged(r.Context())
+// mergedBlob is the supervisor's GET /v1/aggregate: the fleet-merged
+// aggregate as a DPA2 blob, with the pinned pipeline — byte-compatible
+// with a collector's, so supervisors stack.
+func (s *Supervisor) mergedBlob(ctx context.Context) ([]byte, *collector.Pipeline, error) {
+	merged, _, err := s.pullMerged(ctx)
 	if err != nil {
-		collector.WriteError(w, pullErrorStatus(err), err)
-		return
+		return nil, nil, err
 	}
 	blob, err := merged.MarshalBinary()
-	if err != nil {
-		collector.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
 	s.mu.Lock()
-	pipeline := s.pipeline
-	s.mu.Unlock()
-	if pipeline != nil {
-		hdr, _ := json.Marshal(pipeline)
-		w.Header().Set(collector.PipelineHeader, string(hdr))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
+	defer s.mu.Unlock()
+	return blob, s.pipeline, err
 }
 
 func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -285,9 +285,6 @@ func TestQuickShrunkenAreaInUnitRange(t *testing.T) {
 
 func TestCellGeometryBasics(t *testing.T) {
 	c := Cell{3, -2}
-	if c.Center() != (Point{3, -2}) {
-		t.Fatalf("centre %v", c.Center())
-	}
 	r := CellRect(c)
 	if r.Area() != 1 {
 		t.Fatalf("cell area %v", r.Area())

@@ -26,9 +26,6 @@ type Cell struct {
 	X, Y int
 }
 
-// Center returns the cell's central point.
-func (c Cell) Center() Point { return Point{float64(c.X), float64(c.Y)} }
-
 // Add translates the cell by an offset.
 func (c Cell) Add(o Cell) Cell { return Cell{c.X + o.X, c.Y + o.Y} }
 

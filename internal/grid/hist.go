@@ -87,15 +87,6 @@ func (h *Hist2D) MarginalX() []float64 {
 	return m
 }
 
-// MarginalY returns the histogram's marginal along the y axis.
-func (h *Hist2D) MarginalY() []float64 {
-	m := make([]float64, h.Dom.D)
-	for i, v := range h.Mass {
-		m[i/h.Dom.D] += v
-	}
-	return m
-}
-
 // TotalVariation returns the total-variation distance between two
 // normalised histograms on the same domain shape.
 func TotalVariation(a, b *Hist2D) (float64, error) {

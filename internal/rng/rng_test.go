@@ -122,22 +122,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(17)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("negative exponential variate %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %v too far from 1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(19)
 	for _, n := range []int{0, 1, 2, 5, 50} {
