@@ -644,11 +644,7 @@ func BenchmarkRangeQueryExperiment(b *testing.B) {
 // (cold EM decode included) — the per-epoch cost of `damctl serve`.
 func BenchmarkCollectorPipeline(b *testing.B) {
 	dom := benchDomain(b, 10)
-	m, err := dpspatial.NewDAM(dom, 3.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := dpspatial.AsReporting(m)
+	pipeline, rm, err := dpspatial.NewCollectorPipeline("DAM", dom, 3.5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -661,7 +657,7 @@ func BenchmarkCollectorPipeline(b *testing.B) {
 	rr := dpspatial.NewRand(10)
 	for s := range blobs {
 		shard := rm.NewAggregate()
-		if err := dpspatial.AccumulateHist(m, shard, truth, rr); err != nil {
+		if err := dpspatial.AccumulateHist(rm, shard, truth, rr); err != nil {
 			b.Fatal(err)
 		}
 		if blobs[s], err = shard.MarshalBinary(); err != nil {
@@ -672,7 +668,7 @@ func BenchmarkCollectorPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := collector.New(collector.Config{Mechanism: rm})
+		c, err := collector.New(collector.Config{Mechanism: rm, Pipeline: pipeline})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -698,11 +694,7 @@ func BenchmarkCollectorPipeline(b *testing.B) {
 // queries on top of BenchmarkCollectorPipeline's merge work.
 func BenchmarkQueryPipeline(b *testing.B) {
 	dom := benchDomain(b, 10)
-	m, err := dpspatial.NewDAM(dom, 3.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := dpspatial.AsReporting(m)
+	pipeline, rm, err := dpspatial.NewCollectorPipeline("DAM", dom, 3.5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -715,7 +707,7 @@ func BenchmarkQueryPipeline(b *testing.B) {
 	rr := dpspatial.NewRand(10)
 	for s := range blobs {
 		shard := rm.NewAggregate()
-		if err := dpspatial.AccumulateHist(m, shard, truth, rr); err != nil {
+		if err := dpspatial.AccumulateHist(rm, shard, truth, rr); err != nil {
 			b.Fatal(err)
 		}
 		if blobs[s], err = shard.MarshalBinary(); err != nil {
@@ -726,7 +718,7 @@ func BenchmarkQueryPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := collector.New(collector.Config{Mechanism: rm})
+		c, err := collector.New(collector.Config{Mechanism: rm, Pipeline: pipeline})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -756,11 +748,7 @@ func BenchmarkQueryPipeline(b *testing.B) {
 // collector.
 func BenchmarkFleetPipeline(b *testing.B) {
 	dom := benchDomain(b, 10)
-	m, err := dpspatial.NewDAM(dom, 3.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rm, err := dpspatial.AsReporting(m)
+	pipeline, rm, err := dpspatial.NewCollectorPipeline("DAM", dom, 3.5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -773,7 +761,7 @@ func BenchmarkFleetPipeline(b *testing.B) {
 	rr := dpspatial.NewRand(10)
 	for s := range blobs {
 		shard := rm.NewAggregate()
-		if err := dpspatial.AccumulateHist(m, shard, truth, rr); err != nil {
+		if err := dpspatial.AccumulateHist(rm, shard, truth, rr); err != nil {
 			b.Fatal(err)
 		}
 		if blobs[s], err = shard.MarshalBinary(); err != nil {
@@ -787,7 +775,7 @@ func BenchmarkFleetPipeline(b *testing.B) {
 		memberURLs := make([]string, 2)
 		memberSrvs := make([]*httptest.Server, 2)
 		for j := range memberURLs {
-			c, err := collector.New(collector.Config{Mechanism: rm})
+			c, err := collector.New(collector.Config{Mechanism: rm, Pipeline: pipeline})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -37,9 +37,9 @@ const reportShards = 4
 // stream EstimateHist consumes — through a loopback HTTP collector, and
 // returns the estimate the collector serves plus a live client for
 // follow-up /v1/query calls. The caller owns closeFn.
-func streamEstimate(rm dpspatial.ReportingMechanism, truth *dpspatial.Histogram, seed uint64) (
+func streamEstimate(rm dpspatial.ReportingMechanism, pipeline *dpspatial.CollectorPipeline, truth *dpspatial.Histogram, seed uint64) (
 	est *dpspatial.Histogram, client *collector.Client, closeFn func(), err error) {
-	coll, err := collector.New(collector.Config{Mechanism: rm})
+	coll, err := collector.New(collector.Config{Mechanism: rm, Pipeline: pipeline})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -135,15 +135,11 @@ func main() {
 	mechs := make(map[string]dpspatial.ReportingMechanism)
 	ests := make(map[string]*dpspatial.Histogram)
 	for _, route := range routes {
-		mech, err := dpspatial.NewMechanism(route.name, dom, eps)
+		pipeline, rm, err := dpspatial.NewCollectorPipeline(route.name, dom, eps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rm, err := dpspatial.AsReporting(mech)
-		if err != nil {
-			log.Fatal(err)
-		}
-		est, client, closeFn, err := streamEstimate(rm, truth, route.seed)
+		est, client, closeFn, err := streamEstimate(rm, pipeline, truth, route.seed)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,14 +35,14 @@ import (
 // the supervisor's first decode hierarchically merges every member's
 // aggregate and cold-starts EM, so neither the member count nor the
 // routing changes a single bit of the output.
-func collectRound(rm dpspatial.ReportingMechanism, mechName string, dom dpspatial.Domain,
+func collectRound(rm dpspatial.ReportingMechanism, pipeline *dpspatial.CollectorPipeline, mechName string, dom dpspatial.Domain,
 	pts []dpspatial.Point, shards, members int, eps float64, seed uint64) (*dpspatial.Histogram, *dpspatial.CollectorStats, error) {
 	// One fresh fleet per epoch: a long-running deployment would instead
 	// keep merging and let the supervisor's warm-started cadence
 	// refreshes absorb new shards (see `damctl supervise`).
 	memberURLs := make([]string, members)
 	for i := range memberURLs {
-		coll, err := collector.New(collector.Config{Mechanism: rm})
+		coll, err := collector.New(collector.Config{Mechanism: rm, Pipeline: pipeline})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -135,11 +135,7 @@ func main() {
 	}
 	fmt.Printf("\n%-8s %10s\n", "method", "W2 error")
 	for _, m := range mechanisms {
-		mech, err := dpspatial.NewMechanism(m.name, dom, eps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rm, err := dpspatial.AsReporting(mech)
+		pipeline, rm, err := dpspatial.NewCollectorPipeline(m.name, dom, eps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -147,7 +143,7 @@ func main() {
 		const rounds = 3
 		total := 0.0
 		for round := uint64(0); round < rounds; round++ {
-			est, stats, err := collectRound(rm, m.name, dom, pts, shards, members, eps, 100+round)
+			est, stats, err := collectRound(rm, pipeline, m.name, dom, pts, shards, members, eps, 100+round)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -50,11 +50,16 @@ func encodeTrajectories(report func(trajectory.Trajectory, *rng.RNG) (fo.Report,
 	return reports, nil
 }
 
-// serveReports streams the reports to a fresh loopback HTTP collector in
+// serveReports streams the reports to a fresh loopback HTTP collector,
+// built around rm and pinned to the named mechanism's pipeline, in
 // reportShards round-robin shard submissions and returns the estimate
 // the collector serves back.
-func serveReports(rm collector.Estimator, reports []fo.Report) (*grid.Hist2D, error) {
-	coll, err := collector.New(collector.Config{Mechanism: rm})
+func serveReports(rm collector.Estimator, name string, dom grid.Domain, eps float64, reports []fo.Report) (*grid.Hist2D, error) {
+	pipeline, _, err := dpspatial.NewCollectorPipeline(name, dom, eps)
+	if err != nil {
+		return nil, err
+	}
+	coll, err := collector.New(collector.Config{Mechanism: rm, Pipeline: pipeline})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +140,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ltEst, err := serveReports(lt, ltReports)
+	ltEst, err := serveReports(lt, "LDPTrace", dom, eps, ltReports)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,7 +162,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ptEst, err := serveReports(pt, ptReports)
+	ptEst, err := serveReports(pt, "PivotTrace", dom, eps, ptReports)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -190,7 +195,7 @@ func main() {
 			damReports = append(damReports, rep)
 		}
 	}
-	damEst, err := serveReports(dam, damReports)
+	damEst, err := serveReports(dam, "DAM", dom, eps, damReports)
 	if err != nil {
 		log.Fatal(err)
 	}

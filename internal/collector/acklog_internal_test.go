@@ -65,7 +65,8 @@ func TestSnapshotAllocsIndependentOfAckCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		c, err := New(Config{Mechanism: mech, Store: st, DisableTraces: true})
+		pin := &Pipeline{Mech: "DAM", D: 6, Eps: 2, Scheme: mech.Scheme(), Shape: mech.ReportShape(), Domain: DomainSpec{Side: 1}}
+		c, err := New(Config{Mechanism: mech, Pipeline: pin, Store: st, DisableTraces: true})
 		if err != nil {
 			t.Fatal(err)
 		}

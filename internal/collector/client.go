@@ -196,11 +196,7 @@ func RequestNotSent(err error) bool {
 // instances.
 func NewSubmissionID() string {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; an ID-less
-		// submission merely loses replay protection.
-		return ""
-	}
+	rand.Read(b[:]) // never returns an error: it crashes the program instead
 	return hex.EncodeToString(b[:])
 }
 

@@ -13,12 +13,18 @@
 // refreshes warm-start from the previous generation's estimate and reach
 // the same fixed point within the EM tolerance; /v1/stats reports the
 // iterations saved.
+//
+// A collector serves one mechanism and the pipeline it is pinned to:
+// both come from Config (Mechanism with its Pipeline), or are adopted
+// from the first submission that carries pipeline metadata and
+// validates in full (Build). The shared Engine, which also serves the
+// fleet supervisor, holds that identity and refuses reads until it is
+// set.
 package collector
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -52,16 +58,14 @@ type WarmEstimator interface {
 // Config configures a collector.
 type Config struct {
 	// Mechanism, if non-nil, locks the collector to this estimator from
-	// the start.
+	// the start; Pipeline must then carry its metadata.
 	Mechanism Estimator
-	// Pipeline optionally records the metadata of a pre-built Mechanism,
-	// so GET /v1/aggregate can replay it and submissions carrying
-	// pipeline metadata are cross-checked in full — including the
-	// geographic domain, which the report scheme string alone does not
-	// encode. When nil, the first submission whose metadata
-	// cross-checks against the mechanism (scheme and shape) pins it
-	// for the rest of the daemon's life; set Pipeline explicitly to
-	// control the domain rather than trusting the first client.
+	// Pipeline is the metadata of a pre-built Mechanism: the pin. GET
+	// /v1/aggregate serves it, and every submission carrying pipeline
+	// metadata is checked against it in full — including the geographic
+	// domain, which the report scheme string alone does not encode.
+	// Required with Mechanism; ignored with Build (the pin comes from the
+	// first accepted submission instead).
 	Pipeline *Pipeline
 	// Build, if set and Mechanism is nil, lets the collector adopt its
 	// mechanism from the first submission that carries a Pipeline header
@@ -135,10 +139,9 @@ type Collector struct {
 	engine *Engine
 
 	// mu guards the mutable collector state. Submissions hold it only
-	// for the merge itself, never during an EM decode.
+	// for the merge itself, never during an EM decode. agg is nil until
+	// the collector adopts a mechanism; stats holds the shard counters.
 	mu         sync.Mutex
-	mech       Estimator
-	pipeline   *Pipeline
 	agg        *fo.Aggregate
 	generation uint64
 	stats      Stats
@@ -147,8 +150,8 @@ type Collector struct {
 	// store, when non-nil, is the durable persistence layer; WAL appends
 	// and snapshots run under mu as part of the submission commit.
 	// pipelinePersisted tracks whether the store (snapshot or current
-	// WAL) already holds the pinned pipeline, so each WAL generation
-	// records it exactly once. snapshotTriedAt is RecordsSinceSnapshot
+	// WAL) already holds the pin, so each WAL generation records it
+	// exactly once. snapshotTriedAt is RecordsSinceSnapshot
 	// as the last snapshot attempt left it: 0 after a success, the
 	// backlog after a failure.
 	store             *durable.Store
@@ -156,21 +159,27 @@ type Collector struct {
 	snapshotTriedAt   uint64
 }
 
-// New builds a collector. Either cfg.Mechanism or cfg.Build must be set.
+// New builds a collector. Either cfg.Mechanism, with its cfg.Pipeline,
+// or cfg.Build must be set.
 func New(cfg Config) (*Collector, error) {
 	if cfg.Mechanism == nil && cfg.Build == nil {
 		return nil, fmt.Errorf("collector: config needs a Mechanism or a Build hook")
 	}
+	if cfg.Mechanism != nil && cfg.Pipeline == nil {
+		return nil, fmt.Errorf("collector: a pre-built Mechanism needs its Pipeline metadata (the pin every submission is checked against)")
+	}
 	c := &Collector{cfg: cfg, store: cfg.Store, acks: NewAckLog(DedupWindow)}
 	c.engine = NewEngine(EngineConfig{
 		Tier: "collector", Service: "collector",
+		Mechanism:    cfg.Mechanism,
+		Pipeline:     cfg.Pipeline,
+		Build:        cfg.Build,
 		Source:       c.mergedState,
 		Replay:       c.replay,
 		Commit:       c.commit,
 		Aggregate:    c.aggregateBlob,
 		MaxBodyBytes: cfg.MaxBodyBytes,
 		Routes: map[string]http.HandlerFunc{
-			"/healthz":  MethodOnly(http.MethodGet, c.handleHealthz),
 			"/v1/stats": MethodOnly(http.MethodGet, c.handleStats),
 		},
 		Cadence:        cfg.Cadence,
@@ -182,17 +191,13 @@ func New(cfg Config) (*Collector, error) {
 		EnablePprof:    cfg.EnablePprof,
 	})
 	if cfg.Mechanism != nil {
-		c.mech = cfg.Mechanism
-		c.pipeline = cfg.Pipeline
 		c.agg = cfg.Mechanism.NewAggregate()
-		c.stats.Scheme = cfg.Mechanism.Scheme()
 	}
 	if c.store != nil {
 		if err := c.recoverFromStore(); err != nil {
 			return nil, fmt.Errorf("collector: recovering durable state: %w", err)
 		}
 	}
-	c.stats.CadenceMillis = cfg.Cadence.Milliseconds()
 	c.registerCollectorMetrics()
 	return c, nil
 }
@@ -217,104 +222,10 @@ func (c *Collector) Start() { c.engine.Start() }
 func (c *Collector) Close() {
 	c.engine.Close()
 	c.mu.Lock()
-	if c.store != nil && c.mech != nil && c.store.RecordsSinceSnapshot() > 0 {
+	if c.store != nil && c.store.RecordsSinceSnapshot() > 0 {
 		_ = c.snapshotLocked()
 	}
 	c.mu.Unlock()
-}
-
-// ResolveMechanism returns the mechanism a submission carrying pipeline
-// metadata p (which may be nil) should validate against: the installed
-// one, checked against p and the pinned pipeline, or — while the tier
-// (named in refusals) has none — a candidate built from p. A candidate
-// (adopted=true) is NOT installed here: callers commit it only after
-// the whole submission validated, so a rejected shard can never lock a
-// tier to its mechanism.
-func ResolveMechanism(tier string, installed Estimator, pinned, p *Pipeline, build func(*Pipeline) (Estimator, error)) (mech Estimator, adopted bool, err error) {
-	if installed != nil {
-		if p != nil && p.Scheme != "" && p.Scheme != installed.Scheme() {
-			return nil, false, fmt.Errorf("submission scheme %q does not match %s scheme %q", p.Scheme, tier, installed.Scheme())
-		}
-		if p != nil && pinned != nil {
-			if err := pinned.Compatible(p); err != nil {
-				return nil, false, err
-			}
-		}
-		return installed, false, nil
-	}
-	if p == nil {
-		return nil, false, fmt.Errorf("%s has no mechanism yet; submit a shard with pipeline metadata first", tier)
-	}
-	candidate, err := build(p)
-	if err != nil {
-		return nil, false, fmt.Errorf("building mechanism from pipeline: %w", err)
-	}
-	if p.Scheme != "" && candidate.Scheme() != p.Scheme {
-		return nil, false, fmt.Errorf("rebuilt mechanism scheme %q does not match submitted scheme %q", candidate.Scheme(), p.Scheme)
-	}
-	return candidate, true, nil
-}
-
-// adoptLocked installs a validated candidate mechanism — unless a
-// concurrent submission already installed one, in which case the
-// candidate must agree on the scheme. Callers hold mu.
-func (c *Collector) adoptLocked(mech Estimator, p *Pipeline) error {
-	if c.mech != nil {
-		if c.mech.Scheme() != mech.Scheme() {
-			return fmt.Errorf("submission scheme %q does not match collector scheme %q", mech.Scheme(), c.mech.Scheme())
-		}
-		return nil
-	}
-	pin := *p
-	c.mech = mech
-	c.pipeline = &pin
-	c.agg = mech.NewAggregate()
-	c.stats.Scheme = mech.Scheme()
-	return nil
-}
-
-// checkAndPinPipelineLocked validates a submission's pipeline metadata
-// at commit time — under mu, because the state commit resolved the
-// mechanism against may be stale by the time the body has been
-// processed — and records the first cross-checkable metadata when the
-// collector was constructed with a bare Mechanism and no Pipeline. The
-// report scheme alone does not encode the geographic domain, so without
-// the pin a same-scheme shard collected over a different region would
-// merge silently; once pinned, Pipeline.Compatible refuses it,
-// including for concurrent first submissions racing each other. A
-// header only becomes the pin if its scheme and (when present) shape
-// agree with the installed mechanism, so one misconfigured client
-// cannot poison the pin and lock every later correct submission out.
-// Callers hold mu; c.mech is installed.
-func (c *Collector) checkAndPinPipelineLocked(p *Pipeline) error {
-	if p == nil {
-		return nil
-	}
-	if p.Scheme != "" && p.Scheme != c.mech.Scheme() {
-		return fmt.Errorf("submission scheme %q does not match collector scheme %q", p.Scheme, c.mech.Scheme())
-	}
-	if c.pipeline != nil {
-		return c.pipeline.Compatible(p)
-	}
-	if p.Shape != nil {
-		shape := c.mech.ReportShape()
-		if len(p.Shape) != len(shape) {
-			return fmt.Errorf("submission declares %d report planes, mechanism has %d", len(p.Shape), len(shape))
-		}
-		for i, n := range shape {
-			if p.Shape[i] != n {
-				return fmt.Errorf("submission plane %d has %d counts, mechanism expects %d", i, p.Shape[i], n)
-			}
-		}
-	}
-	if p.Scheme == "" || p.Mech == "" || p.D <= 0 || p.Domain.Side <= 0 {
-		// Partial metadata cannot be cross-checked (and would lock out
-		// fully-specified clients if pinned): merge but never pin it.
-		return nil
-	}
-	pin := *p
-	c.pipeline = &pin
-	return nil
 }
 
 // commit is the collector's step of the Engine's submit path: resolve
@@ -325,10 +236,7 @@ func (c *Collector) checkAndPinPipelineLocked(p *Pipeline) error {
 // only after the whole submission validated: a bad shard must not lock
 // the collector.
 func (c *Collector) commit(ctx context.Context, sub *Submission) (SubmitResponse, error) {
-	c.mu.Lock()
-	installed, pinned := c.mech, c.pipeline
-	c.mu.Unlock()
-	mech, adopted, err := ResolveMechanism("collector", installed, pinned, sub.Pipeline, c.cfg.Build)
+	mech, candidate, err := c.engine.Resolve(sub.Pipeline)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
@@ -341,17 +249,16 @@ func (c *Collector) commit(ctx context.Context, sub *Submission) (SubmitResponse
 	} else if err := shard.Compatible(mech); err != nil {
 		return SubmitResponse{}, err
 	}
-	return c.commitShard(ctx, shard, sub.Pipeline, mech, adopted, sub.ID, sub.Kind)
+	return c.commitShard(ctx, shard, sub.Pipeline, mech, candidate, sub.ID, sub.Kind)
 }
 
 // commitShard runs the locked commit of a fully parsed and validated
-// submission: replay-check the submission ID, install an adopted
-// candidate mechanism, validate and pin the pipeline metadata, persist
-// the submission to the WAL (durable collectors), merge the shard, and
-// count it. Both submission kinds run it, so the adoption transaction
-// cannot diverge between the report and aggregate paths. A replayed ID
-// returns the original ack without merging, which is what makes client
-// retries after a lost response exactly-once.
+// submission: replay-check the submission ID, adopt a candidate
+// mechanism, persist the submission to the WAL (durable collectors),
+// merge the shard, and count it. Both submission kinds run it, so the
+// adoption transaction cannot diverge between the report and aggregate
+// paths. A replayed ID returns the original ack without merging, which
+// is what makes client retries after a lost response exactly-once.
 //
 // The commit order is what extends that guarantee across a crash: the
 // ack is constructed from the post-merge totals, fsync'd into the WAL,
@@ -359,26 +266,20 @@ func (c *Collector) commit(ctx context.Context, sub *Submission) (SubmitResponse
 // and since the shard already passed Compatible (a superset of Merge's
 // checks) the merge after a successful append cannot fail, keeping
 // memory and disk in lockstep.
-func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *Pipeline, mech Estimator, adopted bool, id string, kind ShardKind) (SubmitResponse, error) {
+func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *Pipeline, mech Estimator, candidate bool, id string, kind ShardKind) (SubmitResponse, error) {
 	span := trace.SpanFrom(ctx)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev, ok := c.replayLocked(span, id); ok {
 		return prev, nil
 	}
-	if adopted {
-		if err := c.adoptLocked(mech, hdr); err != nil {
+	if candidate {
+		if err := c.installLocked(mech, hdr); err != nil {
 			return SubmitResponse{}, err
 		}
 	}
-	if err := c.checkAndPinPipelineLocked(hdr); err != nil {
-		return SubmitResponse{}, err
-	}
-	if err := shard.Compatible(c.mech); err != nil {
-		return SubmitResponse{}, err
-	}
 	resp := SubmitResponse{
-		Scheme:       c.mech.Scheme(),
+		Scheme:       mech.Scheme(),
 		Reports:      shard.N,
 		TotalReports: c.agg.N + shard.N,
 		Generation:   c.generation + 1,
@@ -404,9 +305,7 @@ func (c *Collector) commitShard(ctx context.Context, shard *fo.Aggregate, hdr *P
 		trace.Int("generation", int64(c.generation)),
 	)
 	mergeSpan.End()
-	c.stats.Generation = c.generation
-	c.stats.Reports = c.agg.N
-	kind.count(&c.stats)
+	kind.Count(&c.stats)
 	ackSpan := span.Child("collector.ack")
 	c.acks.Put(id, ack)
 	ackSpan.End()
@@ -437,12 +336,18 @@ func (c *Collector) replayLocked(span *trace.Span, id string) (SubmitResponse, b
 	return prev, ok
 }
 
-// errNoMechanism / errNoReports are the collector's read refusals
-// before it holds anything to decode (409).
-var (
-	errNoMechanism = errors.New("collector has no mechanism yet")
-	errNoReports   = errors.New("no reports merged yet")
-)
+// installLocked adopts a candidate mechanism from Engine.Resolve as the
+// collector's identity and opens its canonical aggregate. Callers hold
+// mu.
+func (c *Collector) installLocked(mech Estimator, p *Pipeline) error {
+	if err := c.engine.Adopt(mech, p); err != nil {
+		return err
+	}
+	if c.agg == nil {
+		c.agg = mech.NewAggregate()
+	}
+	return nil
+}
 
 // mergedState is the collector's state source: its generation names the
 // canonical aggregate, which is cloned under mu — only when the engine
@@ -451,13 +356,7 @@ var (
 func (c *Collector) mergedState(_ context.Context, cached uint64, ok bool) (State, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.mech == nil {
-		return State{}, errNoMechanism
-	}
-	if c.agg.N == 0 {
-		return State{}, errNoReports
-	}
-	st := State{Mech: c.mech, Key: c.generation, Gen: c.generation, N: c.agg.N}
+	st := State{Key: c.generation, Gen: c.generation, N: c.agg.N}
 	if !ok || cached != c.generation {
 		st.Agg = c.agg.Clone()
 	}
@@ -465,37 +364,22 @@ func (c *Collector) mergedState(_ context.Context, cached uint64, ok bool) (Stat
 }
 
 // aggregateBlob is the collector's GET /v1/aggregate: the canonical
-// aggregate as a DPA2 blob, with the pinned pipeline.
-func (c *Collector) aggregateBlob(context.Context) ([]byte, *Pipeline, error) {
+// aggregate as a DPA2 blob.
+func (c *Collector) aggregateBlob(context.Context) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.mech == nil {
-		return nil, nil, errNoMechanism
-	}
-	blob, err := c.agg.MarshalBinary()
-	return blob, c.pipeline, err
-}
-
-// --- HTTP handlers ---
-
-func (c *Collector) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	scheme := ""
-	if c.mech != nil {
-		scheme = c.mech.Scheme()
-	}
-	gen := c.generation
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok", "scheme": scheme, "generation": gen,
-	})
+	return c.agg.MarshalBinary()
 }
 
 func (c *Collector) handleStats(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	stats := c.stats
+	stats.Generation = c.generation
+	if c.agg != nil {
+		stats.Reports = c.agg.N
+	}
 	c.mu.Unlock()
-	stats.DecodeCounters, stats.EstimateGeneration = c.engine.DecodeStats()
+	c.engine.FillStats(&stats)
 	if c.store != nil {
 		ds := c.store.Stats()
 		stats.Durability = &ds

@@ -34,11 +34,11 @@ func newDAM(t *testing.T, d int, eps float64) *sam.Mechanism {
 	return m
 }
 
-// startServer runs a collector pre-built around mech under an httptest
-// server and returns a client for it.
-func startServer(t *testing.T, mech collector.Estimator, cadence time.Duration) (*collector.Client, *collector.Collector) {
+// startServer runs a collector pre-built around mech, pinned to
+// pipeline, under an httptest server and returns a client for it.
+func startServer(t *testing.T, mech collector.Estimator, pipeline *collector.Pipeline, cadence time.Duration) (*collector.Client, *collector.Collector) {
 	t.Helper()
-	c, err := collector.New(collector.Config{Mechanism: mech, Cadence: cadence})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: pipeline, Cadence: cadence})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEstimateMatchesInProcessByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 6, 1.5), 0)
 	ctx := context.Background()
 	for i, s := range shards {
 		resp, err := client.SubmitAggregate(ctx, s, nil)
@@ -147,7 +147,7 @@ func TestConcurrentAggregateMergesByteIdentity(t *testing.T) {
 	}
 
 	for trial := 0; trial < 3; trial++ {
-		client, _ := startServer(t, newDAM(t, 5, 2.0), 0)
+		client, _ := startServer(t, newDAM(t, 5, 2.0), durPipeline(mech, 5, 2.0), 0)
 		ctx := context.Background()
 		var wg sync.WaitGroup
 		errs := make(chan error, len(shards))
@@ -179,6 +179,73 @@ func TestConcurrentAggregateMergesByteIdentity(t *testing.T) {
 	}
 }
 
+// TestConcurrentAdoption races first submissions, each carrying the
+// pipeline, against reads of an adopt-mode collector: every shard
+// merges under the one adopted mechanism, every read answers or refuses
+// with a 409, and the merged aggregate equals the serial merge.
+func TestConcurrentAdoption(t *testing.T) {
+	mech := newDAM(t, 5, 2.0)
+	pipeline := durPipeline(mech, 5, 2.0)
+	shards := accumulateShards(t, mech, 6, 29)
+	wantBlob, err := mergeAll(t, mech, shards).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := collector.New(collector.Config{Build: durBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	t.Cleanup(srv.Close)
+	client := collector.NewClient(srv.URL)
+	ctx := context.Background()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(shards)+4)
+	for _, shard := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := client.SubmitAggregate(ctx, shard, pipeline); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				var se *collector.StatusError
+				if _, _, err := client.Estimate(ctx); err != nil && (!errors.As(err, &se) || se.StatusCode != http.StatusConflict) {
+					errs <- err
+					return
+				}
+				if err := client.Health(ctx); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	merged, err := client.FetchAggregate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBlob, err := merged.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBlob, wantBlob) {
+		t.Fatal("concurrently adopted aggregate differs from the serial merge")
+	}
+}
+
 // TestMixedVersionSubmissions merges a legacy DPA1 blob with a DPA2 blob
 // and checks the result matches an all-DPA2 merge.
 func TestMixedVersionSubmissions(t *testing.T) {
@@ -186,7 +253,7 @@ func TestMixedVersionSubmissions(t *testing.T) {
 	shards := accumulateShards(t, mech, 2, 31)
 	want := mergeAll(t, mech, shards)
 
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 5, 1.2), 0)
 	ctx := context.Background()
 	v1, err := shards[0].MarshalBinaryV1()
 	if err != nil {
@@ -216,7 +283,7 @@ func TestWarmRestartStats(t *testing.T) {
 	mech := newDAM(t, 4, 3.5)
 	shards := accumulateShards(t, mech, 2, 7)
 
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 4, 3.5), 0)
 	ctx := context.Background()
 	if _, err := client.SubmitAggregate(ctx, shards[0], nil); err != nil {
 		t.Fatal(err)
@@ -362,43 +429,21 @@ func TestAdoptMechanismFromReportStream(t *testing.T) {
 	}
 }
 
-// TestPipelinePinRefusesForeignDomain checks that a collector built
-// with a bare mechanism (no Config.Pipeline) pins the first submitted
-// pipeline metadata, so a same-scheme shard collected over a different
-// geographic domain — which the scheme string alone cannot detect — is
-// refused instead of merging silently.
+// TestPipelinePinRefusesForeignDomain checks that a collector pinned to
+// its pipeline refuses a same-scheme shard collected over a different
+// geographic domain — which the scheme string alone cannot detect —
+// instead of merging it silently.
 func TestPipelinePinRefusesForeignDomain(t *testing.T) {
 	mech := newDAM(t, 5, 1.5)
-	client, _ := startServer(t, mech, 0)
+	pipeline := durPipeline(mech, 5, 1.5)
+	client, _ := startServer(t, mech, pipeline, 0)
 	ctx := context.Background()
-	shards := accumulateShards(t, mech, 3, 41)
-
-	pipeline := &collector.Pipeline{
-		Mech: "DAM", D: 5, Eps: 1.5,
-		Scheme: mech.Scheme(), Shape: mech.ReportShape(),
-		Domain: collector.DomainSpec{MinX: 0, MinY: 0, Side: 1},
-	}
-
-	// A header whose shape disagrees with the mechanism must not merge
-	// or become the pin — a misconfigured client could otherwise lock
-	// every later correct submission out.
-	poisoned := *pipeline
-	poisoned.Shape = []int{7}
-	if _, err := client.SubmitAggregate(ctx, shards[2], &poisoned); err == nil {
-		t.Fatal("shape-mismatched header should be refused")
-	}
-	// A partial header (scheme only) merges but must not become the pin
-	// either: zero-valued Mech/D/Domain would refuse every later
-	// fully-specified client.
-	partial := &collector.Pipeline{Scheme: mech.Scheme()}
-	if _, err := client.SubmitAggregate(ctx, shards[2], partial); err != nil {
-		t.Fatal(err)
-	}
+	shards := accumulateShards(t, mech, 2, 41)
 
 	if _, err := client.SubmitAggregate(ctx, shards[0], pipeline); err != nil {
 		t.Fatal(err)
 	}
-	// Same scheme, different region: must be refused once pinned.
+	// Same scheme, different region: must be refused.
 	foreign := *pipeline
 	foreign.Domain = collector.DomainSpec{MinX: 40.7, MinY: -74.0, Side: 0.2}
 	if _, err := client.SubmitAggregate(ctx, shards[1], &foreign); err == nil {
@@ -415,7 +460,7 @@ func TestPipelinePinRefusesForeignDomain(t *testing.T) {
 func TestCadenceLoopRefreshes(t *testing.T) {
 	mech := newDAM(t, 4, 3.5)
 	shards := accumulateShards(t, mech, 2, 5)
-	client, _ := startServer(t, mech, 10*time.Millisecond)
+	client, _ := startServer(t, mech, durPipeline(mech, 4, 3.5), 10*time.Millisecond)
 	ctx := context.Background()
 
 	waitForEstimateGen := func(gen uint64) *collector.Stats {
@@ -453,7 +498,7 @@ func TestCadenceLoopRefreshes(t *testing.T) {
 // and the matching bearer token unlocks the full lifecycle.
 func TestAuthToken(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	c, err := collector.New(collector.Config{Mechanism: mech, AuthToken: "s3cret"})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 4, 2.0), AuthToken: "s3cret"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +562,7 @@ func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // while 4xx refusals and retry-disabled clients fail immediately.
 func TestClientRetriesTransientFailures(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	c, err := collector.New(collector.Config{Mechanism: mech})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 4, 2.0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +620,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 // repeated and marked duplicate.
 func TestSubmissionIDExactlyOnce(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 4, 2.0), 0)
 	ctx := context.Background()
 	shards := accumulateShards(t, mech, 1, 21)
 	blob, err := shards[0].MarshalBinary()
@@ -639,7 +684,7 @@ func (a *abortOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // with the original ack and the shard counts exactly once.
 func TestClientRetryAfterLostAckMergesOnce(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	c, err := collector.New(collector.Config{Mechanism: mech})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 4, 2.0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +718,7 @@ func TestClientRetryAfterLostAckMergesOnce(t *testing.T) {
 // TestHealthzAndErrors covers the health endpoint and the error paths.
 func TestHealthzAndErrors(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 4, 2.0), 0)
 	ctx := context.Background()
 	if err := client.Health(ctx); err != nil {
 		t.Fatal(err)

@@ -81,7 +81,8 @@ func shardKindFromString(s string) (ShardKind, error) {
 	return 0, fmt.Errorf("unknown shard kind %q", s)
 }
 
-func (k ShardKind) count(s *Stats) {
+// Count adds one accepted shard of this kind to s.
+func (k ShardKind) Count(s *Stats) {
 	if k == ShardReport {
 		s.ReportShards++
 	} else {
@@ -130,7 +131,8 @@ func (c *Collector) recoverFromStore() error {
 		if err := agg.UnmarshalBinary(snap.State); err != nil {
 			return fmt.Errorf("snapshot aggregate: %w", err)
 		}
-		if err := agg.Compatible(c.mech); err != nil {
+		mech, _ := c.engine.Identity()
+		if err := agg.Compatible(mech); err != nil {
 			return fmt.Errorf("snapshot aggregate does not fit the collector mechanism: %w", err)
 		}
 		c.agg = agg
@@ -157,7 +159,8 @@ func (c *Collector) recoverFromStore() error {
 				return err
 			}
 		case durable.RecordSubmission:
-			if c.mech == nil {
+			mech, _ := c.engine.Identity()
+			if mech == nil {
 				return fmt.Errorf("WAL record %d is a submission but no mechanism is configured and no pipeline record precedes it", r.Seq)
 			}
 			var env ackEnvelope
@@ -176,7 +179,7 @@ func (c *Collector) recoverFromStore() error {
 			if err := shard.UnmarshalBinary(r.Blob); err != nil {
 				return fmt.Errorf("WAL record %d shard: %w", r.Seq, err)
 			}
-			if err := shard.Compatible(c.mech); err != nil {
+			if err := shard.Compatible(mech); err != nil {
 				return fmt.Errorf("WAL record %d shard does not fit the mechanism: %w", r.Seq, err)
 			}
 			if err := c.agg.Merge(shard); err != nil {
@@ -186,58 +189,36 @@ func (c *Collector) recoverFromStore() error {
 			if ack.Generation != c.generation || ack.TotalReports != c.agg.N {
 				return fmt.Errorf("WAL record %d ack (generation %d, %g reports) does not match the replayed state (generation %d, %g reports): the log belongs to different state", r.Seq, ack.Generation, ack.TotalReports, c.generation, c.agg.N)
 			}
-			kind.count(&c.stats)
+			kind.Count(&c.stats)
 			c.acks.Put(r.ID, env.Ack)
 		default:
 			return fmt.Errorf("WAL record %d has unknown type %d", r.Seq, r.Type)
 		}
-	}
-	c.stats.Generation = c.generation
-	if c.agg != nil {
-		c.stats.Reports = c.agg.N
 	}
 	c.store.NoteRecovered()
 	return nil
 }
 
 // installRecoveredMechanism reconciles recovered metadata with the
-// configured mechanism. A pre-built Mechanism must agree with the
-// stored scheme and pipeline — a mismatch means the data directory
-// belongs to a different deployment, and merging foreign state would
-// silently corrupt every later estimate, so it refuses. In
-// build-on-first-contact mode the stored pipeline rebuilds and installs
-// the mechanism exactly as the original adoption did.
+// tier's identity by the submit path's rule: the stored pipeline must
+// pass the pin, or, before adoption, rebuilds and installs the
+// mechanism exactly as the original adoption did. A mismatch means the
+// data directory belongs to a different deployment, and merging foreign
+// state would silently corrupt every later estimate, so it refuses.
 func (c *Collector) installRecoveredMechanism(scheme string, p *Pipeline) error {
-	if c.mech != nil {
-		if scheme != "" && scheme != c.mech.Scheme() {
-			return fmt.Errorf("stored state has scheme %q, collector is configured for %q: foreign data directory", scheme, c.mech.Scheme())
-		}
-		if p != nil {
-			if c.pipeline != nil {
-				if err := c.pipeline.Compatible(p); err != nil {
-					return fmt.Errorf("stored pipeline does not match the configured one: %w", err)
-				}
-			} else if err := c.checkAndPinPipelineLocked(p); err != nil {
-				return fmt.Errorf("stored pipeline does not fit the configured mechanism: %w", err)
-			}
-		}
-	} else {
-		if p == nil {
-			return fmt.Errorf("stored state carries no pipeline metadata and the collector has no pre-built mechanism")
-		}
-		mech, err := c.cfg.Build(p)
-		if err != nil {
-			return fmt.Errorf("rebuilding mechanism from stored pipeline: %w", err)
-		}
-		if scheme != "" && mech.Scheme() != scheme {
-			return fmt.Errorf("rebuilt mechanism scheme %q does not match stored scheme %q", mech.Scheme(), scheme)
-		}
-		if err := c.adoptLocked(mech, p); err != nil {
-			return err
-		}
+	if mech, _ := c.engine.Identity(); mech != nil && scheme != "" && scheme != mech.Scheme() {
+		return fmt.Errorf("stored state has scheme %q, collector is configured for %q: foreign data directory", scheme, mech.Scheme())
 	}
-	// The store already holds this pipeline; don't re-log it.
-	c.pipelinePersisted = c.pipeline != nil
+	mech, candidate, err := c.engine.Resolve(p)
+	if err == nil && candidate {
+		err = c.installLocked(mech, p)
+	}
+	if err != nil {
+		return fmt.Errorf("stored pipeline: %w", err)
+	}
+	// The store already holds the pin, or the configuration does; don't
+	// re-log it.
+	c.pipelinePersisted = true
 	return nil
 }
 
@@ -253,8 +234,9 @@ func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, ac
 		return nil
 	}
 	var recs []durable.Record
-	if !c.pipelinePersisted && c.pipeline != nil {
-		meta, err := json.Marshal(c.pipeline)
+	if !c.pipelinePersisted {
+		_, pin := c.engine.Identity()
+		meta, err := json.Marshal(pin)
 		if err != nil {
 			return storeFailure(err)
 		}
@@ -282,7 +264,7 @@ func (c *Collector) persistShardLocked(span *trace.Span, shard *fo.Aggregate, ac
 		trace.Float("fsyncMs", float64(info.Fsync)/float64(time.Millisecond)),
 	)
 	walSpan.End()
-	c.pipelinePersisted = c.pipeline != nil
+	c.pipelinePersisted = true
 	return nil
 }
 
@@ -312,7 +294,8 @@ func (c *Collector) maybeSnapshotLocked(span *trace.Span) {
 // notes where the attempt left the WAL for maybeSnapshotLocked's
 // retry spacing. Callers hold mu.
 func (c *Collector) snapshotLocked() error {
-	if c.store == nil || c.mech == nil {
+	mech, pin := c.engine.Identity()
+	if c.store == nil || mech == nil {
 		return nil
 	}
 	defer func() { c.snapshotTriedAt = c.store.RecordsSinceSnapshot() }()
@@ -321,8 +304,8 @@ func (c *Collector) snapshotLocked() error {
 		return storeFailure(err)
 	}
 	meta, err := json.Marshal(&snapshotMeta{
-		Scheme:          c.mech.Scheme(),
-		Pipeline:        c.pipeline,
+		Scheme:          mech.Scheme(),
+		Pipeline:        pin,
 		Generation:      c.generation,
 		ReportShards:    c.stats.ReportShards,
 		AggregateShards: c.stats.AggregateShards,
@@ -334,7 +317,7 @@ func (c *Collector) snapshotLocked() error {
 	if err := c.store.WriteSnapshot(meta, state, c.acks.Entries()); err != nil {
 		return storeFailure(err)
 	}
-	// The snapshot now covers the pipeline; the (reset) WAL need not.
-	c.pipelinePersisted = c.pipeline != nil
+	// The snapshot now covers the pin; the (reset) WAL need not.
+	c.pipelinePersisted = true
 	return nil
 }

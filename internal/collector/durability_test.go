@@ -203,7 +203,7 @@ func TestDurableCrashMidSnapshotRename(t *testing.T) {
 	blobs, ids := marshalShards(t, shards, "snapcrash")
 	ctx := context.Background()
 
-	refClient, _ := startServer(t, newDAM(t, d, eps), 0)
+	refClient, _ := startServer(t, newDAM(t, d, eps), pip, 0)
 	for i := range shards {
 		if _, err := refClient.SubmitAggregateBlob(ctx, blobs[i], pip); err != nil {
 			t.Fatal(err)
@@ -357,7 +357,8 @@ func TestDurableRefusesCorruptState(t *testing.T) {
 		dir := seed(t, goodSub)
 		// A pre-built mechanism over a different grid must refuse the
 		// stored state instead of merging a foreign data directory.
-		mustRefuse(t, dir, collector.Config{Mechanism: newDAM(t, 5, eps)}, "foreign")
+		foreign := newDAM(t, 5, eps)
+		mustRefuse(t, dir, collector.Config{Mechanism: foreign, Pipeline: durPipeline(foreign, 5, eps)}, "foreign")
 	})
 
 	t.Run("foreign domain", func(t *testing.T) {
@@ -452,6 +453,44 @@ func TestDurableRefusesCorruptState(t *testing.T) {
 	})
 }
 
+// TestNewRefusesBareMechanism checks that collector.New, like fleet.New,
+// refuses a pre-built Mechanism without its Pipeline, and refuses it
+// before it replays the store: a collector built next over the same
+// store still recovers every submission.
+func TestNewRefusesBareMechanism(t *testing.T) {
+	const d, eps = 5, 2.0
+	mech := newDAM(t, d, eps)
+	shard := accumulateShards(t, mech, 1, 71)[0]
+	dir := t.TempDir()
+	client, _, _ := startDurable(t, dir, collector.Config{Build: durBuild(t), SnapshotEvery: -1})
+	if _, err := client.SubmitAggregate(context.Background(), shard, durPipeline(mech, d, eps)); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := collector.New(collector.Config{Mechanism: mech, Store: st}); err == nil ||
+		!strings.Contains(err.Error(), "Pipeline") || strings.Contains(err.Error(), "recovering") {
+		t.Fatalf("bare Mechanism: New answered %v, want a Pipeline refusal before recovery", err)
+	}
+	c, err := collector.New(collector.Config{Build: durBuild(t), Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	t.Cleanup(srv.Close)
+	stats, err := collector.NewClient(srv.URL).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Generation != 1 || stats.Reports != shard.N {
+		t.Fatalf("recovered generation %d, %g reports; want 1, %g", stats.Generation, stats.Reports, shard.N)
+	}
+}
+
 // TestDurableSnapshotCadenceAndGracefulClose checks the compaction
 // lifecycle: snapshots land every SnapshotEvery records, /v1/stats
 // exports the counters at the collector tier, a graceful Close flushes
@@ -523,7 +562,7 @@ func TestDurableSnapshotCadenceAndGracefulClose(t *testing.T) {
 
 	// Opt-in contract: without a store the stats carry no durability
 	// block at all.
-	memClient, _ := startServer(t, newDAM(t, d, eps), 0)
+	memClient, _ := startServer(t, newDAM(t, d, eps), pip, 0)
 	if _, err := memClient.SubmitAggregateBlob(ctx, blobs[0], pip); err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,14 @@ import (
 // request accounting, tracing and slow log — around every handler. The
 // write path follows the same pattern (submit.go): each tier supplies
 // its commit, and the Engine serves the submission endpoints around it.
+//
+// The Engine also holds the tier's identity: the one mechanism and the
+// pipeline it is pinned to. A decode inverts one fixed randomizer over
+// one fixed grid and domain, so a tier merges only shards collected
+// under that pair, and both tiers adopt it by one rule (identity.go).
 
 // State is one read of a tier's merged state.
 type State struct {
-	// Mech is the tier's installed mechanism.
-	Mech Estimator
 	// Key names the merged state: equal keys mean a byte-identical
 	// aggregate, so a decode cached under the key can be served again.
 	Key uint64
@@ -47,30 +50,40 @@ type State struct {
 }
 
 // StateSource reads a tier's current merged state. cached is the key of
-// the decode the engine holds for this read, valid only when ok. A
-// source refuses with an error while the tier has no mechanism or no
-// reports.
+// the decode the engine holds for this read, valid only when ok. The
+// Engine reads a source only once the tier adopted a mechanism, and
+// refuses a state without reports itself.
 type StateSource func(ctx context.Context, cached uint64, ok bool) (State, error)
 
 // EngineConfig wires an Engine.
 type EngineConfig struct {
-	// Tier prefixes the decode span names ("collector" → collector.em.decode);
-	// Service names the tracer's tier.
+	// Tier prefixes the decode span names ("collector" → collector.em.decode)
+	// and names the tier in refusals; Service names the tracer's tier and
+	// the /healthz role.
 	Tier, Service string
+	// Mechanism and Pipeline are the identity of a tier that starts
+	// pinned; Pipeline is required with Mechanism. Build, when Mechanism
+	// is nil, builds the candidate mechanism of a submission's pipeline
+	// metadata until the tier adopts one (identity.go).
+	Mechanism Estimator
+	Pipeline  *Pipeline
+	Build     func(p *Pipeline) (Estimator, error)
 	// Source reads the tier's merged state.
 	Source StateSource
-	// ErrorStatus maps a read error to its HTTP status (nil: 409).
+	// ErrorStatus maps an error of Source or Aggregate to its HTTP status
+	// (nil: 409). The Engine's own read refusals — before adoption, and
+	// of a state without reports — are 409 at every tier.
 	ErrorStatus func(error) int
 	// Replay, Commit and Aggregate are the tier's write path. With Commit
 	// set, the Engine serves POST /v1/report and /v1/aggregate and GET
 	// /v1/aggregate over them. Replay answers a replayed submission ID
 	// from the tier's ack log, counting the duplicate; Commit merges or
 	// forwards a parsed submission and returns its ack; Aggregate returns
-	// the merged aggregate as a DPA2 blob, with the pinned pipeline (nil
-	// while there is none).
+	// the merged aggregate as a DPA2 blob. The Engine calls Aggregate
+	// only once the tier adopted a mechanism.
 	Replay    func(ctx context.Context, id string) (SubmitResponse, bool)
 	Commit    func(ctx context.Context, sub *Submission) (SubmitResponse, error)
-	Aggregate func(ctx context.Context) (blob []byte, p *Pipeline, err error)
+	Aggregate func(ctx context.Context) ([]byte, error)
 	// MaxBodyBytes caps a submission body (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// Routes are the tier's own handlers, by path.
@@ -98,14 +111,16 @@ type Engine struct {
 	met    *ServiceMetrics
 	tracer *trace.Tracer // nil when tracing is disabled
 
+	// idMu guards the tier's identity: mech and the pin it was adopted
+	// with, set together and once.
+	idMu sync.Mutex
+	mech Estimator
+	pin  *Pipeline
+
 	// decodeMu serialises state reads and decodes, so concurrent reads
 	// never duplicate a decode; the tier's submissions proceed
-	// meanwhile. It guards mech and cache.
+	// meanwhile. It guards cache.
 	decodeMu sync.Mutex
-	// mech is the mechanism of the last state read. A tier never
-	// replaces its mechanism once installed, and the caches stay empty
-	// until a read has seen it, so it picks the cache a read consults.
-	mech Estimator
 	// cache holds the latest decode by kind: CacheEstimate backs
 	// /v1/estimate and top-k, CacheTree TreeEstimator range queries.
 	cache map[string]*view
@@ -140,6 +155,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{cfg: cfg, mux: http.NewServeMux(), routes: map[string]bool{},
 		reg: metrics.New(), cache: map[string]*view{}, stop: make(chan struct{})}
 	e.met = NewServiceMetrics(e.reg)
+	if cfg.Mechanism != nil {
+		pin := *cfg.Pipeline
+		e.mech, e.pin = cfg.Mechanism, &pin
+	}
 	if !cfg.DisableTraces {
 		e.tracer = trace.NewTracer(cfg.Service, cfg.TraceCapacity)
 	}
@@ -150,6 +169,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 	for path, h := range cfg.Routes {
 		handle(path, h)
 	}
+	handle("/healthz", MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": cfg.Service, "scheme": e.scheme()})
+	}))
 	if cfg.Commit != nil {
 		handle("/v1/report", MethodOnly(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 			e.submit(w, r, ShardReport)
@@ -287,6 +309,14 @@ func (e *Engine) DecodeStats() (DecodeCounters, uint64) {
 	return e.counters, e.estGen
 }
 
+// FillStats completes a tier's /v1/stats body with what the Engine
+// holds: the scheme, the decode accounting and the cadence.
+func (e *Engine) FillStats(s *Stats) {
+	s.Scheme = e.scheme()
+	s.DecodeCounters, s.EstimateGeneration = e.DecodeStats()
+	s.CadenceMillis = e.cfg.Cadence.Milliseconds()
+}
+
 // Start launches the background cadence loop: each tick runs OnTick,
 // then brings the estimate up to the current state. No-op when the
 // cadence is zero.
@@ -338,10 +368,15 @@ func basis(mech Estimator, rangeQuery bool) string {
 // a cache-hit event or a decode span off its active span; the cadence
 // loop's context records nothing.
 func (e *Engine) read(ctx context.Context, rangeQuery bool) (*view, error) {
+	mech, _ := e.Identity()
+	if mech == nil {
+		return nil, e.unadopted()
+	}
 	span := trace.SpanFrom(ctx)
 	e.decodeMu.Lock()
 	defer e.decodeMu.Unlock()
-	prev := e.cache[basis(e.mech, rangeQuery)]
+	kind := basis(mech, rangeQuery)
+	prev := e.cache[kind]
 	var cached uint64
 	if prev != nil {
 		cached = prev.key
@@ -350,8 +385,9 @@ func (e *Engine) read(ctx context.Context, rangeQuery bool) (*view, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mech = st.Mech
-	kind := basis(st.Mech, rangeQuery)
+	if st.N == 0 {
+		return nil, noReports
+	}
 	if prev != nil && prev.key == st.Key {
 		e.met.QueryCacheHits.With(kind).Inc()
 		span.Event(kind+".cache.hit", trace.Int("generation", int64(prev.gen)))
@@ -363,7 +399,7 @@ func (e *Engine) read(ctx context.Context, rangeQuery bool) (*view, error) {
 		name, decode = ".tree.decode", decodeTree
 	}
 	decodeSpan := span.Child(e.cfg.Tier + name)
-	v, err := decode(decodeSpan, st, prev)
+	v, err := decode(decodeSpan, mech, st, prev)
 	if err != nil {
 		decodeSpan.Fail(err)
 		decodeSpan.End()
@@ -378,13 +414,13 @@ func (e *Engine) read(ctx context.Context, rangeQuery bool) (*view, error) {
 // decodeEstimate decodes the state's estimate: cold the first time,
 // warm-started from the previous estimate afterwards when the mechanism
 // supports it.
-func (e *Engine) decodeEstimate(span *trace.Span, st State, prev *view) (*view, error) {
+func (e *Engine) decodeEstimate(span *trace.Span, mech Estimator, st State, prev *view) (*view, error) {
 	var init *grid.Hist2D
 	if prev != nil {
 		init = prev.est
 	}
 	t0 := time.Now()
-	est, iters, warm, err := DecodeEstimate(st.Mech, st.Agg, init)
+	est, iters, warm, err := DecodeEstimate(mech, st.Agg, init)
 	if err != nil {
 		return nil, err
 	}
@@ -404,16 +440,16 @@ func (e *Engine) decodeEstimate(span *trace.Span, st State, prev *view) (*view, 
 	if saved > 0 {
 		e.met.DecodeIterationsSaved.Add(float64(saved))
 	}
-	return &view{key: st.Key, gen: st.Gen, n: st.N, scheme: st.Mech.Scheme(), est: est, iters: iters, warm: warm}, nil
+	return &view{key: st.Key, gen: st.Gen, n: st.N, scheme: mech.Scheme(), est: est, iters: iters, warm: warm}, nil
 }
 
 // decodeTree decodes the state's consistent quadtree.
-func decodeTree(_ *trace.Span, st State, _ *view) (*view, error) {
-	tree, _, err := st.Mech.(TreeEstimator).EstimateTreeFromAggregate(st.Agg)
+func decodeTree(_ *trace.Span, mech Estimator, st State, _ *view) (*view, error) {
+	tree, _, err := mech.(TreeEstimator).EstimateTreeFromAggregate(st.Agg)
 	if err != nil {
 		return nil, err
 	}
-	return &view{key: st.Key, gen: st.Gen, n: st.N, scheme: st.Mech.Scheme(), tree: tree}, nil
+	return &view{key: st.Key, gen: st.Gen, n: st.N, scheme: mech.Scheme(), tree: tree}, nil
 }
 
 // DecodeEstimate runs one estimate decode: warm-started from init when
@@ -445,9 +481,14 @@ func MethodOnly(method string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// errorStatus maps a read error to its HTTP status.
+// errorStatus maps a read error to its HTTP status: a Refusal answers
+// its own, any other error the tier's mapping.
 func (e *Engine) errorStatus(err error) int {
-	if e.cfg.ErrorStatus == nil {
+	var rf *Refusal
+	switch {
+	case errors.As(err, &rf):
+		return rf.Status
+	case e.cfg.ErrorStatus == nil:
 		return http.StatusConflict
 	}
 	return e.cfg.ErrorStatus(err)

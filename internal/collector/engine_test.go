@@ -71,12 +71,6 @@ func TestEnginePathClasses(t *testing.T) {
 				return collector.State{}, errors.New("no reports merged yet")
 			},
 			Routes: map[string]http.HandlerFunc{
-				"/healthz": func(w http.ResponseWriter, r *http.Request) {
-					if trace.SpanFrom(r.Context()) != nil {
-						t.Error("/healthz handler has a span in its context")
-					}
-					w.WriteHeader(http.StatusOK)
-				},
 				"/v1/report": func(w http.ResponseWriter, r *http.Request) {
 					span := trace.SpanFrom(r.Context())
 					if (span != nil) != tracing {

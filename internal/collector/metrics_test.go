@@ -99,7 +99,7 @@ func seriesSum(t *testing.T, exposition, family string) float64 {
 // time-derived.
 func TestMetricsQuiescedScrapesByteIdentical(t *testing.T) {
 	mech := newDAM(t, 5, 2.0)
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 5, 2.0), 0)
 	ctx := context.Background()
 	for _, s := range accumulateShards(t, mech, 2, 41) {
 		if _, err := client.SubmitAggregate(ctx, s, nil); err != nil {
@@ -129,7 +129,7 @@ func TestMetricsQuiescedScrapesByteIdentical(t *testing.T) {
 // idempotency log ever double-merged, these series would say so.
 func TestMetricsDuplicateReplayLockstep(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 4, 2.0), 0)
 	ctx := context.Background()
 	blob, err := accumulateShards(t, mech, 1, 21)[0].MarshalBinary()
 	if err != nil {
@@ -173,7 +173,7 @@ func TestMetricsDuplicateReplayLockstep(t *testing.T) {
 // miss — decoded warm, which the decode-mode series must show.
 func TestMetricsQueryCacheLockstep(t *testing.T) {
 	mech := newDAM(t, 5, 1.5)
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 5, 1.5), 0)
 	ctx := context.Background()
 	shards := accumulateShards(t, mech, 2, 61)
 	if _, err := client.SubmitAggregate(ctx, shards[0], nil); err != nil {
@@ -231,7 +231,7 @@ func TestMetricsQueryCacheLockstep(t *testing.T) {
 // touching the accepted or served counters.
 func TestMetricsRefusalCounters(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 4, 2.0), 0)
 	ctx := context.Background()
 
 	foreign := newDAM(t, 7, 2.0) // different grid → incompatible scheme
@@ -328,7 +328,7 @@ func TestMetricsDurableCounters(t *testing.T) {
 // damctl --metrics=false escape hatch must 404, not serve an empty page.
 func TestMetricsDisabled(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	c, err := collector.New(collector.Config{Mechanism: mech, DisableMetrics: true})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 4, 2.0), DisableMetrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestMetricsDisabled(t *testing.T) {
 // accepted counter must equal the number of successful submissions.
 func TestMetricsConcurrentTraffic(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
-	client, _ := startServer(t, mech, time.Millisecond)
+	client, _ := startServer(t, mech, durPipeline(mech, 4, 2.0), time.Millisecond)
 	ctx := context.Background()
 	shards := accumulateShards(t, mech, 8, 91)
 	// Merge one shard up front so concurrent estimates never race an

@@ -83,7 +83,7 @@ func TestQueryMatchesInProcessByteIdentical(t *testing.T) {
 	shards := accumulateShards(t, mech, 3, 11)
 	merged := mergeAll(t, mech, shards)
 
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 6, 1.5), 0)
 	ctx := context.Background()
 	for _, s := range shards {
 		if _, err := client.SubmitAggregate(ctx, s, nil); err != nil {
@@ -144,7 +144,11 @@ func TestQueryAHEADTreeBasisAndCacheInvalidation(t *testing.T) {
 	a := newAHEAD(t, 8, 1.5)
 	shards := estimatorShards(t, a, 2, 13)
 
-	client, _ := startServer(t, a, 0)
+	client, _ := startServer(t, a, &collector.Pipeline{
+		Mech: "AHEAD", D: 8, Eps: 1.5,
+		Scheme: a.Scheme(), Shape: a.ReportShape(),
+		Domain: collector.DomainSpec{MinX: 0, MinY: 0, Side: 1},
+	}, 0)
 	ctx := context.Background()
 	if _, err := client.SubmitAggregate(ctx, shards[0], nil); err != nil {
 		t.Fatal(err)
@@ -221,7 +225,7 @@ func TestQueryAHEADTreeBasisAndCacheInvalidation(t *testing.T) {
 // and non-GET methods are 405s.
 func TestQueryErrors(t *testing.T) {
 	mech := newDAM(t, 5, 1.2)
-	client, _ := startServer(t, mech, 0)
+	client, _ := startServer(t, mech, durPipeline(mech, 5, 1.2), 0)
 	ctx := context.Background()
 
 	status := func(path string) int {

@@ -78,7 +78,7 @@ func reportLines(t *testing.T, mech *sam.Mechanism, n int, seed uint64) []string
 // the ack log, which can cost more CPU than the submits themselves.
 func TestReportSubmitAllocations(t *testing.T) {
 	mech := newDAM(t, 15, 3.5)
-	c, err := collector.New(collector.Config{Mechanism: mech})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 15, 3.5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReportStreamLongLines(t *testing.T) {
 	var acks [2]collector.SubmitResponse
 	var blobs [2][]byte
 	for i, stream := range []string{plain, padded} {
-		c, err := collector.New(collector.Config{Mechanism: mech})
+		c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 5, 2.0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestReportStreamLongLines(t *testing.T) {
 // "planes" is refused after a valid line, not read as that line again.
 func TestReportStreamOddLines(t *testing.T) {
 	mech := newDAM(t, 5, 2.0)
-	c, err := collector.New(collector.Config{Mechanism: mech})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 5, 2.0)})
 	if err != nil {
 		t.Fatal(err)
 	}

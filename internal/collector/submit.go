@@ -173,24 +173,26 @@ func (e *Engine) readSubmission(sub *Submission, body io.Reader, header http.Hea
 }
 
 // handleAggregate takes an aggregate blob submission (POST) or serves
-// the tier's merged aggregate as a DPA2 blob (GET), with its pinned
-// pipeline in the X-Dpspatial-Pipeline header: the chaining primitive
-// that stacks collectors under supervisors and supervisors under
-// supervisors.
+// the tier's merged aggregate as a DPA2 blob (GET), with its pin in the
+// X-Dpspatial-Pipeline header: the chaining primitive that stacks
+// collectors under supervisors and supervisors under supervisors.
 func (e *Engine) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		e.submit(w, r, ShardAggregate)
 	case http.MethodGet:
-		blob, p, err := e.cfg.Aggregate(r.Context())
+		_, pin := e.Identity()
+		if pin == nil {
+			writeError(w, http.StatusConflict, e.unadopted())
+			return
+		}
+		blob, err := e.cfg.Aggregate(r.Context())
 		if err != nil {
 			writeError(w, e.errorStatus(err), err)
 			return
 		}
-		if p != nil {
-			hdr, _ := json.Marshal(p)
-			w.Header().Set(PipelineHeader, string(hdr))
-		}
+		hdr, _ := json.Marshal(pin)
+		w.Header().Set(PipelineHeader, string(hdr))
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(blob)

@@ -101,6 +101,7 @@ func TestCollectorTraceEndToEnd(t *testing.T) {
 	var slowMu syncBuffer
 	c, err := collector.New(collector.Config{
 		Mechanism: mech,
+		Pipeline:  durPipeline(mech, 6, 2.0),
 		AuthToken: "s3cret",
 		Store:     st,
 		SlowLog:   &trace.SlowLogger{W: &slowMu, JSON: true},
@@ -214,10 +215,13 @@ func TestSnapshotSpanOnSnapshottingSubmitOnly(t *testing.T) {
 		}
 		return nil
 	}
-	// No pipeline is pinned, so each submission is one WAL record and
-	// the second and fourth trip the cadence of 2.
-	c, err := collector.New(collector.Config{Mechanism: mech, Store: st, SnapshotEvery: 2})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 6, 2.0), Store: st, SnapshotEvery: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A first snapshot covers the pin, so each submission is one WAL
+	// record and the second and fourth trip the cadence of 2.
+	if err := c.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(c)
@@ -261,7 +265,7 @@ func TestSnapshotSpanOnSnapshottingSubmitOnly(t *testing.T) {
 // bracketing a traces scrape stay byte-identical.
 func TestTracesEndpointGatedAndFiltered(t *testing.T) {
 	mech := newDAM(t, 6, 2.0)
-	c, err := collector.New(collector.Config{Mechanism: mech, AuthToken: "s3cret"})
+	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 6, 2.0), AuthToken: "s3cret"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +366,7 @@ func TestPprofGated(t *testing.T) {
 		return res.StatusCode, body
 	}
 
-	off, err := collector.New(collector.Config{Mechanism: mech, AuthToken: "s3cret"})
+	off, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 6, 2.0), AuthToken: "s3cret"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +379,7 @@ func TestPprofGated(t *testing.T) {
 		t.Fatalf("pprof disabled but authed index = %d, want 404", code)
 	}
 
-	on, err := collector.New(collector.Config{Mechanism: mech, AuthToken: "s3cret", EnablePprof: true})
+	on, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 6, 2.0), AuthToken: "s3cret", EnablePprof: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,9 +315,9 @@ func TestFleetTransactionalAdoption(t *testing.T) {
 	if _, err := f.client.SubmitAggregate(ctx, shards[0], nil); err == nil {
 		t.Fatal("headerless submission before adoption should fail")
 	}
-	// A valid header on a blob of the wrong shape: the member must
-	// reject the shard, and the rejection must roll back adoption
-	// everywhere.
+	// A valid header on a blob of the wrong shape: the supervisor must
+	// reject the shard before any member sees it, and the rejection must
+	// roll back adoption everywhere.
 	foreign := newDAM(t, 6, 2.0)
 	if _, err := f.client.SubmitAggregate(ctx, foreign.NewAggregate(), pipeline); err == nil {
 		t.Fatal("mismatched blob should be rejected")
@@ -609,8 +609,8 @@ func TestFleetLostAckStickyExactlyOnce(t *testing.T) {
 		t.Fatal("lost-ack recovery double-merged: fleet estimate differs from the single-merge union")
 	}
 	stats := fetchFleetStats(t, supSrv.URL)
-	if stats.Routed != 2 || stats.Duplicates != 1 {
-		t.Fatalf("lost-ack recovery miscounted: routed %d, duplicates %d", stats.Routed, stats.Duplicates)
+	if stats.Routed != 2 || stats.DuplicateShards != 1 {
+		t.Fatalf("lost-ack recovery miscounted: routed %d, duplicates %d", stats.Routed, stats.DuplicateShards)
 	}
 }
 

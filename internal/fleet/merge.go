@@ -37,28 +37,17 @@ func (e *memberDownError) Error() string {
 }
 func (e *memberDownError) Unwrap() error { return e.err }
 
-// errNoMechanism / errNoReports are the pre-adoption refusals, mapped to
-// 409 like the collector's.
-var (
-	errNoMechanism = errors.New("fleet has no mechanism yet; submit a shard with pipeline metadata first")
-	errNoReports   = errors.New("no reports merged across the fleet yet")
-)
-
-// pullErrorStatus maps a pull or read error to an HTTP status: the
-// pre-adoption state refusals are 409 (a collector answers the same
-// way, so stacking supervisors read it as "holds nothing yet"),
-// missing member data is 503, and everything else — a corrupt blob, a
-// merge failure — is 502: a gateway-side data error that must NOT look
-// like an empty member to the tier above.
+// pullErrorStatus maps a pull error to an HTTP status: missing member
+// data is 503, and everything else — a corrupt blob, a merge failure —
+// is 502: a gateway-side data error that must NOT look like an empty
+// member to the tier above. (The Engine answers the pre-adoption and
+// no-reports refusals itself, 409 at both tiers, so stacking
+// supervisors read them as "holds nothing yet".)
 func pullErrorStatus(err error) int {
-	switch {
-	case errors.As(err, new(*memberDownError)):
+	if errors.As(err, new(*memberDownError)) {
 		return http.StatusServiceUnavailable
-	case errors.Is(err, errNoMechanism), errors.Is(err, errNoReports):
-		return http.StatusConflict
-	default:
-		return http.StatusBadGateway
 	}
+	return http.StatusBadGateway
 }
 
 // pullMerged fetches every member's canonical aggregate and merges them
@@ -76,13 +65,10 @@ func pullErrorStatus(err error) int {
 // residual blind spot is a member that held data but was never once
 // observed by this supervisor process before going down — closing it
 // would take persisted membership state.
+//
+// The Engine pulls only once the fleet adopted a mechanism.
 func (s *Supervisor) pullMerged(ctx context.Context) (*fo.Aggregate, uint64, error) {
-	s.mu.Lock()
-	mech := s.mech
-	s.mu.Unlock()
-	if mech == nil {
-		return nil, 0, errNoMechanism
-	}
+	mech, _ := s.engine.Identity()
 	// One span covers the whole fan-out pull + fold; a traced request
 	// context records it, the cadence loop's background context no-ops.
 	pullSpan := trace.SpanFrom(ctx).Child("fleet.pull")
@@ -169,11 +155,8 @@ func (s *Supervisor) mergedState(ctx context.Context, _ uint64, _ bool) (collect
 	if err != nil {
 		return collector.State{}, err
 	}
-	if merged.N == 0 {
-		return collector.State{}, errNoReports
-	}
 	s.mu.Lock()
-	mech, routed := s.mech, s.stats.Routed
+	routed := s.stats.Routed
 	s.mu.Unlock()
-	return collector.State{Mech: mech, Key: hash, Gen: routed, N: merged.N, Agg: merged}, nil
+	return collector.State{Key: hash, Gen: routed, N: merged.N, Agg: merged}, nil
 }

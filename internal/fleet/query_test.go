@@ -112,7 +112,7 @@ func TestFleetQueryAHEADTreeBasis(t *testing.T) {
 	// the mechanism is fine: decodes build fresh trees.
 	urls := make([]string, 2)
 	for i := range urls {
-		c, err := collector.New(collector.Config{Mechanism: a})
+		c, err := collector.New(collector.Config{Mechanism: a, Pipeline: pipeline})
 		if err != nil {
 			t.Fatal(err)
 		}

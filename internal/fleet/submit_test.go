@@ -7,7 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
 	"dpspatial/internal/collector"
@@ -41,6 +44,10 @@ func TestSubmitPathParity(t *testing.T) {
 	mech := newDAM(t, 5, 2.0)
 	pipeline := damPipeline(mech, 5, 2.0)
 	blob, err := accumulateShards(t, mech, 1, 61)[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	misfit, err := accumulateShards(t, newDAM(t, 6, 2.0), 1, 62)[0].MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +135,8 @@ func TestSubmitPathParity(t *testing.T) {
 			body: []byte("not an aggregate"), status: http.StatusBadRequest, readsBody: true},
 		{name: "DPA2 garbage", method: http.MethodPost, path: "/v1/aggregate", id: "parity-garbage",
 			body: garbage, status: http.StatusBadRequest, readsBody: true},
+		{name: "blob of another mechanism", method: http.MethodPost, path: "/v1/aggregate", id: "parity-misfit",
+			body: misfit, status: http.StatusConflict, readsBody: true},
 		{name: "PUT aggregate", method: http.MethodPut, path: "/v1/aggregate", id: "parity-put",
 			body: blob, status: http.StatusMethodNotAllowed},
 		{name: "valid without an ID", method: http.MethodPost, path: "/v1/aggregate",
@@ -178,5 +187,108 @@ func TestSubmitPathParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPreAdoptionParity holds an unadopted adopt-mode collector and an
+// unadopted supervisor to one answer: each read, and a submission without
+// pipeline metadata, is refused 409 with the same text up to the tier's
+// name, and both /healthz bodies carry the same keys. Once an empty shard
+// adopted the pipeline at both tiers, each estimate read is refused 409
+// with one no-reports text.
+func TestPreAdoptionParity(t *testing.T) {
+	mech := newDAM(t, 5, 2.0)
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	col, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := fleet.New(fleet.Config{Members: []string{serve(member)}, Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := []struct{ name, url string }{{"collector", serve(col)}, {"fleet", serve(sup)}}
+	blob, err := accumulateShards(t, mech, 1, 63)[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(t *testing.T, method, url string, body []byte) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		raw, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.StatusCode, raw
+	}
+	type request struct {
+		method, path string
+		body         []byte
+	}
+	refuseAlike := func(t *testing.T, req request) {
+		t.Helper()
+		var texts []string
+		for _, tier := range tiers {
+			status, raw := ask(t, req.method, tier.url+req.path, req.body)
+			var e struct{ Error string }
+			if err := json.Unmarshal(raw, &e); err != nil || status != http.StatusConflict {
+				t.Fatalf("%s: %s %s answered %d %q, want a 409", tier.name, req.method, req.path, status, raw)
+			}
+			texts = append(texts, strings.Replace(e.Error, tier.name, "<tier>", 1))
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s %s: collector refused with %q, supervisor with %q", req.method, req.path, texts[0], texts[1])
+		}
+	}
+	estimateReads := []request{{http.MethodGet, "/v1/estimate", nil}, {http.MethodGet, "/v1/query?type=topk&k=1", nil}}
+	for _, req := range append(estimateReads,
+		request{http.MethodGet, "/v1/aggregate", nil},
+		request{http.MethodPost, "/v1/aggregate", blob}) {
+		refuseAlike(t, req)
+	}
+
+	var keys [2][]string
+	for i, tier := range tiers {
+		status, raw := ask(t, http.MethodGet, tier.url+"/healthz", nil)
+		var body map[string]any
+		if err := json.Unmarshal(raw, &body); err != nil || status != http.StatusOK {
+			t.Fatalf("%s /healthz answered %d %q", tier.name, status, raw)
+		}
+		for k := range body {
+			keys[i] = append(keys[i], k)
+		}
+		sort.Strings(keys[i])
+	}
+	if !reflect.DeepEqual(keys[0], keys[1]) {
+		t.Errorf("/healthz keys: collector %v, supervisor %v", keys[0], keys[1])
+	}
+
+	empty, err := mech.NewAggregate().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range tiers {
+		if _, err := collector.NewClient(tier.url).SubmitAggregateBlob(context.Background(), empty, damPipeline(mech, 5, 2.0)); err != nil {
+			t.Fatalf("%s: %v", tier.name, err)
+		}
+	}
+	for _, req := range estimateReads {
+		refuseAlike(t, req)
 	}
 }

@@ -4,8 +4,9 @@
 //
 // The supervisor speaks the collector's own wire protocol — POST
 // /v1/report and /v1/aggregate accept the same framings, GET
-// /v1/estimate, /v1/aggregate, /v1/stats and /healthz serve the same
-// envelopes — so clients, `damctl submit` and `damctl estimate
+// /v1/estimate, /v1/aggregate and /healthz serve the same envelopes, and
+// GET /v1/stats serves the collector's plus the routing counters and
+// the members — so clients, `damctl submit` and `damctl estimate
 // --from-url` point at a supervisor transparently, and supervisors chain
 // under bigger supervisors exactly like collectors chain under a
 // supervisor. Both tiers serve through collector.Engine: its submit path
@@ -24,12 +25,16 @@
 // members, and any arrival interleaving. Later decodes warm-start from
 // the previous estimate on the merge cadence, like a single collector's.
 //
-// One pipeline is enforced fleet-wide with the collector's transactional
-// adopt-from-first-submission semantics: pre-adoption submissions are
-// serialised, the candidate mechanism is only committed after a member
-// accepted the shard, and the supervisor injects the pinned pipeline
-// metadata into forwarded submissions so every member — whichever one
-// routing picks, even a freshly started one — adopts the same pipeline.
+// One pipeline is enforced fleet-wide by the collector's rule: the
+// shared Engine holds the supervisor's mechanism and its pin, set once —
+// from Config, or adopted from the first accepted submission — and
+// checks every submission's metadata against the pin and every blob
+// against the mechanism before anything is forwarded. Adoption is
+// transactional: pre-adoption submissions are serialised, the candidate
+// mechanism is only adopted after a member accepted the shard, and the
+// supervisor injects the pin into forwarded submissions so every member
+// — whichever one routing picks, even a freshly started one — adopts
+// the same pipeline.
 package fleet
 
 import (
@@ -97,7 +102,6 @@ type Config struct {
 // under any http.Server, and call Start/Close around the serving
 // lifetime to run the probe + merge cadence loop.
 type Supervisor struct {
-	cfg Config
 	// engine serves the read path (estimate and query caches, decode
 	// spans and metrics, the probe + decode cadence loop) over
 	// mergedState, and wraps every handler in the bearer gate,
@@ -108,18 +112,16 @@ type Supervisor struct {
 	// k mod len(members).
 	next atomic.Uint64
 
-	// adoptMu serialises submissions that arrive before a mechanism is
-	// pinned, making fleet-wide adoption transactional: one candidate in
-	// flight at a time, committed only after a member accepted its
-	// shard, so a rejected first submission can never lock the fleet —
-	// or any member — to its pipeline.
+	// adoptMu serialises submissions that arrive before the fleet adopted
+	// a mechanism, making fleet-wide adoption transactional: one
+	// candidate in flight at a time, adopted only after a member accepted
+	// its shard, so a rejected first submission can never lock the fleet
+	// — or any member — to its pipeline.
 	adoptMu sync.Mutex
 
 	// mu guards the mutable supervisor state; never held across network
-	// calls or EM decodes.
+	// calls or EM decodes. stats holds the routing and shard counters.
 	mu       sync.Mutex
-	mech     collector.Estimator
-	pipeline *collector.Pipeline
 	stats    Stats
 	acks     *collector.AckLog  // idempotency log: submission ID → ack
 	inflight map[string]bool    // submission IDs currently being forwarded
@@ -143,20 +145,21 @@ func New(cfg Config) (*Supervisor, error) {
 		return nil, fmt.Errorf("fleet: a pre-built Mechanism needs its Pipeline metadata (members adopt from it)")
 	}
 	s := &Supervisor{
-		cfg:      cfg,
 		acks:     collector.NewAckLog(collector.DedupWindow),
 		inflight: make(map[string]bool),
 		sticky:   make(map[string]*member),
 	}
 	s.engine = collector.NewEngine(collector.EngineConfig{
 		Tier: "fleet", Service: "supervisor",
+		Mechanism:   cfg.Mechanism,
+		Pipeline:    cfg.Pipeline,
+		Build:       cfg.Build,
 		Source:      s.mergedState,
 		ErrorStatus: pullErrorStatus,
 		Replay:      s.replay,
 		Commit:      s.commit,
 		Aggregate:   s.mergedBlob,
 		Routes: map[string]http.HandlerFunc{
-			"/healthz":  collector.MethodOnly(http.MethodGet, s.handleHealthz),
 			"/v1/stats": collector.MethodOnly(http.MethodGet, s.handleStats),
 		},
 		Cadence:        cfg.Cadence,
@@ -178,13 +181,6 @@ func New(cfg Config) (*Supervisor, error) {
 		seen[m.url] = true
 		s.members = append(s.members, m)
 	}
-	if cfg.Mechanism != nil {
-		s.mech = cfg.Mechanism
-		pin := *cfg.Pipeline
-		s.pipeline = &pin
-		s.stats.Scheme = s.mech.Scheme()
-	}
-	s.stats.CadenceMillis = cfg.Cadence.Milliseconds()
 	s.registerFleetMetrics()
 	return s, nil
 }
@@ -204,15 +200,15 @@ func (s *Supervisor) Close() { s.engine.Close() }
 
 // commit is the supervisor's step of the Engine's submit path. It
 // validates a parsed submission against the fleet pipeline (building a
-// candidate mechanism on first contact), forwards the client's bytes to
-// a member with failover, and commits the routing counters — and, for a
-// first submission, the fleet-wide adoption — only after a member
-// accepted the shard. The submission ID is the idempotency key: a
-// replayed ID answers with the original ack, and an ID whose first
-// attempt died mid-response stays pinned to the member that may have
-// merged it. A retry under a fresh ID cannot be recognised as a replay
-// and may merge again; the Client and damctl reuse the ID, and the
-// Engine echoes the one it minted.
+// candidate mechanism on first contact) and a blob against the
+// mechanism, forwards the client's bytes to a member with failover, and
+// commits the routing counters — and, for a first submission, the
+// fleet-wide adoption — only after a member accepted the shard. The
+// submission ID is the idempotency key: a replayed ID answers with the
+// original ack, and an ID whose first attempt died mid-response stays
+// pinned to the member that may have merged it. A retry under a fresh
+// ID cannot be recognised as a replay and may merge again; the Client
+// and damctl reuse the ID, and the Engine echoes the one it minted.
 func (s *Supervisor) commit(ctx context.Context, sub *collector.Submission) (collector.SubmitResponse, error) {
 	// Failover resends these exact bytes, so the stream is read whole.
 	body, err := sub.Body()
@@ -238,42 +234,36 @@ func (s *Supervisor) commit(ctx context.Context, sub *collector.Submission) (col
 		return collector.SubmitResponse{}, unknownState("a submission with this ID is already in flight; retry to collect its ack")
 	}
 	s.inflight[id] = true
-	locked := s.mech != nil
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(s.inflight, id)
 		s.mu.Unlock()
 	}()
-	if !locked {
+	if mech, _ := s.engine.Identity(); mech == nil {
 		// Serialise pre-adoption traffic; a concurrent submission may
-		// have pinned the fleet while we waited for the lock.
+		// have adopted while we waited for the lock.
 		s.adoptMu.Lock()
 		defer s.adoptMu.Unlock()
 	}
-	s.mu.Lock()
-	installed, pipeline := s.mech, s.pipeline
-	s.mu.Unlock()
 	// Refusals happen here rather than burning a round trip to a member.
-	hdr := sub.Pipeline
-	mech, adopted, err := collector.ResolveMechanism("fleet", installed, pipeline, hdr, s.cfg.Build)
+	mech, candidate, err := s.engine.Resolve(sub.Pipeline)
+	if err == nil && sub.Shard != nil {
+		err = sub.Shard.Compatible(mech)
+	}
 	if err != nil {
 		return collector.SubmitResponse{}, err
 	}
-	if adopted {
-		pin := *hdr
-		pipeline = &pin
-	}
 
-	// Inject the fleet pipeline into payloads that don't carry metadata,
-	// so whichever member routing picks — even one that started bare —
-	// can adopt and cross-check the shard.
-	forwardBody, forwardHdr := body, hdr
-	if hdr == nil && pipeline != nil {
-		if sub.Kind == collector.ShardAggregate {
-			forwardHdr = pipeline
-		} else {
-			line, err := marshalHeaderLine(pipeline)
+	// Inject the fleet pin into payloads that don't carry metadata, so
+	// whichever member routing picks — even one that started bare — can
+	// adopt and cross-check the shard. Such a payload resolved, so the
+	// fleet has a pin.
+	forwardBody, forwardHdr := body, sub.Pipeline
+	if forwardHdr == nil {
+		_, forwardHdr = s.engine.Identity()
+		if sub.Kind == collector.ShardReport {
+			line, err := marshalHeaderLine(forwardHdr)
 			if err != nil {
 				return collector.SubmitResponse{}, &collector.Refusal{Status: http.StatusInternalServerError, Err: err}
 			}
@@ -285,14 +275,14 @@ func (s *Supervisor) commit(ctx context.Context, sub *collector.Submission) (col
 	if err != nil {
 		return collector.SubmitResponse{}, err
 	}
+	if candidate {
+		// adoptMu is held, so nothing adopted since Resolve: this
+		// installs the candidate and cannot fail.
+		_ = s.engine.Adopt(mech, sub.Pipeline)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if adopted && s.mech == nil {
-		s.mech = mech
-		s.pipeline = pipeline
-		s.stats.Scheme = mech.Scheme()
-	}
 	// A Duplicate ack with a sticky pin on this member is the lost-ack
 	// case: the member merged the shard on the aborted first attempt
 	// and this replay recovered the ack — the routing was never
@@ -300,17 +290,13 @@ func (s *Supervisor) commit(ctx context.Context, sub *collector.Submission) (col
 	// replay of an already-acked submission and counts nothing.
 	recovered := resp.Duplicate && s.sticky[id] == m
 	if resp.Duplicate {
-		s.stats.Duplicates++
+		s.stats.DuplicateShards++
 		s.met.Submissions.With(collector.SubmissionDuplicate).Inc()
 	}
 	if !resp.Duplicate || recovered {
 		s.stats.Routed++
 		s.met.Submissions.With(collector.SubmissionAccepted).Inc()
-		if sub.Kind == collector.ShardReport {
-			s.stats.ReportShards++
-		} else {
-			s.stats.AggregateShards++
-		}
+		sub.Kind.Count(&s.stats.Stats)
 		resp.Generation = s.stats.Routed
 		m.countRouted()
 	}
@@ -503,7 +489,7 @@ func (s *Supervisor) replay(ctx context.Context, id string) (collector.SubmitRes
 func (s *Supervisor) replayLocked(span *trace.Span, id string) (collector.SubmitResponse, bool) {
 	prev, ok := s.acks.Get(id)
 	if ok {
-		s.stats.Duplicates++
+		s.stats.DuplicateShards++
 		s.met.Submissions.With(collector.SubmissionDuplicate).Inc()
 		span.Event("duplicate.replay", trace.String("originalTraceId", prev.TraceID))
 	}
@@ -548,34 +534,15 @@ func (s *Supervisor) probeMembers(ctx context.Context) {
 	wg.Wait()
 }
 
-func (s *Supervisor) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	scheme := s.stats.Scheme
-	s.mu.Unlock()
-	healthy := 0
-	for _, m := range s.members {
-		if m.isHealthy() {
-			healthy++
-		}
-	}
-	collector.WriteJSON(w, http.StatusOK, map[string]any{
-		"status": "ok", "role": "supervisor", "scheme": scheme,
-		"members": len(s.members), "healthy": healthy,
-	})
-}
-
 // mergedBlob is the supervisor's GET /v1/aggregate: the fleet-merged
-// aggregate as a DPA2 blob, with the pinned pipeline — byte-compatible
-// with a collector's, so supervisors stack.
-func (s *Supervisor) mergedBlob(ctx context.Context) ([]byte, *collector.Pipeline, error) {
+// aggregate as a DPA2 blob — byte-compatible with a collector's, so
+// supervisors stack.
+func (s *Supervisor) mergedBlob(ctx context.Context) ([]byte, error) {
 	merged, _, err := s.pullMerged(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	blob, err := merged.MarshalBinary()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return blob, s.pipeline, err
+	return merged.MarshalBinary()
 }
 
 func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -583,7 +550,7 @@ func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := s.stats
 	s.mu.Unlock()
 	stats.Generation = stats.Routed
-	stats.DecodeCounters, _ = s.engine.DecodeStats()
+	s.engine.FillStats(&stats.Stats)
 	stats.Members = s.memberStats(r.Context())
 	for _, m := range stats.Members {
 		stats.Reports += m.Reports
@@ -618,35 +585,24 @@ func (s *Supervisor) memberStats(ctx context.Context) []MemberStats {
 	return out
 }
 
-// Stats is the JSON body of the supervisor's GET /v1/stats. The
-// generation / reports / scheme keys mirror a collector's stats
-// envelope, so collector.Client.Stats pointed at a supervisor decodes
-// the fleet-level view of the same counters.
+// Stats is the JSON body of the supervisor's GET /v1/stats: the
+// collector's envelope, so collector.Client.Stats pointed at a
+// supervisor decodes the fleet-level view of the same counters, plus
+// the routing counters and the members. In the collector part,
+// Generation is Routed; ReportShards and AggregateShards split Routed
+// by framing; DuplicateShards counts replayed submission IDs answered
+// from an idempotency log (the supervisor's or a member's) without
+// merging; and Reports sums the report counts the answering members
+// currently hold — the fleet-wide absorbed total when every member
+// answers.
 type Stats struct {
-	// Scheme is empty until the fleet adopts a mechanism.
-	Scheme string `json:"scheme"`
+	collector.Stats
 	// Routed counts submissions accepted by a member via this
-	// supervisor; ReportShards / AggregateShards split it by framing.
-	// Generation mirrors Routed under the collector stats key.
-	Routed          uint64 `json:"routed"`
-	Generation      uint64 `json:"generation"`
-	ReportShards    uint64 `json:"reportShards"`
-	AggregateShards uint64 `json:"aggregateShards"`
-	// Reports sums the report counts the answering members currently
-	// hold — the fleet-wide absorbed total when every member answers.
-	Reports float64 `json:"reports"`
+	// supervisor.
+	Routed uint64 `json:"routed"`
 	// Failovers counts member attempts that failed transiently and made
 	// a submission move on to the next member in routing order.
 	Failovers uint64 `json:"failovers"`
-	// Duplicates counts replayed submission IDs answered from an
-	// idempotency log (the supervisor's or a member's) without merging.
-	Duplicates uint64 `json:"duplicates,omitempty"`
-	// DecodeCounters is the fleet-decode accounting (cold/warm decodes,
-	// iterations saved), shared with the collector's stats.
-	collector.DecodeCounters
-	// CadenceMillis is the configured probe + merge cadence (0 = pull
-	// only on demand).
-	CadenceMillis int64 `json:"cadenceMillis"`
 	// Members reports per-member health and counters, in fleet order.
 	Members []MemberStats `json:"members,omitempty"`
 }

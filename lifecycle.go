@@ -147,7 +147,8 @@ type CollectorPipeline = collector.Pipeline
 
 // NewCollectorPipeline describes the named mechanism's report pipeline
 // over the domain — the metadata a client attaches to shard submissions
-// so a collector started without a mechanism can adopt one — and
+// so a collector started without a mechanism can adopt one, and the pin
+// a collector built around a pre-built mechanism requires — and
 // returns the mechanism it describes, so callers that go on to report
 // or serve with it need not rebuild it. SEM-Geo-I records its
 // calibrated Geo-I budget so the collector rebuilds without re-running
@@ -227,8 +228,8 @@ func NewMechanismFromPipeline(p *CollectorPipeline) (ReportingMechanism, error) 
 type FleetSupervisor = fleet.Supervisor
 
 // FleetStats are the counters the supervisor's GET /v1/stats serves:
-// routed submissions, failovers, per-member health, and the EM
-// iterations saved by warm-started fleet refreshes.
+// the collector's CollectorStats, embedded, plus routed submissions,
+// failovers and per-member health.
 type FleetStats = fleet.Stats
 
 // FleetMemberStats is one member's entry in FleetStats.
