@@ -21,7 +21,6 @@ func (hc *harnessConfig) suite() *experiments.Suite {
 		Seed:          hc.seed,
 		MaxPoints:     hc.maxPoints,
 		LPCalibration: !hc.noLPCal,
-		Workers:       hc.workers,
 	})
 }
 

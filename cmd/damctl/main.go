@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	damctl fig    --fig 8|9a..9t|13a..13d|14a|14b [--scale 0.05] [--workers 0]
+//	damctl fig    --fig 8|9a..9t|13a..13d|14a|14b [--scale 0.05]
 //	damctl tables --table 3|4|5
 //	damctl shapes                 # audit key figures against the paper's claims
 //	damctl gen    --dataset Crime --out points.csv [--scale 0.05]
@@ -106,8 +106,8 @@ Commands:
   demo      ASCII before/after density maps on synthetic data
 
 Shared harness flags: --scale (dataset size multiplier, default 0.05),
---repeats (averaging runs, default 2), --seed, --max-points, --no-lp-cal,
---workers (concurrent trial workers, 0 = all cores)`)
+--repeats (averaging runs, default 2), --seed, --max-points, --no-lp-cal.
+Trials run on GOMAXPROCS workers; output is identical for any value.`)
 }
 
 // harnessFlags registers the shared experiment configuration flags.
@@ -118,7 +118,6 @@ func harnessFlags(fs *flag.FlagSet) *harnessConfig {
 	fs.Uint64Var(&hc.seed, "seed", 2025, "random seed")
 	fs.IntVar(&hc.maxPoints, "max-points", 40000, "cap on users per dataset part (0 = all)")
 	fs.BoolVar(&hc.noLPCal, "no-lp-cal", false, "disable Local-Privacy calibration of SEM-Geo-I")
-	fs.IntVar(&hc.workers, "workers", 0, "concurrent trial workers (0 = all cores; output is identical for any value)")
 	return hc
 }
 
@@ -128,5 +127,4 @@ type harnessConfig struct {
 	seed      uint64
 	maxPoints int
 	noLPCal   bool
-	workers   int
 }

@@ -232,14 +232,20 @@ func TestCmdDemo(t *testing.T) {
 }
 
 func TestHarnessFlagsThreadWorkers(t *testing.T) {
-	// The shared --workers flag must reach the suite's configuration.
+	// The shared flags must reach the suite's configuration; the trial
+	// pool follows GOMAXPROCS, so there is no --workers flag.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	hc := harnessFlags(fs)
-	if err := fs.Parse([]string{"--workers", "3", "--repeats", "4"}); err != nil {
+	if err := fs.Parse([]string{"--repeats", "4"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := hc.suite().Config()
-	if cfg.Workers != 3 || cfg.Repeats != 4 {
+	if cfg := hc.suite().Config(); cfg.Repeats != 4 {
 		t.Fatalf("config %+v did not pick up flags", cfg)
+	}
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	harnessFlags(fs)
+	if err := fs.Parse([]string{"--workers", "3"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -workers") {
+		t.Fatalf("--workers parsed with error %v, want an unknown-flag error", err)
 	}
 }

@@ -43,17 +43,16 @@ func cmdServe(args []string) error {
 		return err
 	}
 	cfg := collector.Config{
-		Mechanism:      mech,
-		Pipeline:       pipeline,
-		Build:          adoptMechanism,
-		Cadence:        *cadence,
-		AuthToken:      *authToken,
-		DisableMetrics: !*df.metrics,
-		DisableTraces:  df.tracingDisabled(),
-		TraceCapacity:  df.traceCapacity(),
-		SlowLog:        slowLog,
-		EnablePprof:    *df.pprof,
-		SnapshotEvery:  *snapshotEvery,
+		Mechanism:     mech,
+		Pipeline:      pipeline,
+		Build:         adoptMechanism,
+		Cadence:       *cadence,
+		AuthToken:     *authToken,
+		DisableTraces: df.tracingDisabled(),
+		TraceCapacity: df.traceCapacity(),
+		SlowLog:       slowLog,
+		EnablePprof:   *df.pprof,
+		SnapshotEvery: *snapshotEvery,
 	}
 	if *dataDir != "" {
 		if cfg.Store, err = durable.Open(*dataDir); err != nil {
@@ -133,7 +132,7 @@ func cmdSubmit(args []string) error {
 	return nil
 }
 
-// submitFile sniffs a shard file's format — a raw DPA1/DPA2 blob, an
+// submitFile sniffs a shard file's format — a raw DPA2 blob, an
 // aggregate envelope, or a reports stream — and ships it under the
 // given submission ID.
 func submitFile(ctx context.Context, client *dpspatial.CollectorClient, path, id string) (*collector.SubmitResponse, error) {

@@ -21,8 +21,8 @@ import (
 )
 
 // What the two daemon subcommands (serve, supervise) share: the
-// pre-built mechanism flags, observability — metrics, slow-request
-// logging, tracing buffer, gated pprof — and TLS termination, plus
+// pre-built mechanism flags, observability — slow-request logging,
+// tracing buffer, gated pprof — and TLS termination, plus
 // runDaemon, the one way either daemon runs. Kept in one place so both
 // daemons speak the same operational dialect.
 
@@ -32,7 +32,6 @@ type daemonFlags struct {
 	eps        *float64
 	minX, minY *float64
 	side       *float64
-	metrics    *bool
 	slowMs     *float64
 	logFormat  *string
 	traceBuf   *int
@@ -50,8 +49,6 @@ func addDaemonFlags(fs *flag.FlagSet) *daemonFlags {
 		minX: fs.Float64("minx", 0, "domain lower-left x (with --mech)"),
 		minY: fs.Float64("miny", 0, "domain lower-left y (with --mech)"),
 		side: fs.Float64("side", 1, "domain side length (with --mech)"),
-		metrics: fs.Bool("metrics", true,
-			"serve the Prometheus text exposition on GET /metrics (behind --auth-token like the data endpoints)"),
 		slowMs: fs.Float64("slow-ms", -1,
 			"log requests slower than this many milliseconds to stderr, with their trace ID (0 = every request, negative = disabled)"),
 		logFormat: fs.String("log-format", "text",
@@ -193,9 +190,7 @@ func (d *daemonFlags) runDaemon(addr string, t daemon, st *durable.Store, name, 
 	go func() { errc <- d.serve(srv, ln) }()
 	base := d.scheme() + "://" + ln.Addr().String()
 	fmt.Printf("damctl: %s listening on %s (%s)\n", name, base, detail)
-	if *d.metrics {
-		fmt.Printf("damctl: metrics exposition at %s%s\n", base, collector.MetricsPath)
-	}
+	fmt.Printf("damctl: metrics exposition at %s%s\n", base, collector.MetricsPath)
 	if !d.tracingDisabled() {
 		fmt.Printf("damctl: trace buffer at %s%s\n", base, collector.TracesPath)
 	}

@@ -57,17 +57,16 @@ func cmdSupervise(args []string) error {
 		return err
 	}
 	sup, err := fleet.New(fleet.Config{
-		Members:        members,
-		Mechanism:      mech,
-		Pipeline:       pipeline,
-		Build:          adoptMechanism,
-		Cadence:        *cadence,
-		AuthToken:      *authToken,
-		DisableMetrics: !*df.metrics,
-		DisableTraces:  df.tracingDisabled(),
-		TraceCapacity:  df.traceCapacity(),
-		SlowLog:        slowLog,
-		EnablePprof:    *df.pprof,
+		Members:       members,
+		Mechanism:     mech,
+		Pipeline:      pipeline,
+		Build:         adoptMechanism,
+		Cadence:       *cadence,
+		AuthToken:     *authToken,
+		DisableTraces: df.tracingDisabled(),
+		TraceCapacity: df.traceCapacity(),
+		SlowLog:       slowLog,
+		EnablePprof:   *df.pprof,
 	})
 	if err != nil {
 		return err

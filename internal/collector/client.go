@@ -22,7 +22,7 @@ import (
 
 // Client talks to a collector service (or a fleet supervisor, which
 // speaks the same protocol). It speaks the same wire formats the CLI
-// pipeline writes to disk: DPA1/DPA2 binary blobs for aggregate shards
+// pipeline writes to disk: DPA2 binary blobs for aggregate shards
 // and header-plus-NDJSON streams for report shards.
 type Client struct {
 	// BaseURL is the collector root, e.g. "http://127.0.0.1:8080".
@@ -37,7 +37,8 @@ type Client struct {
 	// transient failure — a connection error or a 5xx status. 4xx
 	// refusals (scheme conflicts, bad shards) never retry. Zero disables
 	// retrying. Requests with a body are buffered in memory when
-	// retrying is enabled so every attempt replays identical bytes.
+	// retrying is enabled so every attempt replays identical bytes, and
+	// one over MaxBodyBytes is refused without being sent.
 	MaxRetries int
 	// RetryBackoff scales the delay before the first retry; it doubles
 	// per attempt, with equal jitter (a uniform draw from the upper half
@@ -99,23 +100,17 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		ctx = trace.ContextWithRemote(ctx, trace.NewSpanContext())
 	}
 	var bodyBytes []byte
-	canRetry := true
 	if body != nil && c.MaxRetries > 0 {
-		// Buffer so retries replay the exact bytes — but only up to the
-		// server's body cap: a larger body would be rejected anyway if
-		// buffered, so past the cap stream it once without retrying
-		// rather than slurping an arbitrarily large file into memory.
-		b, err := io.ReadAll(io.LimitReader(body, DefaultMaxBodyBytes+1))
+		// Buffer so retries replay the exact bytes, reading no further
+		// than one byte past the cap every tier enforces.
+		b, err := io.ReadAll(io.LimitReader(body, MaxBodyBytes+1))
 		if err != nil {
 			return err
 		}
-		if int64(len(b)) > DefaultMaxBodyBytes {
-			body = io.MultiReader(bytes.NewReader(b), body)
-			canRetry = false
-		} else {
-			bodyBytes = b
-			body = nil
+		if len(b) > MaxBodyBytes {
+			return fmt.Errorf("collector: %s %s: %w", method, path, errBodyTooLarge)
 		}
+		bodyBytes, body = b, nil
 	}
 	backoff := c.RetryBackoff
 	if backoff <= 0 {
@@ -127,7 +122,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 			rd = bytes.NewReader(bodyBytes)
 		}
 		err := c.doOnce(ctx, method, path, contentType, rd, header, out)
-		if err == nil || attempt >= c.MaxRetries || !canRetry || !isTransient(err) {
+		if err == nil || attempt >= c.MaxRetries || !isTransient(err) {
 			return err
 		}
 		select {
@@ -138,6 +133,9 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		backoff *= 2
 	}
 }
+
+// errBodyTooLarge refuses a body over MaxBodyBytes before it is sent.
+var errBodyTooLarge = fmt.Errorf("body over the %d-byte request cap", MaxBodyBytes)
 
 // retryDelay jitters one backoff step with the equal-jitter scheme:
 // half the window deterministic, half uniform — sleep in
@@ -269,7 +267,7 @@ func (c *Client) SubmitAggregate(ctx context.Context, shard *fo.Aggregate, p *Pi
 	return c.SubmitAggregateBlob(ctx, blob, p)
 }
 
-// SubmitAggregateBlob ships an already-encoded DPA1/DPA2 blob verbatim
+// SubmitAggregateBlob ships an already-encoded DPA2 blob verbatim
 // under a fresh submission ID.
 func (c *Client) SubmitAggregateBlob(ctx context.Context, blob []byte, p *Pipeline) (*SubmitResponse, error) {
 	return c.SubmitAggregateBlobWithID(ctx, blob, p, NewSubmissionID())

@@ -1,6 +1,12 @@
 package collector
 
 import (
+	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -32,5 +38,33 @@ func TestRetryDelayEqualJitterBounds(t *testing.T) {
 	}
 	if d := retryDelay(1); d != 1 {
 		t.Fatalf("retryDelay(1) = %v", d)
+	}
+}
+
+// zeros reads zero bytes without end.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestClientRefusesOverCapBodyBeforeSending gives a retrying Client a
+// body one byte over MaxBodyBytes, which every tier refuses: the Client
+// returns the cap error, and the server sees no request.
+func TestClientRefusesOverCapBodyBeforeSending(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		requests.Add(1)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	c.MaxRetries = 3
+	_, err := c.SubmitReportStream(context.Background(), io.LimitReader(zeros{}, MaxBodyBytes+1))
+	if !errors.Is(err, errBodyTooLarge) {
+		t.Fatalf("over-cap body answered %v, want %v", err, errBodyTooLarge)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("server saw %d requests", n)
 	}
 }

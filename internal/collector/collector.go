@@ -78,8 +78,6 @@ type Config struct {
 	// started when the mechanism supports it). Zero disables the
 	// background loop; GET /v1/estimate still refreshes on demand.
 	Cadence time.Duration
-	// MaxBodyBytes caps accepted request bodies (default 64 MiB).
-	MaxBodyBytes int64
 	// AuthToken, when non-empty, locks every endpoint except GET
 	// /healthz behind shared-secret bearer-token auth: requests must
 	// carry "Authorization: Bearer <token>". Clients set the same token
@@ -95,9 +93,6 @@ type Config struct {
 	// SnapshotEvery is the WAL-record count between snapshots
 	// (0 = DefaultSnapshotEvery; negative = snapshot only at Close).
 	SnapshotEvery int
-	// DisableMetrics leaves GET /metrics unrouted (404). The collector
-	// still accounts internally; only the exposition endpoint is gated.
-	DisableMetrics bool
 	// DisableTraces turns request tracing off entirely: no spans are
 	// recorded and GET /v1/traces is unrouted (404). Enabled by default
 	// because span recording is allocation-light.
@@ -118,10 +113,6 @@ type Config struct {
 // collector leaves SnapshotEvery unset: how many WAL records a crash
 // may have to replay.
 const DefaultSnapshotEvery = 256
-
-// DefaultMaxBodyBytes is the request-body cap of the fleet supervisor,
-// and of a collector whose config leaves MaxBodyBytes unset.
-const DefaultMaxBodyBytes = 64 << 20
 
 // DedupWindow bounds the idempotency logs of collectors and
 // supervisors: the acks of this many recent submissions are remembered
@@ -171,24 +162,22 @@ func New(cfg Config) (*Collector, error) {
 	c := &Collector{cfg: cfg, store: cfg.Store, acks: NewAckLog(DedupWindow)}
 	c.engine = NewEngine(EngineConfig{
 		Tier: "collector", Service: "collector",
-		Mechanism:    cfg.Mechanism,
-		Pipeline:     cfg.Pipeline,
-		Build:        cfg.Build,
-		Source:       c.mergedState,
-		Replay:       c.replay,
-		Commit:       c.commit,
-		Aggregate:    c.aggregateBlob,
-		MaxBodyBytes: cfg.MaxBodyBytes,
+		Mechanism: cfg.Mechanism,
+		Pipeline:  cfg.Pipeline,
+		Build:     cfg.Build,
+		Source:    c.mergedState,
+		Replay:    c.replay,
+		Commit:    c.commit,
+		Aggregate: c.aggregateBlob,
 		Routes: map[string]http.HandlerFunc{
 			"/v1/stats": MethodOnly(http.MethodGet, c.handleStats),
 		},
-		Cadence:        cfg.Cadence,
-		AuthToken:      cfg.AuthToken,
-		DisableMetrics: cfg.DisableMetrics,
-		DisableTraces:  cfg.DisableTraces,
-		TraceCapacity:  cfg.TraceCapacity,
-		SlowLog:        cfg.SlowLog,
-		EnablePprof:    cfg.EnablePprof,
+		Cadence:       cfg.Cadence,
+		AuthToken:     cfg.AuthToken,
+		DisableTraces: cfg.DisableTraces,
+		TraceCapacity: cfg.TraceCapacity,
+		SlowLog:       cfg.SlowLog,
+		EnablePprof:   cfg.EnablePprof,
 	})
 	if cfg.Mechanism != nil {
 		c.agg = cfg.Mechanism.NewAggregate()

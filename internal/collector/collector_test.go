@@ -246,37 +246,6 @@ func TestConcurrentAdoption(t *testing.T) {
 	}
 }
 
-// TestMixedVersionSubmissions merges a legacy DPA1 blob with a DPA2 blob
-// and checks the result matches an all-DPA2 merge.
-func TestMixedVersionSubmissions(t *testing.T) {
-	mech := newDAM(t, 5, 1.2)
-	shards := accumulateShards(t, mech, 2, 31)
-	want := mergeAll(t, mech, shards)
-
-	client, _ := startServer(t, mech, durPipeline(mech, 5, 1.2), 0)
-	ctx := context.Background()
-	v1, err := shards[0].MarshalBinaryV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v1[:4]) != "DPA1" {
-		t.Fatalf("legacy blob has magic %q", v1[:4])
-	}
-	if _, err := client.SubmitAggregateBlob(ctx, v1, nil); err != nil {
-		t.Fatalf("DPA1 submission rejected: %v", err)
-	}
-	if _, err := client.SubmitAggregate(ctx, shards[1], nil); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := client.FetchAggregate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, want) {
-		t.Fatal("mixed DPA1/DPA2 merge differs from the all-DPA2 merge")
-	}
-}
-
 // TestWarmRestartStats checks that the second decode warm-starts from
 // the first estimate and that /v1/stats surfaces the iteration saving.
 func TestWarmRestartStats(t *testing.T) {

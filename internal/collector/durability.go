@@ -16,9 +16,9 @@ import (
 //
 //   - snapshot Meta  = snapshotMeta JSON (scheme, pinned pipeline,
 //     generation and shard counters);
-//   - snapshot State = the canonical aggregate's DPA1/DPA2 binary
-//     encoding — deterministic, so a recovered aggregate is
-//     byte-identical to the one that was snapshotted;
+//   - snapshot State = the canonical aggregate's DPA2 binary encoding —
+//     deterministic, so a recovered aggregate is byte-identical to the
+//     one that was snapshotted;
 //   - snapshot Acks  = the idempotency log, each ack a SubmitResponse
 //     JSON, oldest first so FIFO eviction resumes in order;
 //   - RecordPipeline Meta = Pipeline JSON, written once when the

@@ -453,6 +453,39 @@ func TestDurableRefusesCorruptState(t *testing.T) {
 	})
 }
 
+// TestDurableRefusesStoredPinOfWrongShape: a data directory whose stored
+// pin claims a shape its mechanism does not have refuses recovery with
+// the stored-pipeline text, whether the collector adopts its mechanism
+// or starts pinned.
+func TestDurableRefusesStoredPinOfWrongShape(t *testing.T) {
+	mech := newDAM(t, 5, 2.0)
+	lying := durPipeline(mech, 5, 2.0)
+	lying.Shape = []int{7}
+	for name, cfg := range map[string]collector.Config{
+		"adopt mode": {Build: durBuild(t)},
+		"pinned":     {Mechanism: mech, Pipeline: durPipeline(mech, 5, 2.0)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := durable.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Append(durable.Record{Type: durable.RecordPipeline, Meta: pipelineJSON(t, lying)}); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			if cfg.Store, err = durable.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer cfg.Store.Close()
+			if _, err := collector.New(cfg); err == nil || !strings.Contains(err.Error(), "stored pipeline: ") {
+				t.Fatalf("recovering a pin of shape %v answered %v, want a stored-pipeline refusal", lying.Shape, err)
+			}
+		})
+	}
+}
+
 // TestNewRefusesBareMechanism checks that collector.New, like fleet.New,
 // refuses a pre-built Mechanism without its Pipeline, and refuses it
 // before it replays the store: a collector built next over the same

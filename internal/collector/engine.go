@@ -84,8 +84,6 @@ type EngineConfig struct {
 	Replay    func(ctx context.Context, id string) (SubmitResponse, bool)
 	Commit    func(ctx context.Context, sub *Submission) (SubmitResponse, error)
 	Aggregate func(ctx context.Context) ([]byte, error)
-	// MaxBodyBytes caps a submission body (0 = DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// Routes are the tier's own handlers, by path.
 	Routes map[string]http.HandlerFunc
 	// Cadence is the background refresh period (0 = no loop); OnTick,
@@ -93,12 +91,11 @@ type EngineConfig struct {
 	Cadence time.Duration
 	OnTick  func(ctx context.Context)
 	// The serving options of the tier's Config.
-	AuthToken      string
-	DisableMetrics bool
-	DisableTraces  bool
-	TraceCapacity  int
-	SlowLog        *trace.SlowLogger
-	EnablePprof    bool
+	AuthToken     string
+	DisableTraces bool
+	TraceCapacity int
+	SlowLog       *trace.SlowLogger
+	EnablePprof   bool
 }
 
 // Engine is the shared read path of a serving tier. It implements
@@ -149,15 +146,11 @@ type view struct {
 
 // NewEngine builds the engine and routes the tier's handlers.
 func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	e := &Engine{cfg: cfg, mux: http.NewServeMux(), routes: map[string]bool{},
 		reg: metrics.New(), cache: map[string]*view{}, stop: make(chan struct{})}
 	e.met = NewServiceMetrics(e.reg)
 	if cfg.Mechanism != nil {
-		pin := *cfg.Pipeline
-		e.mech, e.pin = cfg.Mechanism, &pin
+		_ = e.Adopt(cfg.Mechanism, cfg.Pipeline) // nothing adopted yet: it installs
 	}
 	if !cfg.DisableTraces {
 		e.tracer = trace.NewTracer(cfg.Service, cfg.TraceCapacity)
@@ -180,9 +173,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	handle("/v1/estimate", MethodOnly(http.MethodGet, e.handleEstimate))
 	handle("/v1/query", MethodOnly(http.MethodGet, e.handleQuery))
-	if !cfg.DisableMetrics {
-		e.mux.Handle(MetricsPath, e.reg.Handler())
-	}
+	e.mux.Handle(MetricsPath, e.reg.Handler())
 	if e.tracer != nil {
 		e.mux.Handle(TracesPath, e.tracer.Handler())
 	}

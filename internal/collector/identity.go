@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 )
 
 // A tier's identity is the mechanism it decodes with and the pipeline it
@@ -64,13 +65,17 @@ func (e *Engine) Resolve(p *Pipeline) (mech Estimator, candidate bool, err error
 	if p.Scheme != "" && mech.Scheme() != p.Scheme {
 		return nil, false, fmt.Errorf("rebuilt mechanism scheme %q does not match submitted scheme %q", mech.Scheme(), p.Scheme)
 	}
+	if p.Shape != nil && !slices.Equal(mech.ReportShape(), p.Shape) {
+		return nil, false, fmt.Errorf("rebuilt mechanism shape %v does not match submitted shape %v", mech.ReportShape(), p.Shape)
+	}
 	return mech, true, nil
 }
 
 // Adopt installs a candidate from Resolve as the tier's identity, pinned
-// to p. When a concurrent submission adopted first, p must pass that
-// pin instead; a compatible pin rebuilds the same mechanism, so the
-// candidate's validation holds for the installed one.
+// to a copy of p whose scheme and shape are the mechanism's own. When a
+// concurrent submission adopted first, p must pass that pin instead; a
+// compatible pin rebuilds the same mechanism, so the candidate's
+// validation holds for the installed one.
 func (e *Engine) Adopt(mech Estimator, p *Pipeline) error {
 	e.idMu.Lock()
 	defer e.idMu.Unlock()
@@ -78,6 +83,7 @@ func (e *Engine) Adopt(mech Estimator, p *Pipeline) error {
 		return e.pin.Compatible(p)
 	}
 	pin := *p
+	pin.Scheme, pin.Shape = mech.Scheme(), mech.ReportShape()
 	e.mech, e.pin = mech, &pin
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -321,26 +320,6 @@ func TestMetricsDurableCounters(t *testing.T) {
 	exp = scrapeMetrics(t, client2.BaseURL)
 	if got := seriesValue(t, exp, `dpspatial_submissions_total{outcome="duplicate"}`); got != 1 {
 		t.Fatalf("cross-restart replay duplicate = %g, want 1", got)
-	}
-}
-
-// TestMetricsDisabled checks DisableMetrics unroutes the endpoint: the
-// damctl --metrics=false escape hatch must 404, not serve an empty page.
-func TestMetricsDisabled(t *testing.T) {
-	mech := newDAM(t, 4, 2.0)
-	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 4, 2.0), DisableMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c)
-	t.Cleanup(func() { srv.Close(); c.Close() })
-	resp, err := http.Get(srv.URL + collector.MetricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled /metrics answered HTTP %d, want 404", resp.StatusCode)
 	}
 }
 

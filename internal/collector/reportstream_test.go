@@ -181,22 +181,42 @@ func TestReportStreamOddLines(t *testing.T) {
 	}
 }
 
-// TestMaxBodyBytesRefusesOverLimitBodies sets Config.MaxBodyBytes and
-// sends bodies over it to both submit endpoints of a durable collector:
-// a report stream cut inside its first line, one cut after it, and an
-// aggregate blob. Each answers 400 naming the limit, and none moves the
-// generation, the report total or the WAL.
+// repeatReader reads fill over and over, without end.
+type repeatReader struct {
+	fill string
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.fill[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.fill)
+	}
+	return n, nil
+}
+
+// overCap reads head, then collector.MaxBodyBytes bytes of fill repeated,
+// then tail: a body over the cap by at least len(head) bytes that no
+// buffer of the test holds.
+func overCap(head, fill, tail string) io.Reader {
+	return io.MultiReader(strings.NewReader(head),
+		io.LimitReader(&repeatReader{fill: fill}, collector.MaxBodyBytes), strings.NewReader(tail))
+}
+
+// TestMaxBodyBytesRefusesOverLimitBodies sends bodies over
+// collector.MaxBodyBytes to both submit endpoints of a durable
+// collector: a report stream cut inside its first line, one cut after
+// it, and an aggregate blob. Each answers 400 naming the limit, and none
+// moves the generation, the report total or the WAL.
 func TestMaxBodyBytesRefusesOverLimitBodies(t *testing.T) {
 	mech := newDAM(t, 4, 2.0)
 	hdr := mustJSONLine(t, durPipeline(mech, 4, 2.0))
 	lines := reportLines(t, mech, 100, 3)
-	_, c, st := startDurable(t, t.TempDir(), collector.Config{Build: durBuild(t), MaxBodyBytes: 1024})
+	_, c, st := startDurable(t, t.TempDir(), collector.Config{Build: durBuild(t)})
 	t.Cleanup(c.Close)
-	ok := hdr + strings.Join(lines[:5], "")
-	if len(ok) > 1024 {
-		t.Fatalf("valid stream is %d bytes, over the limit", len(ok))
-	}
-	accepted(t, serve(c, http.MethodPost, "/v1/report", []byte(ok)))
+	accepted(t, serve(c, http.MethodPost, "/v1/report", []byte(hdr+strings.Join(lines[:5], ""))))
 	stats := func() (gen uint64, reports float64, records uint64) {
 		var s collector.Stats
 		if err := json.Unmarshal(serve(c, http.MethodGet, "/v1/stats", nil).Body.Bytes(), &s); err != nil {
@@ -212,23 +232,22 @@ func TestMaxBodyBytesRefusesOverLimitBodies(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, path string
-		body       []byte
+		body       io.Reader
 		refusal    string
 	}{
 		{"stream cut inside its first line", "/v1/report",
-			[]byte("{" + strings.Repeat(" ", 2048) + hdr[1:] + lines[0]),
+			overCap("{", strings.Repeat(" ", 4096), hdr[1:]+lines[0]),
 			"reading body: http: request body too large"},
 		{"stream cut after its first line", "/v1/report",
-			[]byte(hdr + strings.Join(lines, "")),
-			"bad report line: http: request body too large"},
+			overCap(hdr, strings.Join(lines, ""), ""),
+			"reading body: http: request body too large"},
 		{"oversize blob", "/v1/aggregate",
-			append(blob, make([]byte, 2048)...),
+			overCap(string(blob), string(make([]byte, 4096)), ""),
 			"reading body: http: request body too large"},
 	} {
-		if len(tc.body) <= 1024 {
-			t.Fatalf("%s: body is %d bytes, not over the limit", tc.name, len(tc.body))
-		}
-		if got := refusal(t, serve(c, http.MethodPost, tc.path, tc.body), http.StatusBadRequest); got != tc.refusal {
+		rec := httptest.NewRecorder()
+		c.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
+		if got := refusal(t, rec, http.StatusBadRequest); got != tc.refusal {
 			t.Errorf("%s: refused with %q, want %q", tc.name, got, tc.refusal)
 		}
 		if g, r, w := stats(); g != gen || r != reports || w != records {

@@ -47,7 +47,8 @@ type Submission struct {
 
 // ReadReports counts a report stream into shard — its bare first report,
 // if the stream opened with one, then every line after the head — and
-// ends the body-read span. Its errors are the submitter's: 400.
+// ends the body-read span. Its errors are the submitter's: 400. A body
+// over the cap is refused as the head-line read and Body refuse it.
 func (s *Submission) ReadReports(shard *fo.Aggregate) error {
 	if s.first != nil {
 		if err := shard.Add(*s.first); err != nil {
@@ -55,6 +56,10 @@ func (s *Submission) ReadReports(shard *fo.Aggregate) error {
 		}
 	}
 	if err := ReadReports(s.rest, shard); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return badRequest(fmt.Errorf("reading body: %v", tooLarge))
+		}
 		return badRequest(err)
 	}
 	s.readSpan.SetAttr(trace.Float("reports", shard.N))
@@ -117,7 +122,7 @@ func (e *Engine) submit(w http.ResponseWriter, r *http.Request, kind ShardKind) 
 	// End is idempotent: the parse or the commit ends the span once the
 	// body is read, and this closes it on every early refusal.
 	defer sub.readSpan.End()
-	err := e.readSubmission(sub, http.MaxBytesReader(w, r.Body, e.cfg.MaxBodyBytes), r.Header)
+	err := e.readSubmission(sub, http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.Header)
 	var resp SubmitResponse
 	if err == nil {
 		resp, err = e.cfg.Commit(ctx, sub)

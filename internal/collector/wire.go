@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"dpspatial/internal/durable"
 	"dpspatial/internal/fo"
@@ -13,12 +14,12 @@ import (
 
 // The collector's wire formats are the ones the CLI pipeline already
 // ships on disk and over pipes: line-oriented JSON report streams
-// (opened by a Pipeline header line) and the deterministic DPA1/DPA2
-// binary aggregate encodings of internal/fo. The HTTP service adds no
-// new encoding — it frames the existing ones:
+// (opened by a Pipeline header line) and the deterministic DPA2 binary
+// aggregate encoding of internal/fo. The HTTP service adds no new
+// encoding — it frames the existing ones:
 //
 //	POST /v1/report     body = a reports stream (header line + NDJSON reports)
-//	POST /v1/aggregate  body = a DPA1/DPA2 blob (octet-stream);
+//	POST /v1/aggregate  body = a DPA2 blob (octet-stream);
 //	                    optional X-Dpspatial-Pipeline header = Pipeline JSON
 //	GET  /v1/aggregate  body = the merged canonical aggregate as a DPA2 blob
 //	GET  /v1/estimate   body = EstimateResponse JSON
@@ -49,6 +50,9 @@ const (
 	// another member — only a retry of the same ID is safe.
 	SubmissionStateHeader  = "X-Dpspatial-Submission-State"
 	SubmissionStateUnknown = "unknown"
+	// MaxBodyBytes caps a submission body at every tier: a larger one is
+	// refused 400, and a retrying Client refuses it before sending.
+	MaxBodyBytes = 64 << 20
 )
 
 // DomainSpec is the JSON shape of a square grid domain.
@@ -79,10 +83,14 @@ func (p *Pipeline) GridDomain() (grid.Domain, error) {
 }
 
 // Compatible reports whether two pipelines describe the same report
-// scheme and estimator configuration.
+// scheme and estimator configuration. q's shape is compared when q
+// carries one.
 func (p *Pipeline) Compatible(q *Pipeline) error {
 	if p.Scheme != q.Scheme {
 		return fmt.Errorf("scheme %q does not match %q", q.Scheme, p.Scheme)
+	}
+	if q.Shape != nil && !slices.Equal(p.Shape, q.Shape) {
+		return fmt.Errorf("shape %v does not match %v", q.Shape, p.Shape)
 	}
 	if p.Mech != q.Mech || p.D != q.D || p.Eps != q.Eps || p.EpsGeo != q.EpsGeo || p.Domain != q.Domain {
 		return fmt.Errorf("pipeline metadata does not match")
@@ -125,6 +133,7 @@ func ParseStreamHead(line []byte) (hdr *Pipeline, first *fo.Report, err error) {
 }
 
 // ReadReports counts the report lines after a stream's head into agg.
+// An error of r itself is wrapped in its "bad report line" error.
 func ReadReports(r io.Reader, agg *fo.Aggregate) error {
 	dec := json.NewDecoder(r)
 	var rep fo.Report // decodes every line: Add keeps nothing of it
@@ -133,7 +142,7 @@ func ReadReports(r io.Reader, agg *fo.Aggregate) error {
 		if err := dec.Decode(&rep); err == io.EOF {
 			return nil
 		} else if err != nil {
-			return fmt.Errorf("bad report line: %v", err)
+			return fmt.Errorf("bad report line: %w", err)
 		}
 		if err := agg.Add(rep); err != nil {
 			return err

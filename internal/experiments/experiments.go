@@ -17,6 +17,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -53,10 +54,6 @@ type Config struct {
 	// LPCalibration enables Local-Privacy calibration of SEM-Geo-I's ε'
 	// against DAM (Section VII-B). When disabled, ε' = ε directly.
 	LPCalibration bool
-	// Workers bounds the suite's concurrent trial execution (0 =
-	// GOMAXPROCS). Per-trial RNG streams derive from the trial's identity,
-	// not its worker, so results are byte-identical for any value.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -195,12 +192,15 @@ type partData struct {
 	points []geom.Point
 }
 
-// NewSuite builds a suite with the given configuration.
+// NewSuite builds a suite with the given configuration. Its trials run
+// on GOMAXPROCS workers; per-trial RNG streams derive from the trial's
+// identity, not its worker, so results are byte-identical for any
+// GOMAXPROCS.
 func NewSuite(cfg Config) *Suite {
 	cfg = cfg.withDefaults()
 	return &Suite{
 		cfg:      cfg,
-		pool:     newPool(cfg.Workers),
+		pool:     newPool(runtime.GOMAXPROCS(0)),
 		datasets: map[string][]partData{},
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -28,9 +27,6 @@ type pool struct {
 }
 
 func newPool(workers int) *pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &pool{sem: make(chan struct{}, workers)}
 }
 

@@ -78,9 +78,8 @@ func TestRunTrialPhasesOrdersResults(t *testing.T) {
 // figure renders byte-identically no matter how many workers execute it.
 func TestSuiteOutputWorkerCountInvariant(t *testing.T) {
 	render := func(workers int) string {
-		cfg := fastConfig()
-		cfg.Workers = workers
-		s := NewSuite(cfg)
+		s := NewSuite(fastConfig())
+		s.pool = newPool(workers)
 		fig, err := s.Fig9SmallD("SZipf")
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -97,9 +96,8 @@ func TestSuiteOutputWorkerCountInvariant(t *testing.T) {
 
 func TestAblationWorkerCountInvariant(t *testing.T) {
 	render := func(workers int) string {
-		cfg := tinyConfig()
-		cfg.Workers = workers
-		s := NewSuite(cfg)
+		s := NewSuite(tinyConfig())
+		s.pool = newPool(workers)
 		tab, err := s.AblationBaselines("SZipf", 5, 2)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -264,42 +264,6 @@ func TestFleetConcurrentRandomizedByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetMixedVersionShards routes a legacy DPA1 blob and a DPA2 blob
-// through the supervisor and checks the fleet estimate matches the
-// all-DPA2 union — mixed-version fleets merge transparently.
-func TestFleetMixedVersionShards(t *testing.T) {
-	mech := newDAM(t, 5, 1.2)
-	pipeline := damPipeline(mech, 5, 1.2)
-	shards := accumulateShards(t, mech, 2, 31)
-	want, err := mech.EstimateFromAggregate(mergeAll(t, mech, shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	f := startFleet(t, 2, newDAM(t, 5, 1.2), pipeline)
-	ctx := context.Background()
-	v1, err := shards[0].MarshalBinaryV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v1[:4]) != "DPA1" {
-		t.Fatalf("legacy blob has magic %q", v1[:4])
-	}
-	if _, err := f.client.SubmitAggregateBlob(ctx, v1, nil); err != nil {
-		t.Fatalf("DPA1 submission rejected by the fleet: %v", err)
-	}
-	if _, err := f.client.SubmitAggregate(ctx, shards[1], nil); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := f.client.Estimate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Mass, want.Mass) {
-		t.Fatal("mixed DPA1/DPA2 fleet estimate differs from the all-DPA2 union decode")
-	}
-}
-
 // TestFleetTransactionalAdoption starts an adopt-mode supervisor over
 // adopt-mode members: rejected first submissions must lock neither the
 // fleet nor any member, a valid one pins the pipeline fleet-wide, and

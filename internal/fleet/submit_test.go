@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,6 +34,22 @@ type tierAnswer struct {
 	trace   *trace.TraceData
 }
 
+// repeatReader reads fill over and over, without end.
+type repeatReader struct {
+	fill string
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.fill[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.fill)
+	}
+	return n, nil
+}
+
 // TestSubmitPathParity sends the same submissions to an adopt-mode
 // collector and to an adopt-mode supervisor in front of one such
 // collector. Both tiers run one submit path, so every row must answer
@@ -48,6 +65,25 @@ func TestSubmitPathParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	misfit, err := accumulateShards(t, newDAM(t, 6, 2.0), 1, 62)[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamHead := *pipeline
+	streamHead.Format = collector.ReportsFormat
+	headJSON, err := json.Marshal(&streamHead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headLine := string(headJSON) + "\n"
+	var lines bytes.Buffer
+	for _, rep := range collectReports(t, mech, 100, 65) {
+		if err := json.NewEncoder(&lines).Encode(&rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrongShape := *pipeline
+	wrongShape.Shape = []int{7}
+	wrongShapeHdr, err := json.Marshal(&wrongShape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +115,9 @@ func TestSubmitPathParity(t *testing.T) {
 		}
 	}
 
-	send := func(t *testing.T, tier parityTier, method, path, id, pipelineHdr string, body []byte) tierAnswer {
+	send := func(t *testing.T, tier parityTier, method, path, id, pipelineHdr string, body io.Reader) tierAnswer {
 		t.Helper()
-		req, err := http.NewRequest(method, tier.url+path, bytes.NewReader(body))
+		req, err := http.NewRequest(method, tier.url+path, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,8 +156,11 @@ func TestSubmitPathParity(t *testing.T) {
 	for _, row := range []struct {
 		name, method, path, id, pipelineHdr string
 		body                                []byte
-		status                              int
-		readsBody, duplicate                bool
+		// overCap, when set, follows body with collector.MaxBodyBytes
+		// bytes of it repeated, read as the request goes out.
+		overCap              string
+		status               int
+		readsBody, duplicate bool
 	}{
 		{name: "empty stream", method: http.MethodPost, path: "/v1/report", id: "parity-empty",
 			status: http.StatusBadRequest, readsBody: true},
@@ -137,6 +176,12 @@ func TestSubmitPathParity(t *testing.T) {
 			body: garbage, status: http.StatusBadRequest, readsBody: true},
 		{name: "blob of another mechanism", method: http.MethodPost, path: "/v1/aggregate", id: "parity-misfit",
 			body: misfit, status: http.StatusConflict, readsBody: true},
+		{name: "header with a wrong shape", method: http.MethodPost, path: "/v1/aggregate", id: "parity-shape",
+			pipelineHdr: string(wrongShapeHdr), body: blob, status: http.StatusConflict, readsBody: true},
+		{name: "header line, then not json", method: http.MethodPost, path: "/v1/report", id: "parity-report-line",
+			body: []byte(headLine + "not json\n"), status: http.StatusBadRequest, readsBody: true},
+		{name: "stream over the cap", method: http.MethodPost, path: "/v1/report", id: "parity-over-cap",
+			body: []byte(headLine), overCap: lines.String(), status: http.StatusBadRequest, readsBody: true},
 		{name: "PUT aggregate", method: http.MethodPut, path: "/v1/aggregate", id: "parity-put",
 			body: blob, status: http.StatusMethodNotAllowed},
 		{name: "valid without an ID", method: http.MethodPost, path: "/v1/aggregate",
@@ -147,7 +192,11 @@ func TestSubmitPathParity(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			var answers []tierAnswer
 			for _, tier := range tiers {
-				a := send(t, tier, row.method, row.path, row.id, row.pipelineHdr, row.body)
+				body := io.Reader(bytes.NewReader(row.body))
+				if row.overCap != "" {
+					body = io.MultiReader(body, io.LimitReader(&repeatReader{fill: row.overCap}, collector.MaxBodyBytes))
+				}
+				a := send(t, tier, row.method, row.path, row.id, row.pipelineHdr, body)
 				answers = append(answers, a)
 				if a.status != row.status {
 					t.Fatalf("%s answered %d (%q), want %d", tier.name, a.status, a.errText, row.status)
@@ -180,7 +229,7 @@ func TestSubmitPathParity(t *testing.T) {
 				// The minted ID is the key each tier acked under: a replay
 				// of it answers from the ack log before the body is read.
 				for i, tier := range tiers {
-					a := send(t, tier, http.MethodPost, row.path, answers[i].echoed, "", garbage)
+					a := send(t, tier, http.MethodPost, row.path, answers[i].echoed, "", bytes.NewReader(garbage))
 					if a.status != http.StatusOK || !a.ack.Duplicate || a.ack.Generation != answers[i].ack.Generation {
 						t.Errorf("%s: replaying the minted ID answered %d %+v, want the duplicate of %+v", tier.name, a.status, a.ack, answers[i].ack)
 					}
@@ -290,5 +339,92 @@ func TestPreAdoptionParity(t *testing.T) {
 	}
 	for _, req := range estimateReads {
 		refuseAlike(t, req)
+	}
+}
+
+// TestAdoptedPinTakesShapeFromMechanism holds an adopt-mode collector and
+// an adopt-mode supervisor to the shape of the mechanism they adopt.
+// Before adoption, a header whose shape the rebuilt mechanism does not
+// have is refused 409 with one text at both tiers, and nothing adopts —
+// neither tier, nor the supervisor's member. A header without a shape
+// adopts, and each tier then serves the mechanism's shape in its pin.
+func TestAdoptedPinTakesShapeFromMechanism(t *testing.T) {
+	mech := newDAM(t, 5, 2.0)
+	blob, err := accumulateShards(t, mech, 1, 66)[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	col, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memberURL := serve(member)
+	sup, err := fleet.New(fleet.Config{Members: []string{memberURL}, Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := []struct{ name, url string }{{"collector", serve(col)}, {"supervisor", serve(sup)}}
+	ctx := context.Background()
+	// pin fetches a tier's aggregate and returns the pin it serves with
+	// it, or the status of the refusal.
+	pin := func(t *testing.T, url string) (*collector.Pipeline, int) {
+		t.Helper()
+		res, err := http.Get(url + "/v1/aggregate")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		if res.StatusCode != http.StatusOK {
+			return nil, res.StatusCode
+		}
+		var p collector.Pipeline
+		if err := json.Unmarshal([]byte(res.Header.Get(collector.PipelineHeader)), &p); err != nil {
+			t.Fatal(err)
+		}
+		return &p, res.StatusCode
+	}
+
+	lying := damPipeline(mech, 5, 2.0)
+	lying.Shape = []int{7}
+	var texts []string
+	for _, tier := range tiers {
+		_, err := collector.NewClient(tier.url).SubmitAggregateBlob(ctx, blob, lying)
+		var se *collector.StatusError
+		if !errors.As(err, &se) || se.StatusCode != http.StatusConflict {
+			t.Fatalf("%s: a header claiming shape %v answered %v, want a 409", tier.name, lying.Shape, err)
+		}
+		texts = append(texts, se.Message)
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("collector refused with %q, supervisor with %q", texts[0], texts[1])
+	}
+	for _, url := range []string{tiers[0].url, tiers[1].url, memberURL} {
+		if p, status := pin(t, url); status != http.StatusConflict {
+			t.Fatalf("%s adopted %+v from a refused header", url, p)
+		}
+	}
+
+	bare := damPipeline(mech, 5, 2.0)
+	bare.Shape = nil
+	for _, tier := range tiers {
+		if _, err := collector.NewClient(tier.url).SubmitAggregateBlob(ctx, blob, bare); err != nil {
+			t.Fatalf("%s: a header without a shape: %v", tier.name, err)
+		}
+		p, status := pin(t, tier.url)
+		if status != http.StatusOK {
+			t.Fatalf("%s: GET /v1/aggregate answered %d after adoption", tier.name, status)
+		}
+		if !reflect.DeepEqual(p.Shape, mech.ReportShape()) {
+			t.Errorf("%s serves shape %v, want the mechanism's %v", tier.name, p.Shape, mech.ReportShape())
+		}
 	}
 }

@@ -81,9 +81,6 @@ type Config struct {
 	// GET /healthz, and presents it to members, which run with the same
 	// --auth-token.
 	AuthToken string
-	// DisableMetrics leaves GET /metrics unrouted (404). The supervisor
-	// still accounts internally; only the exposition endpoint is gated.
-	DisableMetrics bool
 	// DisableTraces turns request tracing off entirely: no spans are
 	// recorded and GET /v1/traces is unrouted (404).
 	DisableTraces bool
@@ -162,14 +159,13 @@ func New(cfg Config) (*Supervisor, error) {
 		Routes: map[string]http.HandlerFunc{
 			"/v1/stats": collector.MethodOnly(http.MethodGet, s.handleStats),
 		},
-		Cadence:        cfg.Cadence,
-		OnTick:         s.probeMembers,
-		AuthToken:      cfg.AuthToken,
-		DisableMetrics: cfg.DisableMetrics,
-		DisableTraces:  cfg.DisableTraces,
-		TraceCapacity:  cfg.TraceCapacity,
-		SlowLog:        cfg.SlowLog,
-		EnablePprof:    cfg.EnablePprof,
+		Cadence:       cfg.Cadence,
+		OnTick:        s.probeMembers,
+		AuthToken:     cfg.AuthToken,
+		DisableTraces: cfg.DisableTraces,
+		TraceCapacity: cfg.TraceCapacity,
+		SlowLog:       cfg.SlowLog,
+		EnablePprof:   cfg.EnablePprof,
 	})
 	s.met = s.engine.Instruments()
 	seen := make(map[string]bool, len(cfg.Members))
@@ -354,7 +350,9 @@ func (s *Supervisor) order() []*member {
 // attempted member, so each outcome is classified:
 //
 //   - 400/409: the member understood the submission and refused it —
-//     every member enforcing the same pinned pipeline would; final.
+//     every member enforcing the same pinned pipeline would; final. A
+//     400 goes back in the member's words; a 409, which passed the
+//     supervisor's own checks, names the misconfigured member.
 //   - any other 4xx (401 from a misconfigured token, a proxy 404), or
 //     a 5xx carrying the collector's JSON error envelope: the member's
 //     stack answered before merging — a member-local problem; mark
@@ -435,7 +433,14 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 				s.mu.Lock()
 				delete(s.sticky, id)
 				s.mu.Unlock()
-				return nil, nil, &collector.Refusal{Status: se.StatusCode, Err: fmt.Errorf("member %s: %v", m.url, memberMessage(se))}
+				msg := se.Message
+				if msg == "" { // the member sent no JSON body
+					msg = se.Error()
+				}
+				if se.StatusCode == http.StatusConflict {
+					msg = fmt.Sprintf("member %s: %s", m.url, msg)
+				}
+				return nil, nil, &collector.Refusal{Status: se.StatusCode, Err: errors.New(msg)}
 			case errors.As(err, &se) && (se.StatusCode < 500 || se.Message != ""),
 				collector.RequestNotSent(err):
 				// The member's own stack answered non-2xx before any
@@ -510,15 +515,6 @@ func (s *Supervisor) pinSticky(id string, m *member) {
 		}
 	}
 	s.sticky[id] = m
-}
-
-// memberMessage renders a member's refusal for the client, falling back
-// to the full error when the member sent no JSON body.
-func memberMessage(se *collector.StatusError) string {
-	if se.Message != "" {
-		return se.Message
-	}
-	return se.Error()
 }
 
 // probeMembers updates every member's health flag off its /healthz.

@@ -108,17 +108,13 @@ func (a *Aggregate) Compatible(rep Reporter) error {
 	return nil
 }
 
-// Every binary-encoded aggregate opens with "DPA" plus a format-version
-// byte. Version 1 stores each plane as a dense float64 vector; version 2
-// prefixes each plane with an encoding byte and stores mostly-zero
-// planes as index/value pairs, so large-domain aggregates stop shipping
-// dense zero runs over the wire. UnmarshalBinary accepts both.
-var (
-	aggregateMagic   = []byte("DPA1")
-	aggregateMagicV2 = []byte("DPA2")
-)
+// Every binary-encoded aggregate opens with the magic "DPA2": "DPA" plus
+// the format-version byte. Each plane carries an encoding byte, and
+// mostly-zero planes are stored as index/value pairs, so large-domain
+// aggregates do not ship dense zero runs over the wire.
+var aggregateMagic = []byte("DPA2")
 
-// Per-plane encodings of the version-2 format.
+// Per-plane encodings.
 const (
 	planeDense  = 0 // uvarint len, len × float64
 	planeSparse = 1 // uvarint len, uvarint nnz, nnz × (uvarint index, float64); indices strictly increasing
@@ -152,14 +148,13 @@ func uvarintLen(v uint64) int {
 	return binary.PutUvarint(b[:], v)
 }
 
-// MarshalBinary encodes the aggregate deterministically in the version-2
-// format: magic, scheme, plane count, then each plane with an encoding
+// MarshalBinary encodes the aggregate deterministically: magic, scheme, plane count, then each plane with an encoding
 // byte — dense (length-prefixed little-endian float64 vector) or sparse
 // (index/value pairs), whichever is smaller — then N. The same aggregate
 // always yields the same bytes.
 func (a *Aggregate) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
-	buf.Write(aggregateMagicV2)
+	buf.Write(aggregateMagic)
 	writeUvarint(&buf, uint64(len(a.Scheme)))
 	buf.WriteString(a.Scheme)
 	writeUvarint(&buf, uint64(len(a.Planes)))
@@ -197,30 +192,7 @@ func (a *Aggregate) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// MarshalBinaryV1 encodes the aggregate in the legacy DPA1 format: every
-// plane dense, no per-plane encoding byte. Kept for fleets that still
-// run version-1 shards (UnmarshalBinary accepts both, so mixed-version
-// submissions merge transparently) and for compatibility tests.
-func (a *Aggregate) MarshalBinaryV1() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(aggregateMagic)
-	writeUvarint(&buf, uint64(len(a.Scheme)))
-	buf.WriteString(a.Scheme)
-	writeUvarint(&buf, uint64(len(a.Planes)))
-	var b [8]byte
-	for _, plane := range a.Planes {
-		writeUvarint(&buf, uint64(len(plane)))
-		for _, v := range plane {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			buf.Write(b[:])
-		}
-	}
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.N))
-	buf.Write(b[:])
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary decodes either binary format version in place. It is
+// UnmarshalBinary decodes a MarshalBinary blob in place. It is
 // where serialized aggregates enter a process (a POSTed shard, a
 // snapshot or WAL record, a member pull), so it refuses any count —
 // cell or N — that is not a finite, non-negative integer: one such cell
@@ -230,16 +202,7 @@ func (a *Aggregate) MarshalBinaryV1() ([]byte, error) {
 func (a *Aggregate) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
 	magic := make([]byte, len(aggregateMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return fmt.Errorf("fo: not a binary aggregate (bad magic)")
-	}
-	var version int
-	switch {
-	case bytes.Equal(magic, aggregateMagic):
-		version = 1
-	case bytes.Equal(magic, aggregateMagicV2):
-		version = 2
-	default:
+	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, aggregateMagic) {
 		return fmt.Errorf("fo: not a binary aggregate (bad magic)")
 	}
 	schemeLen, err := binary.ReadUvarint(r)
@@ -263,13 +226,9 @@ func (a *Aggregate) UnmarshalBinary(data []byte) error {
 	planes := make([][]float64, numPlanes)
 	cells := uint64(0)
 	for p := range planes {
-		encoding := byte(planeDense)
-		if version >= 2 {
-			enc, err := r.ReadByte()
-			if err != nil {
-				return fmt.Errorf("fo: truncated plane %d encoding: %v", p, err)
-			}
-			encoding = enc
+		encoding, err := r.ReadByte()
+		if err != nil {
+			return fmt.Errorf("fo: truncated plane %d encoding: %v", p, err)
 		}
 		size, err := binary.ReadUvarint(r)
 		if err != nil {

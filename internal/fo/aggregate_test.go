@@ -179,8 +179,9 @@ func TestAggregateBinaryRejectsGarbage(t *testing.T) {
 	// A plane size whose byte length overflows uint64 must error, not
 	// panic in make().
 	evil := append([]byte{}, aggregateMagic...)
-	evil = append(evil, 0) // empty scheme
-	evil = append(evil, 1) // one plane
+	evil = append(evil, 0)          // empty scheme
+	evil = append(evil, 1)          // one plane
+	evil = append(evil, planeDense) // dense encoding
 	evil = binary.AppendUvarint(evil, 1<<61)
 	if err := a.UnmarshalBinary(evil); err == nil {
 		t.Fatal("overflowing plane size should fail")
@@ -189,8 +190,8 @@ func TestAggregateBinaryRejectsGarbage(t *testing.T) {
 
 // TestAggregateBinaryRejectsInvalidCounts pins the entry-point check:
 // a blob carrying a cell or N that is NaN, negative, fractional or
-// infinite fails to decode in both formats and both plane encodings,
-// and leaves the target untouched.
+// infinite fails to decode in both plane encodings, and leaves the
+// target untouched.
 func TestAggregateBinaryRejectsInvalidCounts(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), -3, 0.5, math.Inf(1)} {
 		sparse := make([]float64, 64)
@@ -200,29 +201,24 @@ func TestAggregateBinaryRejectsInvalidCounts(t *testing.T) {
 			"sparse cell": {Scheme: "s", Planes: [][]float64{sparse}, N: 3},
 			"N":           {Scheme: "s", Planes: [][]float64{{1, 0, 2}}, N: bad},
 		} {
-			v1, err := agg.MarshalBinaryV1()
+			blob, err := agg.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := agg.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
+			back := Aggregate{Scheme: "untouched"}
+			if err := back.UnmarshalBinary(blob); err == nil {
+				t.Fatalf("%s = %v decoded", name, bad)
 			}
-			for _, blob := range [][]byte{v1, v2} {
-				back := Aggregate{Scheme: "untouched"}
-				if err := back.UnmarshalBinary(blob); err == nil {
-					t.Fatalf("%s %s = %v decoded", blob[:4], name, bad)
-				}
-				if back.Scheme != "untouched" || back.Planes != nil {
-					t.Fatalf("%s %s = %v: failed decode modified the target", blob[:4], name, bad)
-				}
+			if back.Scheme != "untouched" || back.Planes != nil {
+				t.Fatalf("%s = %v: failed decode modified the target", name, bad)
 			}
 		}
 	}
 }
 
-// goldenAggregateBlobs holds both wire layouts of the aggregate
-// {Scheme: "grr/3 eps=2", Planes: {{1, 0, 2}}, N: 3}, hex-encoded.
+// goldenAggregateBlobs holds both wire layouts the aggregate
+// {Scheme: "grr/3 eps=2", Planes: {{1, 0, 2}}, N: 3} has had,
+// hex-encoded. Only DPA2 decodes; a DPA1 blob is refused.
 var goldenAggregateBlobs = map[string]string{
 	// magic, uvarint scheme len, scheme, uvarint plane count, then
 	// per plane: uvarint len, len × little-endian float64; then N.
@@ -237,11 +233,11 @@ var goldenAggregateBlobs = map[string]string{
 		"0000000000000840",
 }
 
-// TestAggregateGoldenBlobs pins both wire layouts against fixed byte
-// strings, independently of the in-tree encoders: fleets hold DPA1/DPA2
-// blobs encoded by past releases, so a consistent drift of encoder and
+// TestAggregateGoldenBlobs pins the wire layout against a fixed byte
+// string, independently of the in-tree encoder: fleets hold DPA2 blobs
+// encoded by past releases, so a consistent drift of encoder and
 // decoder together must fail here even though round-trip tests stay
-// green.
+// green. The retired DPA1 layout is refused as a foreign blob.
 func TestAggregateGoldenBlobs(t *testing.T) {
 	agg := &Aggregate{Scheme: "grr/3 eps=2", Planes: [][]float64{{1, 0, 2}}, N: 3}
 	for version, wantHex := range goldenAggregateBlobs {
@@ -249,12 +245,18 @@ func TestAggregateGoldenBlobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var blob []byte
 		if version == "DPA1" {
-			blob, err = agg.MarshalBinaryV1()
-		} else {
-			blob, err = agg.MarshalBinary()
+			back := Aggregate{Scheme: "untouched"}
+			const refusal = "fo: not a binary aggregate (bad magic)"
+			if err := back.UnmarshalBinary(want); err == nil || err.Error() != refusal {
+				t.Errorf("golden DPA1 blob: decode error %v, want %q", err, refusal)
+			}
+			if back.Scheme != "untouched" || back.Planes != nil {
+				t.Errorf("refused DPA1 blob modified the target: %+v", back)
+			}
+			continue
 		}
+		blob, err := agg.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,40 +269,6 @@ func TestAggregateGoldenBlobs(t *testing.T) {
 		} else if !reflect.DeepEqual(&back, agg) {
 			t.Errorf("golden %s blob decoded to %+v", version, &back)
 		}
-	}
-}
-
-func TestAggregateDecodesLegacyV1(t *testing.T) {
-	g, err := NewGRR(6, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := grrAggregate(t, g, 300, 4)
-	blobV1, err := agg.MarshalBinaryV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(blobV1[:4]) != "DPA1" {
-		t.Fatalf("legacy encoder wrote magic %q", blobV1[:4])
-	}
-	var back Aggregate
-	if err := back.UnmarshalBinary(blobV1); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&back, agg) {
-		t.Fatal("legacy DPA1 decode changed the aggregate")
-	}
-	// And the v2 re-encode of the decoded value round-trips too.
-	blob, err := back.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again Aggregate
-	if err := again.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&again, agg) {
-		t.Fatal("v1→v2 re-encode changed the aggregate")
 	}
 }
 
@@ -386,7 +354,7 @@ func TestAggregateBinaryRejectsBadV2(t *testing.T) {
 		t.Fatal("unknown format version should fail")
 	}
 	// Unknown plane encoding byte.
-	evil := append([]byte{}, aggregateMagicV2...)
+	evil := append([]byte{}, aggregateMagic...)
 	evil = append(evil, 0) // empty scheme
 	evil = append(evil, 1) // one plane
 	evil = append(evil, 7) // bogus encoding
@@ -395,7 +363,7 @@ func TestAggregateBinaryRejectsBadV2(t *testing.T) {
 		t.Fatal("unknown plane encoding should fail")
 	}
 	// Sparse entry count exceeding the plane size.
-	evil = append([]byte{}, aggregateMagicV2...)
+	evil = append([]byte{}, aggregateMagic...)
 	evil = append(evil, 0, 1, planeSparse)
 	evil = binary.AppendUvarint(evil, 4)  // size 4
 	evil = binary.AppendUvarint(evil, 10) // nnz 10 > size
@@ -403,7 +371,7 @@ func TestAggregateBinaryRejectsBadV2(t *testing.T) {
 		t.Fatal("overflowing sparse entry count should fail")
 	}
 	// Out-of-order sparse indices.
-	evil = append([]byte{}, aggregateMagicV2...)
+	evil = append([]byte{}, aggregateMagic...)
 	evil = append(evil, 0, 1, planeSparse)
 	evil = binary.AppendUvarint(evil, 8) // size
 	evil = binary.AppendUvarint(evil, 2) // nnz
@@ -420,7 +388,7 @@ func TestAggregateBinaryRejectsBadV2(t *testing.T) {
 // `size` cells each. At 2²⁸ cells each plane names 2 GiB of counts in 7
 // bytes, and the one-plane blob is 22 bytes long.
 func emptySparseBlob(planes int, size uint64) []byte {
-	blob := append([]byte{}, aggregateMagicV2...)
+	blob := append([]byte{}, aggregateMagic...)
 	blob = append(blob, 1, 's', byte(planes))
 	for p := 0; p < planes; p++ {
 		blob = append(blob, planeSparse)
