@@ -13,7 +13,7 @@
 //	damctl estimate --in points.csv --d 15 --eps 3.5 [--mech DAM]
 //	damctl estimate --from-aggregate agg.json
 //	damctl estimate --from-url http://127.0.0.1:8080
-//	damctl serve  [--addr 127.0.0.1:8080] [--cadence 2s] [--auth-token s3cret] [--mech DAM --d 15 --eps 3.5] [--data-dir state/] [--slow-ms 250 --log-format json] [--pprof] [--tls-cert c.pem --tls-key k.pem]
+//	damctl serve  [--addr 127.0.0.1:8080] [--cadence 2s] [--auth-token s3cret] [--mech DAM --d 15 --eps 3.5] [--data-dir state/] [--slow-ms 250] [--pprof] [--tls-cert c.pem --tls-key k.pem]
 //	damctl supervise --member http://c1:8080 --member http://c2:8080 [--mech DAM --d 15 --eps 3.5] [--auth-token s3cret] [--slow-ms 250] [--tls-cert c.pem --tls-key k.pem]
 //	damctl submit --url http://127.0.0.1:8080 [--retries 3] [--submission-id id] [--tls-ca ca.pem] rep-000.jsonl shard.json blob.dpa ...
 //	damctl query  --url http://127.0.0.1:8080 --range 2,2,8,8 | --topk 5   (or --from-aggregate agg.json)
@@ -94,7 +94,7 @@ Commands:
 
             both daemons trace every request (W3C traceparent in, spans
             out on GET /v1/traces, X-Dpspatial-Trace-Id echoed back),
-            log slow requests with --slow-ms/--log-format, gate pprof
+            log slow requests as JSON lines with --slow-ms, gate pprof
             behind --pprof, and terminate TLS with --tls-cert/--tls-key;
             client commands trust a private CA via --tls-ca
   submit    ship report/aggregate shard files to a collector or

@@ -34,10 +34,6 @@ func cmdServe(args []string) error {
 	if err := df.validate(); err != nil {
 		return err
 	}
-	slowLog, err := df.slowLogger()
-	if err != nil {
-		return err
-	}
 	pipeline, mech, err := df.pipeline()
 	if err != nil {
 		return err
@@ -50,7 +46,7 @@ func cmdServe(args []string) error {
 		AuthToken:     *authToken,
 		DisableTraces: df.tracingDisabled(),
 		TraceCapacity: df.traceCapacity(),
-		SlowLog:       slowLog,
+		SlowLog:       df.slowLogger(),
 		EnablePprof:   *df.pprof,
 		SnapshotEvery: *snapshotEvery,
 	}

@@ -33,7 +33,6 @@ type daemonFlags struct {
 	minX, minY *float64
 	side       *float64
 	slowMs     *float64
-	logFormat  *string
 	traceBuf   *int
 	pprof      *bool
 	tlsCert    *string
@@ -50,9 +49,7 @@ func addDaemonFlags(fs *flag.FlagSet) *daemonFlags {
 		minY: fs.Float64("miny", 0, "domain lower-left y (with --mech)"),
 		side: fs.Float64("side", 1, "domain side length (with --mech)"),
 		slowMs: fs.Float64("slow-ms", -1,
-			"log requests slower than this many milliseconds to stderr, with their trace ID (0 = every request, negative = disabled)"),
-		logFormat: fs.String("log-format", "text",
-			"slow-request log format: text or json"),
+			"log requests slower than this many milliseconds to stderr, one JSON object per line with its trace ID (0 = every request, negative = disabled)"),
 		traceBuf: fs.Int("trace-buffer", 0,
 			"completed traces retained in memory for GET /v1/traces (0 = default, negative = disable tracing)"),
 		pprof: fs.Bool("pprof", false,
@@ -92,23 +89,14 @@ func adoptMechanism(p *collector.Pipeline) (collector.Estimator, error) {
 
 // slowLogger builds the slow-request logger the flags describe, or nil
 // when disabled.
-func (d *daemonFlags) slowLogger() (*trace.SlowLogger, error) {
-	jsonFormat := false
-	switch *d.logFormat {
-	case "text":
-	case "json":
-		jsonFormat = true
-	default:
-		return nil, fmt.Errorf("unknown --log-format %q (want text or json)", *d.logFormat)
-	}
+func (d *daemonFlags) slowLogger() *trace.SlowLogger {
 	if *d.slowMs < 0 {
-		return nil, nil
+		return nil
 	}
 	return &trace.SlowLogger{
 		W:         os.Stderr,
 		Threshold: time.Duration(*d.slowMs * float64(time.Millisecond)),
-		JSON:      jsonFormat,
-	}, nil
+	}
 }
 
 // tracingDisabled reports whether --trace-buffer asked tracing off.
@@ -125,9 +113,6 @@ func (d *daemonFlags) traceCapacity() int {
 // validate rejects inconsistent flag combinations early, before a
 // listener is bound.
 func (d *daemonFlags) validate() error {
-	if _, err := d.slowLogger(); err != nil {
-		return err
-	}
 	if (*d.tlsCert == "") != (*d.tlsKey == "") {
 		return fmt.Errorf("--tls-cert and --tls-key must be given together")
 	}

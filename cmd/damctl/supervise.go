@@ -36,7 +36,7 @@ func cmdSupervise(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:9090", "listen address")
 	var members memberList
 	fs.Var(&members, "member", "downstream collector base URL (repeat or comma-separate for a fleet)")
-	cadence := fs.Duration("cadence", 2*time.Second, "health-probe + merge + warm-re-estimate cadence (0 = pull only on demand)")
+	cadence := fs.Duration("cadence", 2*time.Second, "member pull + merge + warm-re-estimate cadence; each pull also sets the members' health (0 = pull only on demand)")
 	authToken := fs.String("auth-token", "", "shared bearer-token secret: required on our endpoints and presented to members")
 	df := addDaemonFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -46,10 +46,6 @@ func cmdSupervise(args []string) error {
 		return fmt.Errorf("missing --member (at least one collector URL)")
 	}
 	if err := df.validate(); err != nil {
-		return err
-	}
-	slowLog, err := df.slowLogger()
-	if err != nil {
 		return err
 	}
 	pipeline, mech, err := df.pipeline()
@@ -65,7 +61,7 @@ func cmdSupervise(args []string) error {
 		AuthToken:     *authToken,
 		DisableTraces: df.tracingDisabled(),
 		TraceCapacity: df.traceCapacity(),
-		SlowLog:       slowLog,
+		SlowLog:       df.slowLogger(),
 		EnablePprof:   *df.pprof,
 	})
 	if err != nil {

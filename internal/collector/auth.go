@@ -15,8 +15,8 @@ var errUnauthorized = errors.New("missing or invalid bearer token")
 // endpoints. One token is shared across a deployment (clients, the
 // supervisor, and every fleet member), set with `--auth-token` on the
 // daemons and Client.AuthToken on the client side. /healthz stays open so
-// load balancers and the supervisor's liveness probes need no secret —
-// it exposes only the scheme string and a generation counter.
+// load balancers and liveness probes need no secret — it exposes only the
+// tier's role and scheme.
 
 // AuthorizeBearer reports whether the request carries the expected
 // bearer token. The comparison is constant-time so the token cannot be

@@ -196,10 +196,6 @@ func (c *Collector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.engine.ServeHTTP(w, r)
 }
 
-// Tracer exposes the collector's completed-trace ring — nil when the
-// collector was built with DisableTraces.
-func (c *Collector) Tracer() *trace.Tracer { return c.engine.tracer }
-
 // Start launches the background merge-cadence loop. It is a no-op when
 // the configured cadence is zero.
 func (c *Collector) Start() { c.engine.Start() }

@@ -86,10 +86,8 @@ type EngineConfig struct {
 	Aggregate func(ctx context.Context) ([]byte, error)
 	// Routes are the tier's own handlers, by path.
 	Routes map[string]http.HandlerFunc
-	// Cadence is the background refresh period (0 = no loop); OnTick,
-	// if set, runs before each cadence refresh.
+	// Cadence is the background refresh period (0 = no loop).
 	Cadence time.Duration
-	OnTick  func(ctx context.Context)
 	// The serving options of the tier's Config.
 	AuthToken     string
 	DisableTraces bool
@@ -308,9 +306,8 @@ func (e *Engine) FillStats(s *Stats) {
 	s.CadenceMillis = e.cfg.Cadence.Milliseconds()
 }
 
-// Start launches the background cadence loop: each tick runs OnTick,
-// then brings the estimate up to the current state. No-op when the
-// cadence is zero.
+// Start launches the background cadence loop: each tick brings the
+// estimate up to the current state. No-op when the cadence is zero.
 func (e *Engine) Start() {
 	if e.cfg.Cadence <= 0 {
 		return
@@ -329,9 +326,6 @@ func (e *Engine) Start() {
 				// Refresh errors surface on the next GET; the loop only
 				// keeps the estimate warm. No request, so no trace.
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				if e.cfg.OnTick != nil {
-					e.cfg.OnTick(ctx)
-				}
 				_, _ = e.read(ctx, false)
 				cancel()
 			}

@@ -83,7 +83,7 @@ func TestEnginePathClasses(t *testing.T) {
 			AuthToken:     token,
 			DisableTraces: !tracing,
 			EnablePprof:   true,
-			SlowLog:       &trace.SlowLogger{W: slow, JSON: true},
+			SlowLog:       &trace.SlowLogger{W: slow},
 		})
 		serve := func(method, path string, withToken bool, remote trace.SpanContext) *httptest.ResponseRecorder {
 			req := httptest.NewRequest(method, path, strings.NewReader("x"))

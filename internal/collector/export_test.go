@@ -1,8 +1,11 @@
 package collector
 
-// Snapshot is exported to the package's external tests, which force a
-// snapshot between submissions; the collector itself snapshots on its
-// own schedule.
+import "dpspatial/internal/trace"
+
+// Snapshot and Tracer are exported to the package's external tests:
+// they force a snapshot between submissions, which the collector
+// otherwise takes on its own schedule, and read the trace ring in
+// process.
 
 // Snapshot forces an immediate durable snapshot of the collector state,
 // compacting the WAL. It is a no-op on a collector without a store or
@@ -12,3 +15,7 @@ func (c *Collector) Snapshot() error {
 	defer c.mu.Unlock()
 	return c.snapshotLocked()
 }
+
+// Tracer exposes the collector's completed-trace ring — nil when the
+// collector was built with DisableTraces.
+func (c *Collector) Tracer() *trace.Tracer { return c.engine.tracer }

@@ -118,6 +118,12 @@ func (e *Engine) submit(w http.ResponseWriter, r *http.Request, kind ShardKind) 
 		writeJSON(w, http.StatusOK, &prev)
 		return
 	}
+	// A body declared over the cap is refused unread; a chunked one is
+	// refused by MaxBytesReader once it streams past the cap.
+	if r.ContentLength > MaxBodyBytes {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", &http.MaxBytesError{Limit: MaxBodyBytes}))
+		return
+	}
 	sub := &Submission{Kind: kind, ID: id, readSpan: span.Child(e.cfg.Tier + ".body.read")}
 	// End is idempotent: the parse or the commit ends the span once the
 	// body is read, and this closes it on every early refusal.

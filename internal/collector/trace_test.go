@@ -104,7 +104,7 @@ func TestCollectorTraceEndToEnd(t *testing.T) {
 		Pipeline:  durPipeline(mech, 6, 2.0),
 		AuthToken: "s3cret",
 		Store:     st,
-		SlowLog:   &trace.SlowLogger{W: &slowMu, JSON: true},
+		SlowLog:   &trace.SlowLogger{W: &slowMu},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -393,7 +393,7 @@ func TestFleetFailoverAndEstimateSafety(t *testing.T) {
 			t.Fatal("submission reported the down member as its route")
 		}
 	}
-	stats := fetchFleetStats(t, supSrv.URL)
+	stats := fetchFleetStats(t, supSrv.URL, "")
 	if stats.Failovers == 0 {
 		t.Fatal("failovers not counted")
 	}
@@ -572,7 +572,7 @@ func TestFleetLostAckStickyExactlyOnce(t *testing.T) {
 	if !reflect.DeepEqual(got.Mass, want.Mass) {
 		t.Fatal("lost-ack recovery double-merged: fleet estimate differs from the single-merge union")
 	}
-	stats := fetchFleetStats(t, supSrv.URL)
+	stats := fetchFleetStats(t, supSrv.URL, "")
 	if stats.Routed != 2 || stats.DuplicateShards != 1 {
 		t.Fatalf("lost-ack recovery miscounted: routed %d, duplicates %d", stats.Routed, stats.DuplicateShards)
 	}
@@ -696,7 +696,7 @@ func TestFleetFailoverOnMemberLocalRefusal(t *testing.T) {
 			t.Fatalf("submission landed on %s, want the accepting member %s", resp.Member, urls[1])
 		}
 	}
-	stats := fetchFleetStats(t, supSrv.URL)
+	stats := fetchFleetStats(t, supSrv.URL, "")
 	for _, m := range stats.Members {
 		if m.URL == urls[0] && m.Healthy {
 			t.Fatal("refusing member should be marked unhealthy")
@@ -888,10 +888,18 @@ func TestFleetWarmRefreshStats(t *testing.T) {
 
 // fetchFleetStats decodes the supervisor's stats envelope with the
 // fleet-specific fields (per-member health, failovers) the generic
-// collector client doesn't carry.
-func fetchFleetStats(t *testing.T, baseURL string) *fleet.Stats {
+// collector client doesn't carry, presenting token when it is
+// non-empty.
+func fetchFleetStats(t *testing.T, baseURL, token string) *fleet.Stats {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/v1/stats")
+	req, err := http.NewRequest(http.MethodGet, baseURL+"/v1/stats", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -987,7 +995,7 @@ func TestFleetMemberRestartsWarmFromDataDir(t *testing.T) {
 		t.Fatal("fleet estimate diverged across the member's crash-restart")
 	}
 
-	stats := fetchFleetStats(t, supSrv.URL)
+	stats := fetchFleetStats(t, supSrv.URL, "")
 	if len(stats.Members) != 1 {
 		t.Fatalf("fleet stats list %d members", len(stats.Members))
 	}

@@ -2,32 +2,44 @@ package fleet
 
 import (
 	"context"
-	"strings"
+	"errors"
+	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
 	"dpspatial/internal/collector"
+	"dpspatial/internal/metrics"
 )
 
+// memberTimeout bounds each exchange the supervisor starts with one
+// member on its own account — an aggregate pull or a stats fetch. A
+// member that accepts connections but never answers then fails the
+// first tick's pull and reads unhealthy, where waiting out the tick's
+// own deadline would leave its health unchanged.
+const memberTimeout = 2 * time.Second
+
 // member is one downstream collector in the fleet: its client, its
-// last-known health, and the supervisor-side routing counters. Health is
-// advisory — routing prefers healthy members but falls back to unhealthy
-// ones when nothing else accepts, so a recovered member rejoins the
-// fleet on its first successful exchange even without a probe loop.
+// health, and its routing counters. The health gauge and the counters
+// are the member's series on the supervisor's /metrics, and the only
+// record of them: /v1/stats reads the same values. Health moves only on
+// exchanges the supervisor makes anyway — routed forwards, and the
+// pulls of every read and cadence tick. It is advisory: routing prefers
+// healthy members but falls back to unhealthy ones when nothing else
+// accepts, so a recovered member rejoins on its first successful
+// exchange.
 type member struct {
 	url    string
 	client *collector.Client
-	// inst mirrors the routing counters into the supervisor's /metrics
-	// per-member series; nil (and a no-op) for members built outside a
-	// supervisor.
-	inst *memberInstruments
 
-	mu         sync.Mutex
-	healthy    bool
-	lastError  string
-	routed     uint64 // submissions this supervisor routed here and the member accepted
-	failovers  uint64 // submissions that had to fail over past this member
-	recoveries uint64 // unhealthy→healthy transitions: rejoins after an outage
+	healthy    *metrics.Gauge   // 1 = healthy, 0 = unhealthy
+	routed     *metrics.Counter // submissions this supervisor routed here and the member accepted
+	failovers  *metrics.Counter // submissions that had to fail over past this member
+	recoveries *metrics.Counter // unhealthy→healthy transitions: rejoins after an outage
+
+	// mu orders the health transitions and guards the fields below.
+	mu        sync.Mutex
+	lastError string
 	// nonEmpty latches once the member was ever observed holding merged
 	// reports (via an aggregate pull or its stats) — including shards
 	// that reached it outside this supervisor, or before a supervisor
@@ -37,51 +49,76 @@ type member struct {
 	nonEmpty bool
 }
 
-func newMember(url, authToken string) *member {
-	c := collector.NewClient(url)
-	c.AuthToken = authToken
-	return &member{url: strings.TrimRight(url, "/"), client: c, healthy: true}
+// newMembers builds the fleet's members in the configured order, each
+// with its per-member series resolved on reg and starting healthy. The
+// series carry the member's base URL as the "member" label; membership
+// is fixed at construction, so the label set is bounded by the fleet
+// size.
+func newMembers(reg *metrics.Registry, urls []string, authToken string) ([]*member, error) {
+	healthy := reg.GaugeVec("dpspatial_fleet_member_healthy",
+		"Last-known liveness of each fleet member (1 = healthy, 0 = unhealthy).",
+		"member")
+	routed := reg.CounterVec("dpspatial_fleet_member_routed_total",
+		"Submissions this supervisor routed to each member and the member accepted.",
+		"member")
+	failovers := reg.CounterVec("dpspatial_fleet_member_failovers_total",
+		"Submissions that failed transiently at each member and moved on in routing order.",
+		"member")
+	recoveries := reg.CounterVec("dpspatial_fleet_member_recoveries_total",
+		"Each member's unhealthy-to-healthy transitions: outages it rejoined the fleet from.",
+		"member")
+	out := make([]*member, 0, len(urls))
+	seen := make(map[string]bool, len(urls))
+	for _, u := range urls {
+		c := collector.NewClient(u)
+		c.AuthToken = authToken
+		url := c.BaseURL
+		if seen[url] {
+			return nil, fmt.Errorf("fleet: duplicate member %s", url)
+		}
+		seen[url] = true
+		m := &member{url: url, client: c,
+			healthy: healthy.With(url), routed: routed.With(url),
+			failovers: failovers.With(url), recoveries: recoveries.With(url)}
+		m.healthy.Set(1)
+		out = append(out, m)
+	}
+	return out, nil
 }
 
-func (m *member) isHealthy() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.healthy
-}
+func (m *member) isHealthy() bool { return m.healthy.Value() == 1 }
 
 func (m *member) markHealthy() {
 	m.mu.Lock()
-	if !m.healthy {
-		m.recoveries++
-		m.inst.countRecovery()
+	defer m.mu.Unlock()
+	if !m.isHealthy() {
+		m.recoveries.Inc()
 	}
-	m.healthy, m.lastError = true, ""
-	m.inst.setHealthy(true)
-	m.mu.Unlock()
+	m.healthy.Set(1)
+	m.lastError = ""
 }
 
 func (m *member) markUnhealthy(err error) {
 	m.mu.Lock()
-	m.healthy = false
-	if err != nil {
-		m.lastError = err.Error()
+	defer m.mu.Unlock()
+	m.healthy.Set(0)
+	m.lastError = err.Error()
+}
+
+// notePull sets the member's health from its answer to an aggregate
+// pull: healthy when its stack answered — with a blob, or with a 409
+// because it holds no mechanism yet — and unhealthy on any other
+// failure, a missed memberTimeout among them. ctx is the puller's own
+// context, not the per-member one: a failure after the puller left says
+// nothing about the member, so it leaves the health as it was.
+func (m *member) notePull(ctx context.Context, err error) {
+	var se *collector.StatusError
+	switch {
+	case err == nil, errors.As(err, &se) && se.StatusCode == http.StatusConflict:
+		m.markHealthy()
+	case ctx.Err() == nil:
+		m.markUnhealthy(err)
 	}
-	m.inst.setHealthy(false)
-	m.mu.Unlock()
-}
-
-func (m *member) countRouted() {
-	m.mu.Lock()
-	m.routed++
-	m.inst.countRouted()
-	m.mu.Unlock()
-}
-
-func (m *member) countFailover() {
-	m.mu.Lock()
-	m.failovers++
-	m.inst.countFailover()
-	m.mu.Unlock()
 }
 
 // noteNonEmpty latches the member as having been seen with data.
@@ -95,9 +132,7 @@ func (m *member) noteNonEmpty() {
 // the fleet estimate must cover: the supervisor routed submissions to
 // it, or it was ever observed non-empty.
 func (m *member) mayHoldData() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.routed > 0 || m.nonEmpty
+	return m.routed.Value() > 0 || m.isNonEmpty()
 }
 
 // isNonEmpty reports whether the member was ever positively observed
@@ -114,21 +149,10 @@ func (m *member) snapshot() MemberStats {
 	defer m.mu.Unlock()
 	return MemberStats{
 		URL:        m.url,
-		Healthy:    m.healthy,
+		Healthy:    m.isHealthy(),
 		LastError:  m.lastError,
-		Routed:     m.routed,
-		Failovers:  m.failovers,
-		Recoveries: m.recoveries,
+		Routed:     uint64(m.routed.Value()),
+		Failovers:  uint64(m.failovers.Value()),
+		Recoveries: uint64(m.recoveries.Value()),
 	}
-}
-
-// probe updates the member's health flag off its /healthz.
-func (m *member) probe(ctx context.Context) {
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	if err := m.client.Health(ctx); err != nil {
-		m.markUnhealthy(err)
-		return
-	}
-	m.markHealthy()
 }

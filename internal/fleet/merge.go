@@ -54,7 +54,9 @@ func pullErrorStatus(err error) int {
 // in fleet order. It returns the merged aggregate plus a hash over the
 // raw member blobs, which names the fleet aggregate state: an unchanged
 // hash across pulls means no member absorbed anything new, so the
-// previous decode can be reused.
+// previous decode can be reused. Each member's answer sets its health
+// (notePull) before anything is merged or refused, so one pull
+// refreshes the whole fleet; each member has memberTimeout to answer.
 //
 // A member that answers 409 (no mechanism yet) contributes nothing and
 // is skipped — unless the supervisor routed submissions to it or ever
@@ -88,8 +90,11 @@ func (s *Supervisor) pullMerged(ctx context.Context) (*fo.Aggregate, uint64, err
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			blob, err := m.client.FetchAggregateBlob(ctx)
+			mctx, cancel := context.WithTimeout(ctx, memberTimeout)
+			defer cancel()
+			blob, err := m.client.FetchAggregateBlob(mctx)
 			results[i] = pullResult{blob: blob, err: err}
+			m.notePull(ctx, err)
 		}(i, m)
 	}
 	wg.Wait()
@@ -101,26 +106,16 @@ func (s *Supervisor) pullMerged(ctx context.Context) (*fo.Aggregate, uint64, err
 		blob, err := results[i].blob, results[i].err
 		if err != nil {
 			if ctx.Err() != nil {
-				// The caller went away; that says nothing about the
-				// member's health, so don't demote it.
 				return nil, 0, ctx.Err()
 			}
-			var se *collector.StatusError
-			if errors.As(err, &se) && se.StatusCode == http.StatusConflict {
-				// Member has no mechanism, so it merged nothing — fine
-				// unless we know it ever held shards.
-				if m.mayHoldData() {
-					return nil, 0, &memberDownError{url: m.url, err: err}
-				}
-				continue
-			}
-			m.markUnhealthy(err)
+			// A member without a mechanism (409) merged nothing, and an
+			// unreachable one contributes nothing — fine unless we know
+			// it ever held shards.
 			if m.mayHoldData() {
 				return nil, 0, &memberDownError{url: m.url, err: err}
 			}
 			continue
 		}
-		m.markHealthy()
 		shard := &fo.Aggregate{}
 		if err := shard.UnmarshalBinary(blob); err != nil {
 			return nil, 0, fmt.Errorf("member %s served a bad aggregate: %w", m.url, err)

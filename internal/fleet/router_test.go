@@ -8,7 +8,7 @@ import (
 func ringMembers(n int) []*member {
 	out := make([]*member, n)
 	for i := range out {
-		out[i] = &member{url: fmt.Sprintf("http://member-%d:8080", i), healthy: true}
+		out[i] = &member{url: fmt.Sprintf("http://member-%d:8080", i)}
 	}
 	return out
 }

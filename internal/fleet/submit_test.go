@@ -1,11 +1,14 @@
 package fleet_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/fleet"
@@ -22,7 +26,6 @@ import (
 // parityTier is one serving tier under TestSubmitPathParity.
 type parityTier struct {
 	name, url, readSpan string
-	ring                *trace.Tracer
 }
 
 // tierAnswer is one tier's answer to a raw submission.
@@ -105,8 +108,8 @@ func TestSubmitPathParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiers := []parityTier{
-		{"collector", serve(col), "collector.body.read", col.Tracer()},
-		{"supervisor", serve(sup), "fleet.body.read", sup.Tracer()},
+		{"collector", serve(col), "collector.body.read"},
+		{"supervisor", serve(sup), "fleet.body.read"},
 	}
 	// Adopt the pipeline at both tiers under the ID the replay row reuses.
 	for _, tier := range tiers {
@@ -147,7 +150,7 @@ func TestSubmitPathParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s answered %d with %q: %v", tier.name, res.StatusCode, raw, err)
 		}
-		a.trace = ringTrace(t, tier.ring, res.Header.Get(trace.TraceIDHeader))
+		a.trace = waitServedTrace(t, tier.url, res.Header.Get(trace.TraceIDHeader))
 		return a
 	}
 
@@ -236,6 +239,67 @@ func TestSubmitPathParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeclaredOversizeRefusedUnread sends, over a raw connection, only
+// the headers of a POST whose Content-Length declares one byte over
+// collector.MaxBodyBytes, to an adopt-mode collector and to a supervisor
+// in front of one, on both submission paths. Each tier refuses it at
+// once with the over-cap 400, without waiting for a body byte.
+func TestDeclaredOversizeRefusedUnread(t *testing.T) {
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	col, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := collector.New(collector.Config{Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := fleet.New(fleet.Config{Members: []string{serve(member)}, Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// headersOnly sends the request line and headers, and returns the
+	// status and error text of the answer.
+	headersOnly := func(url, path string) (int, string, error) {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+		if err != nil {
+			return 0, "", err
+		}
+		defer conn.Close()
+		if err := conn.SetDeadline(time.Now().Add(3 * time.Second)); err != nil {
+			return 0, "", err
+		}
+		if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n",
+			path, conn.RemoteAddr(), collector.MaxBodyBytes+1); err != nil {
+			return 0, "", err
+		}
+		res, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			return 0, "", err
+		}
+		defer res.Body.Close()
+		var e struct{ Error string }
+		err = json.NewDecoder(res.Body).Decode(&e)
+		return res.StatusCode, e.Error, err
+	}
+	const want = "reading body: http: request body too large"
+	for _, tier := range []struct{ name, url string }{{"collector", serve(col)}, {"supervisor", serve(sup)}} {
+		for _, path := range []string{"/v1/report", "/v1/aggregate"} {
+			status, text, err := headersOnly(tier.url, path)
+			if err != nil {
+				t.Fatalf("%s POST %s: no answer before any body byte: %v", tier.name, path, err)
+			}
+			if status != http.StatusBadRequest || text != want {
+				t.Errorf("%s POST %s answered %d %q, want 400 %q", tier.name, path, status, text, want)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,10 @@
 // reads, parses and answers every submission, and the supervisor's only
 // step is the commit that forwards the client's bytes to one member.
 // Submissions are routed across the fleet round-robin, failing over past
-// unhealthy members off /healthz, and the estimate is decoded from the
-// hierarchical merge of every member's canonical aggregate, pulled as
-// DPA2 blobs.
+// members that refuse or cannot be reached, and the estimate is decoded
+// from the hierarchical merge of every member's canonical aggregate,
+// pulled as DPA2 blobs. Those forwards and pulls are also the only
+// exchanges that set a member's health.
 //
 // The collector's headline invariant carries over one level up: because
 // fo.Aggregate.Merge is associative and commutative over exactly
@@ -50,7 +51,6 @@ import (
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/durable"
-	"dpspatial/internal/metrics"
 	"dpspatial/internal/trace"
 )
 
@@ -72,9 +72,10 @@ type Config struct {
 	// pipeline metadata. Until then, submissions without metadata are
 	// rejected with 409.
 	Build func(p *collector.Pipeline) (collector.Estimator, error)
-	// Cadence is the background period of the member health probes and
-	// the hierarchical merge + warm re-estimate. Zero disables the loop;
-	// GET /v1/estimate still pulls and re-decodes on demand.
+	// Cadence is the background period of the hierarchical merge + warm
+	// re-estimate; once the fleet adopted a mechanism, each tick's pull
+	// also refreshes every member's health. Zero disables the loop; GET
+	// /v1/estimate still pulls and re-decodes on demand.
 	Cadence time.Duration
 	// AuthToken, when non-empty, is the fleet's shared secret: the
 	// supervisor requires it as a bearer token on every endpoint except
@@ -97,10 +98,10 @@ type Config struct {
 
 // Supervisor is the fleet daemon. It implements http.Handler; run it
 // under any http.Server, and call Start/Close around the serving
-// lifetime to run the probe + merge cadence loop.
+// lifetime to run the merge cadence loop.
 type Supervisor struct {
 	// engine serves the read path (estimate and query caches, decode
-	// spans and metrics, the probe + decode cadence loop) over
+	// spans and metrics, the pull + decode cadence loop) over
 	// mergedState, and wraps every handler in the bearer gate,
 	// accounting and tracing.
 	engine  *collector.Engine
@@ -124,10 +125,8 @@ type Supervisor struct {
 	inflight map[string]bool    // submission IDs currently being forwarded
 	sticky   map[string]*member // unknown-state submissions pinned to the member that may hold them
 
-	// met is the engine's shared instrument set; fleetFailovers the
-	// fleet-only counter registerFleetMetrics adds.
-	met            *collector.ServiceMetrics
-	fleetFailovers *metrics.Counter
+	// met is the engine's shared instrument set.
+	met *collector.ServiceMetrics
 }
 
 // New builds a supervisor over the configured members.
@@ -160,7 +159,6 @@ func New(cfg Config) (*Supervisor, error) {
 			"/v1/stats": collector.MethodOnly(http.MethodGet, s.handleStats),
 		},
 		Cadence:       cfg.Cadence,
-		OnTick:        s.probeMembers,
 		AuthToken:     cfg.AuthToken,
 		DisableTraces: cfg.DisableTraces,
 		TraceCapacity: cfg.TraceCapacity,
@@ -168,15 +166,11 @@ func New(cfg Config) (*Supervisor, error) {
 		EnablePprof:   cfg.EnablePprof,
 	})
 	s.met = s.engine.Instruments()
-	seen := make(map[string]bool, len(cfg.Members))
-	for _, url := range cfg.Members {
-		m := newMember(url, cfg.AuthToken)
-		if seen[m.url] {
-			return nil, fmt.Errorf("fleet: duplicate member %s", m.url)
-		}
-		seen[m.url] = true
-		s.members = append(s.members, m)
+	members, err := newMembers(s.engine.Registry(), cfg.Members, cfg.AuthToken)
+	if err != nil {
+		return nil, err
 	}
+	s.members = members
 	s.registerFleetMetrics()
 	return s, nil
 }
@@ -186,9 +180,10 @@ func (s *Supervisor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.engine.ServeHTTP(w, r)
 }
 
-// Start launches the background cadence loop: probe every member's
-// /healthz, then pull and warm-decode the fleet estimate. No-op when
-// the configured cadence is zero.
+// Start launches the background cadence loop: once the fleet adopted a
+// mechanism, each tick pulls every member, refreshing its health, and
+// warm-decodes the fleet estimate when the merged state moved. No-op
+// when the configured cadence is zero.
 func (s *Supervisor) Start() { s.engine.Start() }
 
 // Close stops the cadence loop. The handler stays usable.
@@ -294,7 +289,7 @@ func (s *Supervisor) commit(ctx context.Context, sub *collector.Submission) (col
 		s.met.Submissions.With(collector.SubmissionAccepted).Inc()
 		sub.Kind.Count(&s.stats.Stats)
 		resp.Generation = s.stats.Routed
-		m.countRouted()
+		m.routed.Inc()
 	}
 	if resp.Reports > 0 {
 		// The ack proves the member holds reports now: latch it, so a
@@ -342,7 +337,7 @@ func (s *Supervisor) order() []*member {
 
 // forward tries members in routing order — healthy ones first, then (as
 // a last-ditch revival pass) any member not yet tried in this call, so a
-// recovered member rejoins without waiting for a probe and a member that
+// recovered member rejoins without waiting for a pull and a member that
 // just failed is not immediately re-tried. Every error it returns is a
 // collector.Refusal carrying the supervisor's answer.
 //
@@ -448,11 +443,7 @@ func (s *Supervisor) forward(ctx context.Context, kind collector.ShardKind, body
 				// envelope and no unknown-state mark), or the request
 				// never reached it: safe to try the next one.
 				m.markUnhealthy(err)
-				m.countFailover()
-				s.mu.Lock()
-				s.stats.Failovers++
-				s.mu.Unlock()
-				s.fleetFailovers.Inc()
+				m.failovers.Inc()
 				span.Event("failover", trace.String("member", m.url), trace.String("error", err.Error()))
 				lastErr = err
 			default:
@@ -517,19 +508,6 @@ func (s *Supervisor) pinSticky(id string, m *member) {
 	s.sticky[id] = m
 }
 
-// probeMembers updates every member's health flag off its /healthz.
-func (s *Supervisor) probeMembers(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, m := range s.members {
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			m.probe(ctx)
-		}(m)
-	}
-	wg.Wait()
-}
-
 // mergedBlob is the supervisor's GET /v1/aggregate: the fleet-merged
 // aggregate as a DPA2 blob — byte-compatible with a collector's, so
 // supervisors stack.
@@ -550,13 +528,14 @@ func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats.Members = s.memberStats(r.Context())
 	for _, m := range stats.Members {
 		stats.Reports += m.Reports
+		stats.Failovers += m.Failovers
 	}
 	collector.WriteJSON(w, http.StatusOK, &stats)
 }
 
 // memberStats snapshots the supervisor-side counters for every member
 // and enriches them with the member's own live /v1/stats (generation,
-// absorbed reports) when it answers within the probe timeout.
+// absorbed reports) when it answers within memberTimeout.
 func (s *Supervisor) memberStats(ctx context.Context) []MemberStats {
 	out := make([]MemberStats, len(s.members))
 	var wg sync.WaitGroup
@@ -565,7 +544,7 @@ func (s *Supervisor) memberStats(ctx context.Context) []MemberStats {
 		go func(i int, m *member) {
 			defer wg.Done()
 			out[i] = m.snapshot()
-			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+			cctx, cancel := context.WithTimeout(ctx, memberTimeout)
 			defer cancel()
 			if ms, err := m.client.Stats(cctx); err == nil {
 				out[i].Generation = ms.Generation
@@ -597,7 +576,8 @@ type Stats struct {
 	// supervisor.
 	Routed uint64 `json:"routed"`
 	// Failovers counts member attempts that failed transiently and made
-	// a submission move on to the next member in routing order.
+	// a submission move on to the next member in routing order: the sum
+	// of the members' Failovers.
 	Failovers uint64 `json:"failovers"`
 	// Members reports per-member health and counters, in fleet order.
 	Members []MemberStats `json:"members,omitempty"`
@@ -626,6 +606,6 @@ type MemberStats struct {
 	Reports    float64 `json:"reports"`
 	// Durability relays the member's own snapshot/WAL counters when it
 	// runs with a durable store (nil for in-memory members or when the
-	// member did not answer the stats probe).
+	// member did not answer the stats request).
 	Durability *durable.Stats `json:"durability,omitempty"`
 }

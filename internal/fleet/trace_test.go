@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dpspatial/internal/collector"
+	"dpspatial/internal/durable"
 	"dpspatial/internal/fleet"
 	"dpspatial/internal/trace"
 )
@@ -30,6 +31,46 @@ func ringTrace(t *testing.T, tr *trace.Tracer, id string) *trace.TraceData {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("trace %s never reached the %s ring", id, tr.Service())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// servedTrace reads a tier's ring over GET /v1/traces, as operators
+// and CI read another process's ring, and returns the trace with the
+// given ID, or nil when the ring does not hold it.
+func servedTrace(t *testing.T, baseURL, id string) *trace.TraceData {
+	t.Helper()
+	res, err := http.Get(baseURL + collector.TracesPath + "?min_ms=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var dump struct {
+		Traces []trace.TraceData `json:"traces"`
+	}
+	if err := json.NewDecoder(res.Body).Decode(&dump); err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s%s: HTTP %d: %v", baseURL, collector.TracesPath, res.StatusCode, err)
+	}
+	for i := range dump.Traces {
+		if dump.Traces[i].TraceID == id {
+			return &dump.Traces[i]
+		}
+	}
+	return nil
+}
+
+// waitServedTrace polls servedTrace for a trace ID, for the reason
+// ringTrace polls.
+func waitServedTrace(t *testing.T, baseURL, id string) *trace.TraceData {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if td := servedTrace(t, baseURL, id); td != nil {
+			return td
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %s never reached the ring at %s", id, baseURL)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -116,7 +157,7 @@ func TestFleetTraceStackedWithFailover(t *testing.T) {
 	// One trace ID, three rings.
 	outer := ringTrace(t, s0.Tracer(), resp.TraceID)
 	inner := ringTrace(t, s1.Tracer(), resp.TraceID)
-	leaf := ringTrace(t, c1.Tracer(), resp.TraceID)
+	leaf := waitServedTrace(t, c1Srv.URL, resp.TraceID)
 
 	// Outer: root + two route attempts — the failed hop and the
 	// survivor — and the failover event pinned on the root span.
@@ -180,6 +221,64 @@ func TestFleetTraceStackedWithFailover(t *testing.T) {
 	// All three tiers agree this is one trace.
 	if outer.TraceID != inner.TraceID || inner.TraceID != leaf.TraceID {
 		t.Fatal("tiers disagree on the trace ID")
+	}
+}
+
+// TestFleetTraceReachesOneDurableMember routes two report streams
+// through a supervisor over two durable members and reads every ring
+// over GET /v1/traces. Each ack's trace is in exactly one member ring,
+// the acked member's, whose root hangs off the supervisor's route
+// attempt and holds the member's body read, WAL append, merge and ack.
+func TestFleetTraceReachesOneDurableMember(t *testing.T) {
+	mech := newDAM(t, 5, 1.8)
+	urls := make([]string, 2)
+	for i := range urls {
+		st, err := durable.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := collector.New(collector.Config{Build: damBuild(t), Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c)
+		t.Cleanup(func() { srv.Close(); st.Close() })
+		urls[i] = srv.URL
+	}
+	sup, err := fleet.New(fleet.Config{Members: urls, Build: damBuild(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	supSrv := httptest.NewServer(sup)
+	t.Cleanup(supSrv.Close)
+	client := collector.NewClient(supSrv.URL)
+
+	acked := map[string]bool{}
+	for seed := uint64(81); seed < 83; seed++ {
+		resp, err := client.SubmitReports(context.Background(), damPipeline(mech, 5, 1.8), collectReports(t, mech, 50, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked[resp.Member] = true
+		attempt := traceSpan(waitServedTrace(t, supSrv.URL, resp.TraceID), "fleet.route.attempt")
+		member := waitServedTrace(t, resp.Member, resp.TraceID)
+		for _, url := range urls {
+			if url != resp.Member && servedTrace(t, url, resp.TraceID) != nil {
+				t.Fatalf("trace %s is in the rings of both members", resp.TraceID)
+			}
+		}
+		root := &member.Spans[0]
+		if attempt == nil || !root.Remote || root.ParentSpanID != attempt.SpanID {
+			t.Fatalf("member root (remote=%v parent=%s) not parented on the supervisor's route attempt %+v", root.Remote, root.ParentSpanID, attempt)
+		}
+		for _, name := range []string{"collector.body.read", "collector.wal.append", "collector.merge", "collector.ack"} {
+			if traceSpan(member, name) == nil {
+				t.Fatalf("durable member's trace lacks the %s span: %+v", name, member.Spans)
+			}
+		}
+	}
+	if len(acked) != 2 {
+		t.Fatalf("two submissions were acked by %v, want one by each member", acked)
 	}
 }
 

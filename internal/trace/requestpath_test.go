@@ -37,7 +37,7 @@ func newEngine(tracing bool, slow *trace.SlowLogger, routes map[string]http.Hand
 
 func TestMiddleware(t *testing.T) {
 	var slowBuf bytes.Buffer
-	slow := &trace.SlowLogger{W: &slowBuf, JSON: true, Threshold: 0}
+	slow := &trace.SlowLogger{W: &slowBuf, Threshold: 0}
 	e := newEngine(true, slow, map[string]http.HandlerFunc{
 		"/v1/report": func(w http.ResponseWriter, r *http.Request) {
 			span := trace.SpanFrom(r.Context())
@@ -108,7 +108,7 @@ func TestMiddleware(t *testing.T) {
 // echoed.
 func TestMiddlewareNilTracerSlowLog(t *testing.T) {
 	var buf bytes.Buffer
-	slow := &trace.SlowLogger{W: &buf, JSON: true}
+	slow := &trace.SlowLogger{W: &buf}
 	untraced := func(status int) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if trace.SpanFrom(r.Context()) != nil {

@@ -647,18 +647,15 @@ func (t *Tracer) Handler() http.Handler {
 	})
 }
 
-// SlowLogger emits one structured log line per request at or over its
-// threshold, each carrying the trace ID — the join key between the log
-// stream and /v1/traces. A nil *SlowLogger is disabled.
+// SlowLogger emits one JSON object per line for each request at or over
+// its threshold, each carrying the trace ID — the join key between the
+// log stream and /v1/traces. A nil *SlowLogger is disabled.
 type SlowLogger struct {
 	// W receives the log lines (typically os.Stderr).
 	W io.Writer
 	// Threshold is the minimum request duration to log; zero logs every
 	// request (the --slow-ms 0 debug mode).
 	Threshold time.Duration
-	// JSON switches lines from logfmt-shaped text to one JSON object per
-	// line (--log-format=json).
-	JSON bool
 
 	mu sync.Mutex
 }
@@ -669,30 +666,21 @@ func (l *SlowLogger) Log(service, traceID, method, path string, status int, d ti
 	if l == nil || l.W == nil || d < l.Threshold {
 		return
 	}
-	ms := float64(d) / float64(time.Millisecond)
-	ts := time.Now().UTC().Format(time.RFC3339Nano)
-	var line string
-	if l.JSON {
-		b, err := json.Marshal(map[string]any{
-			"ts":         ts,
-			"level":      "warn",
-			"msg":        "slow request",
-			"service":    service,
-			"method":     method,
-			"path":       path,
-			"status":     status,
-			"durationMs": ms,
-			"traceId":    traceID,
-		})
-		if err != nil {
-			return
-		}
-		line = string(b) + "\n"
-	} else {
-		line = fmt.Sprintf("%s WARN slow request service=%s method=%s path=%s status=%d durationMs=%.3f traceId=%s\n",
-			ts, service, method, path, status, ms, traceID)
+	line, err := json.Marshal(map[string]any{
+		"ts":         time.Now().UTC().Format(time.RFC3339Nano),
+		"level":      "warn",
+		"msg":        "slow request",
+		"service":    service,
+		"method":     method,
+		"path":       path,
+		"status":     status,
+		"durationMs": float64(d) / float64(time.Millisecond),
+		"traceId":    traceID,
+	})
+	if err != nil {
+		return
 	}
 	l.mu.Lock()
-	_, _ = io.WriteString(l.W, line)
+	_, _ = l.W.Write(append(line, '\n'))
 	l.mu.Unlock()
 }

@@ -337,7 +337,7 @@ func TestHandlerFiltersAndErrors(t *testing.T) {
 	}
 }
 
-func TestSlowLoggerThresholdAndText(t *testing.T) {
+func TestSlowLoggerThreshold(t *testing.T) {
 	var buf bytes.Buffer
 	l := &SlowLogger{W: &buf, Threshold: 100 * time.Millisecond}
 	l.Log("collector", "tid", "GET", "/x", 200, 50*time.Millisecond)
@@ -345,10 +345,13 @@ func TestSlowLoggerThresholdAndText(t *testing.T) {
 		t.Fatal("sub-threshold request logged")
 	}
 	l.Log("collector", "abcdef", "GET", "/x", 200, 150*time.Millisecond)
-	line := buf.String()
-	for _, want := range []string{"slow request", "service=collector", "path=/x", "status=200", "traceId=abcdef"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("text line %q missing %q", line, want)
+	var line map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &line); err != nil || strings.Count(buf.String(), "\n") != 1 {
+		t.Fatalf("slow log %q is not one JSON line: %v", buf.String(), err)
+	}
+	for k, want := range map[string]any{"msg": "slow request", "service": "collector", "path": "/x", "status": 200.0, "traceId": "abcdef"} {
+		if line[k] != want {
+			t.Fatalf("slow line %q: %s = %v, want %v", buf.String(), k, line[k], want)
 		}
 	}
 }
