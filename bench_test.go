@@ -11,7 +11,10 @@
 package dpspatial_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"runtime"
 	"testing"
@@ -447,6 +450,57 @@ func BenchmarkChannelForwardUniformSparse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lin.Forward(p, out)
+	}
+}
+
+// BenchmarkReportStreamDecode counts one POST /v1/report body of 200
+// DAM reports at d=15, ε=3.5, with distinct indices in [128, 1000) as
+// loadbench's ingest streams have, through collector.ReadReports. In
+// canonical every line is json.Marshal's, which the byte scanner reads;
+// in fallback the first line has one space, so encoding/json reads every
+// line, as it does any stream from its first non-canonical line on.
+func BenchmarkReportStreamDecode(b *testing.B) {
+	m, err := sam.NewDAM(benchDomain(b, 15), 3.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(7)
+	seen := map[int]bool{}
+	var canonical []byte
+	for len(seen) < 200 {
+		rep, err := m.Report(r.Intn(m.NumInputs()), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		j := rep.Planes[0][0]
+		if j < 128 || j >= 1000 || seen[j] {
+			continue
+		}
+		seen[j] = true
+		line, err := json.Marshal(&rep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		canonical = append(append(canonical, line...), '\n')
+	}
+	fallback := append([]byte(`{"planes": `), canonical[len(`{"planes":`):]...)
+	agg := m.NewAggregate()
+	for _, bc := range []struct {
+		name   string
+		stream []byte
+	}{{"canonical", canonical}, {"fallback", fallback}} {
+		b.Run(bc.name, func(b *testing.B) {
+			src := bytes.NewReader(nil)
+			br := bufio.NewReader(src)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				src.Reset(bc.stream)
+				br.Reset(src)
+				if err := collector.ReadReports(br, agg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

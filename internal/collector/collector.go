@@ -4,14 +4,18 @@
 // merges them associatively under a single canonical aggregate — so the
 // merged state is byte-identical regardless of arrival interleaving —
 // and keeps a current estimate, re-decoding on a configurable merge
-// cadence with warm-started EM so each refresh costs a fraction of a
-// cold decode.
+// cadence.
 //
 // The first decode after startup is a cold start, so an estimate fetched
 // after a batch of submissions is byte-identical to calling
 // EstimateFromAggregate on the same merged shards in process. Later
-// refreshes warm-start from the previous generation's estimate and reach
-// the same fixed point within the EM tolerance; /v1/stats reports the
+// refreshes start EM from the previous generation's estimate, under the
+// same iteration cap as a cold decode. A warm start saves iterations
+// only when EM meets its tolerance before that cap; in loadbench's
+// refresh workload every decode runs to the cap, so a refresh costs
+// what a cold decode costs. A warm estimate depends on the estimate it
+// started from, so it can differ from a cold decode of the same
+// aggregate. /v1/stats reports each decode's iterations and the
 // iterations saved.
 //
 // A collector serves one mechanism and the pipeline it is pinned to:

@@ -1,8 +1,10 @@
 package collector_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/fo"
@@ -148,6 +151,8 @@ func TestReportStreamLongLines(t *testing.T) {
 // TestReportStreamOddLines checks the answers to report lines that
 // decode into nothing, or into more than the wire names: a line without
 // "planes" is refused after a valid line, not read as that line again.
+// An accepted line that json.Marshal would not write, followed by lines
+// it would, counts and merges as the stream of only the latter does.
 func TestReportStreamOddLines(t *testing.T) {
 	mech := newDAM(t, 5, 2.0)
 	c, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 5, 2.0)})
@@ -156,11 +161,25 @@ func TestReportStreamOddLines(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	head := mustJSONLine(t, durPipeline(mech, 5, 2.0)) + `{"planes":[[3]]}` + "\n"
+	tail := strings.Join(reportLines(t, mech, 30, 13), "")
+	merged := func(stream string) (collector.SubmitResponse, []byte) {
+		fresh, err := collector.New(collector.Config{Mechanism: mech, Pipeline: durPipeline(mech, 5, 2.0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fresh.Close)
+		ack := accepted(t, serve(fresh, http.MethodPost, "/v1/report", []byte(stream)))
+		return ack, serve(fresh, http.MethodGet, "/v1/aggregate", nil).Body.Bytes()
+	}
+	canonAck, canonBlob := merged(head + `{"planes":[[5]]}` + "\n" + tail)
 	for _, tc := range []struct{ line, refusal string }{
 		{`{}`, "fo: report has 0 planes, aggregate 1"},
 		{`{"planes":null}`, "fo: report has 0 planes, aggregate 1"},
 		{`{"Planes":[[5]]}`, ""},
 		{`{"planes":[[5]],"weight":7}`, ""},
+		{`{"planes": [[5]]}`, ""},
+		{`{"planes":[[5]]} `, ""},
+		{`{"planes":[[5]]}` + "\r", ""},
 	} {
 		t.Run(tc.line, func(t *testing.T) {
 			before := accepted(t, serve(c, http.MethodPost, "/v1/report", []byte(head)))
@@ -168,6 +187,10 @@ func TestReportStreamOddLines(t *testing.T) {
 			if tc.refusal == "" {
 				if ack := accepted(t, rec); ack.Reports != 2 || ack.TotalReports != before.TotalReports+2 {
 					t.Fatalf("acked %+v after %+v", ack, before)
+				}
+				if ack, blob := merged(head + tc.line + "\n" + tail); ack.Reports != canonAck.Reports || !bytes.Equal(blob, canonBlob) {
+					t.Fatalf("with %d canonical lines after it, acked %g reports (want %g), same aggregate %v",
+						strings.Count(tail, "\n"), ack.Reports, canonAck.Reports, bytes.Equal(blob, canonBlob))
 				}
 				return
 			}
@@ -279,7 +302,9 @@ func readReportsFresh(r io.Reader, agg *fo.Aggregate) error {
 // header re-marshals and parses back equal, an accepted report equals
 // json.Unmarshal into fo.Report. The other lines go through ReadReports
 // and readReportsFresh into aggregates of the header's shape (one plane
-// of 1000 cells without a usable header), which must answer alike.
+// of 1000 cells without a usable header), which must answer alike: with
+// ReadReports reading through a 16-byte and a default-size buffer, and
+// with the stream ending at EOF or failing with a read error.
 func FuzzReportStream(f *testing.F) {
 	hdr := func(shape ...int) string {
 		b, err := json.Marshal(&collector.Pipeline{
@@ -298,9 +323,27 @@ func FuzzReportStream(f *testing.F) {
 		"{\"planes\":[[1]]}\n{\"planes\":[[2]]}\n{\"planes\":null}\n",
 		hdr(16, 16) + "{\"planes\":[[1],[2,3]]}\n",
 		"{\"planes\":[[1]]}\n{\"planes\":[[2",
+		"{\"planes\":[[1]]}\n{\"planes\":[[012]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[-1]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[1e2]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[1.0]]}\n",
+		"{\"planes\": [[1]]}\n{\"planes\": [[1]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[123456789012345678]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[1234567890123456789]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[12345678901234567890]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[4]]}{\"planes\":[[5]]}\n",
+		hdr(16, 16) + "{\"planes\":[[1,2],[]]}\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[]}\n",
+		"{\"planes\":[]}\n{\"planes\":[[],[7]]}\n",
+		"{\"planes\":[[],[7]]}\n",
+		"{\"planes\":[[1]]}\r\n{\"planes\":[[2]]}\r\n",
+		"{\"planes\":[[1]]}\n{\"planes\":[[2]]}",
+		hdr(1000) + "{\"planes\":[[3]]}\n{\"planes\": [[4]]}\n{\"planes\":[[5]]}\n{\"planes\":[[6]]}\n",
+		hdr(1000) + "{\"planes\":[[3]]}\n{\"planes\":[[4]]}\n{\"planes\":[[5",
 	} {
 		f.Add([]byte(seed))
 	}
+	errCut := errors.New("connection cut")
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		hdr, first, err := collector.ParseStreamHead(stream)
 		line, rest, _ := bytes.Cut(stream, []byte("\n"))
@@ -338,14 +381,44 @@ func FuzzReportStream(f *testing.F) {
 			}
 			return &fo.Aggregate{Planes: planes}
 		}
-		got, want := newAgg(), newAgg()
-		gotErr := collector.ReadReports(bytes.NewReader(rest), got)
-		wantErr := readReportsFresh(bytes.NewReader(rest), want)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("ReadReports answered %v, one value per line %v", gotErr, wantErr)
-		}
-		if gotErr == nil && (got.N != want.N || !reflect.DeepEqual(got.Planes, want.Planes)) {
-			t.Fatalf("ReadReports counted %g reports %v, one value per line %g reports %v", got.N, got.Planes, want.N, want.Planes)
+		for _, fail := range []error{io.EOF, errCut} {
+			src := func() io.Reader { return io.MultiReader(bytes.NewReader(rest), iotest.ErrReader(fail)) }
+			want := newAgg()
+			wantErr := readReportsFresh(src(), want)
+			for _, size := range []int{16, 4096} {
+				got := newAgg()
+				gotErr := collector.ReadReports(bufio.NewReaderSize(src(), size), got)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("ReadReports (%d-byte buffer, ends in %v) answered %v, one value per line %v", size, fail, gotErr, wantErr)
+				}
+				if gotErr == nil && (got.N != want.N || !reflect.DeepEqual(got.Planes, want.Planes)) {
+					t.Fatalf("ReadReports (%d-byte buffer) counted %g reports %v, one value per line %g reports %v", size, got.N, got.Planes, want.N, want.Planes)
+				}
+			}
 		}
 	})
+}
+
+// TestReadReportsAllocations pins the allocations of ReadReports over
+// json.Marshal's report lines: every line is scanned into one reused
+// value, so a stream allocates the same whatever its length.
+func TestReadReportsAllocations(t *testing.T) {
+	mech := newDAM(t, 15, 3.5)
+	agg := mech.NewAggregate()
+	var allocs [2]float64
+	for i, n := range []int{200, 2000} {
+		stream := []byte(strings.Join(reportLines(t, mech, n, 5), ""))
+		src := bytes.NewReader(nil)
+		br := bufio.NewReader(src)
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			src.Reset(stream)
+			br.Reset(src)
+			if err := collector.ReadReports(br, agg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 4 {
+		t.Fatalf("ReadReports allocated %v times for 200 lines and %v for 2,000, want the same and at most 4", allocs[0], allocs[1])
+	}
 }

@@ -1,11 +1,13 @@
 package collector
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 
 	"dpspatial/internal/durable"
 	"dpspatial/internal/fo"
@@ -108,6 +110,9 @@ func ParseStreamHead(line []byte) (hdr *Pipeline, first *fo.Report, err error) {
 	if len(bytes.TrimSpace(line)) == 0 {
 		return nil, nil, fmt.Errorf("empty report stream")
 	}
+	if rep := new(fo.Report); scanReport(line, rep) {
+		return nil, rep, nil
+	}
 	var probe struct {
 		Format string `json:"format"`
 	}
@@ -133,8 +138,38 @@ func ParseStreamHead(line []byte) (hdr *Pipeline, first *fo.Report, err error) {
 }
 
 // ReadReports counts the report lines after a stream's head into agg.
-// An error of r itself is wrapped in its "bad report line" error.
-func ReadReports(r io.Reader, agg *fo.Aggregate) error {
+// A byte scanner counts each line in the exact form json.Marshal writes
+// for a fo.Report with no nil plane. The first line that is in another
+// form (a null plane's included), is longer than r's buffer or ends in
+// a read error goes to a json.Decoder with the rest of the stream. The
+// decoder reads the bytes it would have read from the stream's start,
+// so it answers as it would have. An error of r itself is wrapped in
+// its "bad report line" error.
+func ReadReports(r *bufio.Reader, agg *fo.Aggregate) error {
+	var rep fo.Report // scans every line: Add keeps nothing of it
+	for {
+		line, readErr := r.ReadSlice('\n')
+		if readErr == io.EOF && len(line) == 0 {
+			return nil
+		}
+		if (readErr != nil && readErr != io.EOF) || !scanReport(line, &rep) {
+			// The decoder reads a copy of line, which the next read of r
+			// overwrites, then the rest of r, or after a read error that
+			// error again.
+			var rest io.Reader = r
+			if readErr != nil && readErr != bufio.ErrBufferFull {
+				rest = errReader{readErr}
+			}
+			return decodeReports(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest), agg)
+		}
+		if err := agg.Add(rep); err != nil {
+			return err
+		}
+	}
+}
+
+// decodeReports decodes the report values of r into agg.
+func decodeReports(r io.Reader, agg *fo.Aggregate) error {
 	dec := json.NewDecoder(r)
 	var rep fo.Report // decodes every line: Add keeps nothing of it
 	for {
@@ -148,6 +183,80 @@ func ReadReports(r io.Reader, agg *fo.Aggregate) error {
 			return err
 		}
 	}
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// maxIndexDigits is the longest index scanReport reads: every number
+// of that many digits fits an int (10^18 < 2^63, 10^9 < 2^31). A longer
+// one goes to the decoder, which refuses one that overflows.
+const maxIndexDigits = strconv.IntSize / 32 * 9
+
+// scanReport reads line into rep, reusing rep's slices, when line is
+// `{"planes":[` + planes + `]}` and at most one '\n': the bytes
+// json.Marshal writes for a fo.Report with no nil plane. The planes are
+// comma-separated arrays of comma-separated indices, and an index is 0
+// or a nonzero digit and more digits, at most maxIndexDigits in all. It
+// reports false, leaving rep unspecified, for any other line, one with
+// a null plane (json.Marshal's nil plane) among them.
+func scanReport(line []byte, rep *fo.Report) bool {
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	line, ok := bytes.CutPrefix(line, []byte(`{"planes":[`))
+	if !ok {
+		return false
+	}
+	if line, ok = bytes.CutSuffix(line, []byte("]}")); !ok {
+		return false
+	}
+	planes := rep.Planes[:0]
+	if planes == nil {
+		planes = [][]int{} // as json.Unmarshal reads "[]"
+	}
+	for len(line) > 0 {
+		if len(planes) > 0 {
+			if line[0] != ',' {
+				return false
+			}
+			line = line[1:]
+		}
+		if len(line) == 0 || line[0] != '[' {
+			return false
+		}
+		line = line[1:]
+		p := len(planes)
+		planes = slices.Grow(planes, 1)[:p+1] // keeps a slot's old plane to reuse
+		idxs := planes[p][:0]
+		if idxs == nil {
+			idxs = []int{}
+		}
+		for len(line) > 0 && line[0] != ']' {
+			if len(idxs) > 0 {
+				if line[0] != ',' {
+					return false
+				}
+				line = line[1:]
+			}
+			j, k := 0, 0
+			for ; k < len(line) && '0' <= line[k] && line[k] <= '9'; k++ {
+				j = j*10 + int(line[k]-'0') // wraps only past maxIndexDigits
+			}
+			if k == 0 || k > maxIndexDigits || k > 1 && line[0] == '0' {
+				return false
+			}
+			idxs = append(idxs, j)
+			line = line[k:]
+		}
+		if len(line) == 0 {
+			return false
+		}
+		line = line[1:] // the plane's ']'
+		planes[p] = idxs
+	}
+	rep.Planes = planes
+	return true
 }
 
 // SubmitResponse acknowledges an accepted shard submission.

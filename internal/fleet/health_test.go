@@ -3,8 +3,10 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +17,8 @@ import (
 
 // A member's health moves only on the exchanges the supervisor makes
 // anyway: routed forwards, and the member pulls of every read and
-// cadence tick. These tests pin the pull's half.
+// cadence tick. These tests pin the pull's half, and a forward to a
+// member that never answers.
 
 // memberState picks one member's entry from the supervisor's
 // /v1/stats, presenting token when it is non-empty.
@@ -290,5 +293,68 @@ func TestCadencePullMarksHungMemberUnhealthy(t *testing.T) {
 			t.Fatalf("hung member still reads healthy after 10 s of 20 ms cadence pulls")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestForwardMarksHungMemberUnhealthy routes six submissions, each with
+// a 5 s client deadline, through a pinned supervisor over a member that
+// reads the body and never answers, and a live member. The one forward
+// that reaches the hung member gives up once it has waited 2 s for an
+// answer: it marks the member unhealthy and refuses 503 with the
+// unknown-state mark, and the live member accepts the other five.
+func TestForwardMarksHungMemberUnhealthy(t *testing.T) {
+	mech := newDAM(t, 5, 1.8)
+	pipeline := damPipeline(mech, 5, 1.8)
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost { // the /v1/stats read below need not wait
+			http.NotFound(w, r)
+			return
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hung.Close)
+	live, err := collector.New(collector.Config{Mechanism: newDAM(t, 5, 1.8), Pipeline: pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveSrv := httptest.NewServer(live)
+	t.Cleanup(liveSrv.Close)
+	sup, err := fleet.New(fleet.Config{Members: []string{hung.URL, liveSrv.URL}, Mechanism: mech, Pipeline: pipeline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	supSrv := httptest.NewServer(sup)
+	t.Cleanup(func() { supSrv.Close(); sup.Close() })
+	// Runs first: a handler still waiting returns, so the servers close.
+	t.Cleanup(func() { close(release) })
+
+	client := collector.NewClient(supSrv.URL)
+	refused := 0
+	for i, shard := range accumulateShards(t, mech, 6, 79) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		resp, err := client.SubmitAggregate(ctx, shard, nil)
+		cancel()
+		var se *collector.StatusError
+		switch {
+		case err == nil:
+			if resp.Member != liveSrv.URL {
+				t.Fatalf("submission %d acked by %s, want the live member", i, resp.Member)
+			}
+		case errors.As(err, &se) && se.StatusCode == http.StatusServiceUnavailable && se.SubmissionStateUnknown:
+			refused++
+		default:
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	if refused != 1 {
+		t.Fatalf("%d of 6 submissions refused, want 1", refused)
+	}
+	if m := memberState(t, supSrv.URL, "", hung.URL); m.Healthy || !strings.Contains(m.LastError, "timeout awaiting response headers") {
+		t.Fatalf("hung member reads %+v, want unhealthy after a response-header timeout", m)
 	}
 }

@@ -12,11 +12,14 @@ import (
 	"dpspatial/internal/metrics"
 )
 
-// memberTimeout bounds each exchange the supervisor starts with one
-// member on its own account — an aggregate pull or a stats fetch. A
-// member that accepts connections but never answers then fails the
-// first tick's pull and reads unhealthy, where waiting out the tick's
-// own deadline would leave its health unchanged.
+// memberTimeout bounds how long a member may leave the supervisor
+// waiting. An exchange the supervisor starts on its own account — an
+// aggregate pull or a stats fetch — has that long in all, and a routed
+// forward has that long to get the member's answer once the body is
+// sent, however long the upload took. A member that accepts connections
+// but never answers then fails the first pull or forward and reads
+// unhealthy, where waiting out the tick's deadline or the client's
+// would leave its health unchanged.
 const memberTimeout = 2 * time.Second
 
 // member is one downstream collector in the fleet: its client, its
@@ -67,11 +70,15 @@ func newMembers(reg *metrics.Registry, urls []string, authToken string) ([]*memb
 	recoveries := reg.CounterVec("dpspatial_fleet_member_recoveries_total",
 		"Each member's unhealthy-to-healthy transitions: outages it rejoined the fleet from.",
 		"member")
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.ResponseHeaderTimeout = memberTimeout
+	httpc := &http.Client{Transport: transport}
 	out := make([]*member, 0, len(urls))
 	seen := make(map[string]bool, len(urls))
 	for _, u := range urls {
 		c := collector.NewClient(u)
 		c.AuthToken = authToken
+		c.HTTPClient = httpc
 		url := c.BaseURL
 		if seen[url] {
 			return nil, fmt.Errorf("fleet: duplicate member %s", url)

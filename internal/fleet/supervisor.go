@@ -354,9 +354,10 @@ func (s *Supervisor) order() []*member {
 //     unhealthy and fail over.
 //   - dial-phase transport failure: the request never reached the
 //     member; mark unhealthy and fail over.
-//   - anything else — a reset or truncated response after sending, or
-//     an envelope-less 5xx (a reverse proxy's 502/504 can arrive AFTER
-//     the member behind it merged): the member MAY hold the shard.
+//   - anything else — a reset, a truncated response or no answer
+//     within memberTimeout after sending, or an envelope-less 5xx (a
+//     reverse proxy's 502/504 can arrive AFTER the member behind it
+//     merged): the member MAY hold the shard.
 //     Failing over would risk a double merge, so the submission ID is
 //     pinned to this member and the client told to retry — the replay
 //     routes back here and the member's idempotency log answers
