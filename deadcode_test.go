@@ -49,7 +49,7 @@ var implicitMethods = map[string]bool{
 // in implicitMethods. A package's own tests never keep a declaration
 // alive: code only they use belongs in a _test.go file.
 func TestNoUnreferencedDeclarations(t *testing.T) {
-	found, err := unreachableDecls(".", "dpspatial")
+	found, err := unreachableDecls(".", "dpspatial", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +58,60 @@ func TestNoUnreferencedDeclarations(t *testing.T) {
 	}
 }
 
+// testOnlyDecls lists, sorted and without line numbers, the product
+// declarations that only tests in another directory use: the gate's
+// other-directory-test rule keeps them, so they are the findings of the
+// gate with that rule off.
+var testOnlyDecls = []string{
+	"internal/cellfo/cellfo.go: method (*Oracle).Linear",
+	"internal/durable/durable.go: func RecordEnds",
+	"internal/durable/wal.go: func framedRecordSize",
+	"internal/experiments/experiments.go: method (*Suite).Config",
+	"internal/fo/fo.go: method (*Channel).Apply",
+	"internal/fo/fo.go: method (*Channel).MaxRatio",
+	"internal/fo/fo.go: method (*Channel).Samplers",
+	"internal/fo/fo.go: method (*Channel).Validate",
+	"internal/fo/grr.go: method (*GRR).Channel",
+	"internal/fo/linear.go: func maxRatioByRows",
+	"internal/fo/linear.go: method (*UniformSparse).NNZ",
+	"internal/geom/disk.go: func PureLowAreaClosedForm",
+	"internal/grid/hist.go: func TotalVariation",
+	"internal/trace/trace.go: method (*Tracer).Completed",
+}
+
+// TestTestOnlyDeclarations runs the gate with its other-directory-test
+// rule off and requires exactly testOnlyDecls. A new product declaration
+// that only another directory's tests use fails it until the list names
+// it; one that gains a product caller, or leaves, must leave the list.
+func TestTestOnlyDeclarations(t *testing.T) {
+	found, err := unreachableDecls(".", "dpspatial", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := withoutLines(found)
+	if strings.Join(got, "\n") != strings.Join(testOnlyDecls, "\n") {
+		t.Errorf("test-only declarations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(testOnlyDecls, "\n"))
+	}
+}
+
+// withoutLines drops the line number from each "file:line: kind name"
+// finding, so moving a declaration within its file keeps its entry, and
+// sorts the result.
+func withoutLines(found []string) []string {
+	out := make([]string, len(found))
+	for i, f := range found {
+		file, rest, _ := strings.Cut(f, ":")
+		_, rest, _ = strings.Cut(rest, ":")
+		out[i] = file + ":" + rest
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestReachabilityGatePlanted runs the gate on the module planted under
 // testdata/reach, whose declarations cover each rule above.
 func TestReachabilityGatePlanted(t *testing.T) {
-	found, err := unreachableDecls(filepath.Join("testdata", "reach"), "planted")
+	found, err := unreachableDecls(filepath.Join("testdata", "reach"), "planted", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +125,16 @@ func TestReachabilityGatePlanted(t *testing.T) {
 	}
 	if strings.Join(found, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(found, "\n"), strings.Join(want, "\n"))
+	}
+
+	// With the other-directory-test rule off, Unit is reported too.
+	found, err = unreachableDecls(filepath.Join("testdata", "reach"), "planted", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append([]string{"internal/shapes/shapes.go:19: func Unit"}, want...)
+	if strings.Join(found, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings without the test rule:\n%s\nwant:\n%s", strings.Join(found, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -122,8 +182,9 @@ type decl struct {
 
 // unreachableDecls returns "file:line: kind name" for each top-level
 // declaration in dir's module that no root reaches, sorted, with file
-// paths relative to dir.
-func unreachableDecls(dir, module string) ([]string, error) {
+// paths relative to dir. testUses turns the other-directory-test rule
+// on.
+func unreachableDecls(dir, module string, testUses bool) ([]string, error) {
 	stdOnce.Do(func() {
 		// The pure-Go variant of the standard library type-checks without
 		// running cgo.
@@ -140,7 +201,9 @@ func unreachableDecls(dir, module string) ([]string, error) {
 	}
 	r.index()
 	r.markRoots()
-	r.markTestUses()
+	if testUses {
+		r.markTestUses()
+	}
 	if len(r.errs) > 0 {
 		return nil, errors.Join(r.errs...)
 	}

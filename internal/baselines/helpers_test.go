@@ -9,13 +9,6 @@ import (
 // Test-only accessors and checks: the package's tests use them to inspect
 // live code, and no product code calls them.
 
-// Channel materialises the discretised cell channel as a dense matrix
-// from the convolutional rows.
-func (p *PlanarLaplace) Channel() *fo.Channel { return p.state.channel.Dense() }
-
-// Linear exposes the channel in its operative, convolutional form.
-func (p *PlanarLaplace) Linear() fo.LinearChannel { return p.state.channel }
-
 // GeoIRatioHolds verifies the discretised channel's Geo-I guarantee
 // within tol. The grid restriction renormalises each row by Z_i, so the
 // exact bound on Pr[j|i1]/Pr[j|i2] is e^{ε·d(i1,i2)} · Z_{i2}/Z_{i1}

@@ -35,8 +35,8 @@ func TestPlanarLaplaceChannelMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.state != b.state {
-		t.Error("same (grid, ε) did not share the memoized channel state")
+	if a.Oracle != b.Oracle {
+		t.Error("same (grid, ε) did not share the memoized oracle")
 	}
 	sa, err := a.Samplers()
 	if err != nil {
@@ -55,8 +55,8 @@ func TestPlanarLaplaceChannelMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.state == a.state {
-		t.Error("different ε shared a channel state")
+	if c.Oracle == a.Oracle {
+		t.Error("different ε shared an oracle")
 	}
 }
 

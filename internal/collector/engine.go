@@ -281,9 +281,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// Tracer is the completed-trace ring, nil when tracing is disabled.
-func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
-
 // Registry is the /metrics registry the tier layers its own series on.
 func (e *Engine) Registry() *metrics.Registry { return e.reg }
 

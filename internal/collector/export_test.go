@@ -2,10 +2,10 @@ package collector
 
 import "dpspatial/internal/trace"
 
-// Snapshot and Tracer are exported to the package's external tests:
-// they force a snapshot between submissions, which the collector
-// otherwise takes on its own schedule, and read the trace ring in
-// process.
+// Snapshot and the two Tracer accessors are exported to the package's
+// external tests: they force a snapshot between submissions, which the
+// collector otherwise takes on its own schedule, and read the trace ring
+// in process.
 
 // Snapshot forces an immediate durable snapshot of the collector state,
 // compacting the WAL. It is a no-op on a collector without a store or
@@ -19,3 +19,7 @@ func (c *Collector) Snapshot() error {
 // Tracer exposes the collector's completed-trace ring — nil when the
 // collector was built with DisableTraces.
 func (c *Collector) Tracer() *trace.Tracer { return c.engine.tracer }
+
+// Tracer exposes the engine's completed-trace ring — nil when tracing is
+// disabled.
+func (e *Engine) Tracer() *trace.Tracer { return e.tracer }

@@ -61,7 +61,6 @@ func damBuild(t *testing.T) func(p *collector.Pipeline) (collector.Estimator, er
 // testFleet is a supervisor fronting n real collectors, all over
 // httptest HTTP.
 type testFleet struct {
-	sup     *fleet.Supervisor
 	client  *collector.Client // points at the supervisor
 	members []*httptest.Server
 }
@@ -96,7 +95,6 @@ func startFleet(t *testing.T, n int, mech *sam.Mechanism, pipeline *collector.Pi
 	}
 	srv := httptest.NewServer(sup)
 	t.Cleanup(func() { srv.Close(); sup.Close() })
-	f.sup = sup
 	f.client = collector.NewClient(srv.URL)
 	return f
 }

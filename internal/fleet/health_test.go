@@ -298,19 +298,17 @@ func TestCadencePullMarksHungMemberUnhealthy(t *testing.T) {
 
 // TestForwardMarksHungMemberUnhealthy routes six submissions, each with
 // a 5 s client deadline, through a pinned supervisor over a member that
-// reads the body and never answers, and a live member. The one forward
-// that reaches the hung member gives up once it has waited 2 s for an
-// answer: it marks the member unhealthy and refuses 503 with the
-// unknown-state mark, and the live member accepts the other five.
+// reads the body of any request and never answers, and a live member.
+// The one forward that reaches the hung member gives up once it has
+// waited 2 s for an answer: it marks the member unhealthy and refuses
+// 503 with the unknown-state mark, and the live member accepts the
+// other five. The /v1/stats read after it does not ask the member it
+// marked unhealthy, so it answers at once.
 func TestForwardMarksHungMemberUnhealthy(t *testing.T) {
 	mech := newDAM(t, 5, 1.8)
 	pipeline := damPipeline(mech, 5, 1.8)
 	release := make(chan struct{})
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost { // the /v1/stats read below need not wait
-			http.NotFound(w, r)
-			return
-		}
 		_, _ = io.Copy(io.Discard, r.Body)
 		select {
 		case <-release:
@@ -354,7 +352,15 @@ func TestForwardMarksHungMemberUnhealthy(t *testing.T) {
 	if refused != 1 {
 		t.Fatalf("%d of 6 submissions refused, want 1", refused)
 	}
-	if m := memberState(t, supSrv.URL, "", hung.URL); m.Healthy || !strings.Contains(m.LastError, "timeout awaiting response headers") {
+	start := time.Now()
+	m := memberState(t, supSrv.URL, "", hung.URL)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("/v1/stats took %v with the hung member marked unhealthy, want under 1 s", took)
+	}
+	if m.Healthy || !strings.Contains(m.LastError, "timeout awaiting response headers") {
 		t.Fatalf("hung member reads %+v, want unhealthy after a response-header timeout", m)
+	}
+	if m.Generation != 0 || m.Reports != 0 || m.Durability != nil {
+		t.Fatalf("unhealthy member reads %+v, want no generation, reports or durability", m)
 	}
 }

@@ -536,7 +536,10 @@ func (s *Supervisor) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // memberStats snapshots the supervisor-side counters for every member
 // and enriches them with the member's own live /v1/stats (generation,
-// absorbed reports) when it answers within memberTimeout.
+// absorbed reports) when it answers within memberTimeout. A member that
+// forwards and pulls have marked unhealthy is not asked, so a member
+// that accepts connections but never answers does not hold up every
+// stats read; it reads as one that did not answer.
 func (s *Supervisor) memberStats(ctx context.Context) []MemberStats {
 	out := make([]MemberStats, len(s.members))
 	var wg sync.WaitGroup
@@ -545,6 +548,9 @@ func (s *Supervisor) memberStats(ctx context.Context) []MemberStats {
 		go func(i int, m *member) {
 			defer wg.Done()
 			out[i] = m.snapshot()
+			if !out[i].Healthy {
+				return
+			}
 			cctx, cancel := context.WithTimeout(ctx, memberTimeout)
 			defer cancel()
 			if ms, err := m.client.Stats(cctx); err == nil {
@@ -568,9 +574,9 @@ func (s *Supervisor) memberStats(ctx context.Context) []MemberStats {
 // Generation is Routed; ReportShards and AggregateShards split Routed
 // by framing; DuplicateShards counts replayed submission IDs answered
 // from an idempotency log (the supervisor's or a member's) without
-// merging; and Reports sums the report counts the answering members
-// currently hold — the fleet-wide absorbed total when every member
-// answers.
+// merging; and Reports sums the report counts the healthy members that
+// answer currently hold — the fleet-wide absorbed total when every
+// member is healthy and answers.
 type Stats struct {
 	collector.Stats
 	// Routed counts submissions accepted by a member via this
@@ -602,11 +608,12 @@ type MemberStats struct {
 	// many outages it has rejoined the fleet from.
 	Recoveries uint64 `json:"recoveries,omitempty"`
 	// Generation and Reports mirror the member's own /v1/stats at the
-	// time of the query (zero when the member did not answer).
+	// time of the query (zero when the member is unhealthy, and so not
+	// asked, or did not answer).
 	Generation uint64  `json:"generation"`
 	Reports    float64 `json:"reports"`
 	// Durability relays the member's own snapshot/WAL counters when it
-	// runs with a durable store (nil for in-memory members or when the
-	// member did not answer the stats request).
+	// runs with a durable store (nil for in-memory members, and for a
+	// member that is unhealthy or did not answer the stats request).
 	Durability *durable.Stats `json:"durability,omitempty"`
 }

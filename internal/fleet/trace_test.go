@@ -17,29 +17,9 @@ import (
 	"dpspatial/internal/trace"
 )
 
-// ringTrace polls a tracer's ring for a trace ID: completed traces are
-// pushed after the response is written, so the client can hold the ack
-// a beat before every tier's ring has the entry.
-func ringTrace(t *testing.T, tr *trace.Tracer, id string) *trace.TraceData {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for _, td := range tr.Snapshot(0, "", 0) {
-			if td.TraceID == id {
-				return &td
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never reached the %s ring", id, tr.Service())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// servedTrace reads a tier's ring over GET /v1/traces, as operators
-// and CI read another process's ring, and returns the trace with the
-// given ID, or nil when the ring does not hold it.
-func servedTrace(t *testing.T, baseURL, id string) *trace.TraceData {
+// servedTraces reads a tier's whole ring over GET /v1/traces, as
+// operators and CI read another process's ring.
+func servedTraces(t *testing.T, baseURL string) []trace.TraceData {
 	t.Helper()
 	res, err := http.Get(baseURL + collector.TracesPath + "?min_ms=0")
 	if err != nil {
@@ -52,16 +32,25 @@ func servedTrace(t *testing.T, baseURL, id string) *trace.TraceData {
 	if err := json.NewDecoder(res.Body).Decode(&dump); err != nil || res.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s%s: HTTP %d: %v", baseURL, collector.TracesPath, res.StatusCode, err)
 	}
-	for i := range dump.Traces {
-		if dump.Traces[i].TraceID == id {
-			return &dump.Traces[i]
+	return dump.Traces
+}
+
+// servedTrace returns the trace with the given ID from a tier's served
+// ring, or nil when the ring does not hold it.
+func servedTrace(t *testing.T, baseURL, id string) *trace.TraceData {
+	t.Helper()
+	traces := servedTraces(t, baseURL)
+	for i := range traces {
+		if traces[i].TraceID == id {
+			return &traces[i]
 		}
 	}
 	return nil
 }
 
-// waitServedTrace polls servedTrace for a trace ID, for the reason
-// ringTrace polls.
+// waitServedTrace polls servedTrace for a trace ID: completed traces
+// are pushed after the response is written, so the client can hold the
+// ack a beat before every tier's ring has the entry.
 func waitServedTrace(t *testing.T, baseURL, id string) *trace.TraceData {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -155,8 +144,8 @@ func TestFleetTraceStackedWithFailover(t *testing.T) {
 	}
 
 	// One trace ID, three rings.
-	outer := ringTrace(t, s0.Tracer(), resp.TraceID)
-	inner := ringTrace(t, s1.Tracer(), resp.TraceID)
+	outer := waitServedTrace(t, s0Srv.URL, resp.TraceID)
+	inner := waitServedTrace(t, s1Srv.URL, resp.TraceID)
 	leaf := waitServedTrace(t, c1Srv.URL, resp.TraceID)
 
 	// Outer: root + two route attempts — the failed hop and the
@@ -345,15 +334,17 @@ func TestFleetTraceScrapeUnderTraffic(t *testing.T) {
 	scrapeWG.Wait()
 
 	// Every submission completes a trace (pushed post-response, so
-	// poll); the ring holds at most its capacity of them.
+	// poll); the ring holds at most its capacity of them. Submissions
+	// are the only traced requests here and fit in the ring, so the
+	// served ring counts every completed trace.
 	deadline := time.Now().Add(5 * time.Second)
-	for f.sup.Tracer().Completed() < workers*perWorker {
+	for len(servedTraces(t, f.client.BaseURL)) < workers*perWorker {
 		if time.Now().After(deadline) {
-			t.Fatalf("completed %d traces, want >= %d", f.sup.Tracer().Completed(), workers*perWorker)
+			t.Fatalf("completed %d traces, want >= %d", len(servedTraces(t, f.client.BaseURL)), workers*perWorker)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := len(f.sup.Tracer().Snapshot(0, "", 0)); got > trace.DefaultCapacity {
+	if got := len(servedTraces(t, f.client.BaseURL)); got > trace.DefaultCapacity {
 		t.Fatalf("ring snapshot %d entries, over capacity %d", got, trace.DefaultCapacity)
 	}
 }
@@ -398,7 +389,7 @@ func TestFleetTraceTreeQuery(t *testing.T) {
 		if res.StatusCode != http.StatusOK {
 			t.Fatalf("range query: HTTP %d", res.StatusCode)
 		}
-		return ringTrace(t, sup.Tracer(), res.Header.Get(trace.TraceIDHeader))
+		return waitServedTrace(t, srv.URL, res.Header.Get(trace.TraceIDHeader))
 	}
 
 	first := query()
@@ -420,7 +411,8 @@ func TestFleetTraceTreeQuery(t *testing.T) {
 	if pullAt < 0 || decodeAt < pullAt {
 		t.Fatalf("want fleet.pull then fleet.tree.decode, got spans %+v", first.Spans)
 	}
-	if gen := first.Spans[decodeAt].Attrs["generation"]; gen != int64(len(blobs)) {
+	// The ring is read as JSON, so the attribute is a float64.
+	if gen := first.Spans[decodeAt].Attrs["generation"]; gen != float64(len(blobs)) {
 		t.Fatalf("fleet.tree.decode generation = %#v, want the routed count %d", gen, len(blobs))
 	}
 

@@ -36,42 +36,6 @@ func TestLinearMatchesDense(t *testing.T) {
 	}
 }
 
-// TestDenseMaterialisesLazily: construction must not build the dense
-// matrix; only an explicit Channel() call pays for it.
-func TestDenseMaterialisesLazily(t *testing.T) {
-	dom := testDomain(t, 12)
-	m, err := NewDAM(dom, 3.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.dense != nil {
-		t.Fatal("dense channel materialised during construction")
-	}
-	if _, err := m.Samplers(); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(1)
-	m.Perturb(3, r)
-	if _, err := m.Estimate(someCounts(m, 5000)); err != nil {
-		t.Fatal(err)
-	}
-	if m.dense != nil {
-		t.Fatal("sampling or estimation materialised the dense channel")
-	}
-	if m.Channel() == nil || m.dense == nil {
-		t.Fatal("Channel() did not materialise the dense matrix")
-	}
-}
-
-func someCounts(m *Mechanism, n int) []float64 {
-	r := rng.New(77)
-	counts := make([]float64, m.NumOutputs())
-	for k := 0; k < n; k++ {
-		counts[r.Intn(len(counts))]++
-	}
-	return counts
-}
-
 // TestPerturbMatchesSamplerStream: Perturb must consume exactly the
 // cached alias samplers' stream — the same draw Report performs.
 func TestPerturbMatchesSamplerStream(t *testing.T) {

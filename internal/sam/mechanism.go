@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
+	"dpspatial/internal/cellfo"
 	"dpspatial/internal/em"
 	"dpspatial/internal/fo"
 	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
-	"dpspatial/internal/rng"
 )
 
 // Mechanism is a discretised Spatial Area Mechanism over a d×d grid: a
@@ -19,10 +18,11 @@ import (
 // same expanded output domain D̃ (the union of every input cell's disk
 // footprint — the discrete analogue of the rounded square of Figure 2).
 //
-// It implements the Frequency Oracle protocol: Perturb is
+// It is a per-cell frequency oracle (cellfo.Oracle): Report is
 // GridAreaResponse (Algorithm 2, realised by per-row alias sampling over
 // the exact channel) and Estimate is PostProcess (EM, Algorithm 1).
 type Mechanism struct {
+	*cellfo.Oracle
 	name    string
 	dom     grid.Domain
 	eps     float64
@@ -34,17 +34,11 @@ type Mechanism struct {
 	qHat    float64 // probability of a unit cell at weight 1
 	// linear is the exact channel in uniform-plus-sparse form: every row
 	// is q̂ everywhere except the wave-offset cells. It is the only
-	// representation estimation touches, so a large grid never pays for —
-	// or stores — the dense d²×|D̃| matrix.
+	// representation reporting and estimation touch, so a large grid
+	// never pays for — or stores — the dense d²×|D̃| matrix. The Oracle
+	// holds it too; the warm decode runs on it here.
 	linear *fo.UniformSparse
 	smooth bool
-
-	denseOnce sync.Once
-	dense     *fo.Channel
-
-	samplersOnce sync.Once
-	samplers     []*rng.Alias
-	samplersErr  error
 }
 
 type weightedOffset struct {
@@ -198,6 +192,8 @@ func build(name string, dom grid.Domain, eps float64, wf weightsFunc, opts ...Op
 	if err := m.linear.Validate(); err != nil {
 		return nil, fmt.Errorf("sam: internal channel invalid: %w", err)
 	}
+	scheme := fmt.Sprintf("sam/%s d=%d eps=%g bhat=%d", name, dom.D, eps, bHat)
+	m.Oracle = cellfo.New(dom, scheme, m.linear, m.emOptions())
 	return m, nil
 }
 
@@ -278,95 +274,14 @@ func (m *Mechanism) buildChannel() error {
 // Name returns the mechanism's display name.
 func (m *Mechanism) Name() string { return m.name }
 
-// NumInputs returns d².
-func (m *Mechanism) NumInputs() int { return m.dom.NumCells() }
-
-// NumOutputs returns |D̃|.
-func (m *Mechanism) NumOutputs() int { return len(m.out) }
-
-// Linear returns the exact per-cell reporting channel in its structured
-// uniform-plus-sparse form — the representation estimation runs on
-// (shared; treat as read-only).
-func (m *Mechanism) Linear() *fo.UniformSparse { return m.linear }
-
-// Channel materialises the dense per-cell reporting channel on first use
-// (shared; treat as read-only). Estimation never needs it; it exists for
-// the local-privacy adversary and for row-level inspection, and costs the
-// full O(d²·|D̃|) matrix — prefer Linear.
-func (m *Mechanism) Channel() *fo.Channel {
-	m.denseOnce.Do(func() {
-		m.dense = m.linear.Dense()
-	})
-	return m.dense
-}
-
-// Samplers returns the per-input-cell alias tables for O(1) perturbation,
-// building them once on first use (the experiment harness re-collects
-// from the same mechanism across repeats). The tables are built from rows
-// materialised one at a time, so they are bit-identical to the dense
-// channel's without holding the matrix. The returned slice is shared;
-// treat it as read-only.
-func (m *Mechanism) Samplers() ([]*rng.Alias, error) {
-	m.samplersOnce.Do(func() {
-		m.samplers, m.samplersErr = m.linear.Samplers()
-	})
-	return m.samplers, m.samplersErr
-}
-
-// emOptions assembles the EM options shared by every estimation entry
-// point: the optional 2-D smoothing.
+// emOptions assembles the EM options of the cold and the warm decode:
+// the optional 2-D smoothing.
 func (m *Mechanism) emOptions() *em.Options {
 	opts := &em.Options{}
 	if m.smooth {
 		opts.Smoothing = em.Smoother2D(m.dom.D)
 	}
 	return opts
-}
-
-// Estimate recovers the normalised input distribution from output counts
-// via EM (PostProcess of Algorithm 1) on the structured channel, with
-// optional 2-D smoothing.
-func (m *Mechanism) Estimate(counts []float64) ([]float64, error) {
-	return em.Estimate(m.linear, counts, m.emOptions())
-}
-
-// Scheme implements fo.Reporter: the report format is fixed by the wave
-// profile (mechanism name, grid side, budget, radius).
-func (m *Mechanism) Scheme() string {
-	return fmt.Sprintf("sam/%s d=%d eps=%g bhat=%d", m.name, m.dom.D, m.eps, m.bHat)
-}
-
-// ReportShape implements fo.Reporter: one plane of |D̃| counts.
-func (m *Mechanism) ReportShape() []int { return []int{m.NumOutputs()} }
-
-// Report implements fo.Reporter: encode one user's input cell into an
-// LDP report (GridAreaResponse via the cached alias samplers).
-func (m *Mechanism) Report(input int, r *rng.RNG) (fo.Report, error) {
-	samplers, err := m.Samplers()
-	if err != nil {
-		return fo.Report{}, err
-	}
-	if input < 0 || input >= len(samplers) {
-		return fo.Report{}, fmt.Errorf("sam: input cell %d outside [0, %d)", input, len(samplers))
-	}
-	return fo.SingleIndexReport(samplers[input].Draw(r)), nil
-}
-
-// NewAggregate allocates an empty aggregate for this mechanism's reports.
-func (m *Mechanism) NewAggregate() *fo.Aggregate { return fo.NewAggregateFor(m) }
-
-// EstimateFromAggregate decodes an accumulated aggregate (one shard or a
-// merge of many) into the estimated input distribution via EM — the
-// estimator stage of the report lifecycle.
-func (m *Mechanism) EstimateFromAggregate(agg *fo.Aggregate) (*grid.Hist2D, error) {
-	if err := agg.Compatible(m); err != nil {
-		return nil, fmt.Errorf("sam: %w", err)
-	}
-	est, err := m.Estimate(agg.Planes[0])
-	if err != nil {
-		return nil, err
-	}
-	return grid.HistFromMass(m.dom, est)
 }
 
 // EstimateFromAggregateWarm decodes an aggregate starting EM from a
@@ -392,18 +307,4 @@ func (m *Mechanism) EstimateFromAggregateWarm(agg *fo.Aggregate, init *grid.Hist
 	}
 	h, err := grid.HistFromMass(m.dom, est)
 	return h, stats, err
-}
-
-// EstimateHist runs the full report lifecycle in-process (Algorithm 1):
-// every user's report accumulates into one aggregate, then EM estimates
-// from it.
-func (m *Mechanism) EstimateHist(truth *grid.Hist2D, r *rng.RNG) (*grid.Hist2D, error) {
-	if truth.Dom.D != m.dom.D {
-		return nil, fmt.Errorf("sam: histogram domain d=%d, mechanism d=%d", truth.Dom.D, m.dom.D)
-	}
-	agg := m.NewAggregate()
-	if err := fo.Accumulate(m, agg, truth.Mass, r); err != nil {
-		return nil, err
-	}
-	return m.EstimateFromAggregate(agg)
 }

@@ -224,7 +224,8 @@ func NewMechanismFromPipeline(p *CollectorPipeline) (ReportingMechanism, error) 
 // FleetSupervisor routes shard submissions across a fleet of collector
 // daemons and serves the hierarchically merged fleet estimate. It is an
 // http.Handler; call Start/Close around the serving lifetime to run the
-// health-probe + merge cadence loop.
+// cadence loop, whose ticks pull and merge every member's aggregate and
+// set each member's health from its answer.
 type FleetSupervisor = fleet.Supervisor
 
 // FleetStats are the counters the supervisor's GET /v1/stats serves:
