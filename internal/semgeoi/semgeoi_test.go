@@ -2,6 +2,7 @@ package semgeoi
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"dpspatial/internal/geom"
@@ -184,5 +185,32 @@ func TestErrors(t *testing.T) {
 	bad.Mass[0] = 0.5
 	if _, err := m.EstimateHist(bad, rng.New(1)); err == nil {
 		t.Fatal("fractional count accepted")
+	}
+}
+
+// TestCalibrateToDAMBits holds the calibrated budget ε' to recorded
+// bits at the served grid side and beyond the digest tests' d ≤ 9: the
+// ε' a SEM-Geo-I daemon calibrates names its scheme. The bits depend on
+// float rounding, which the recorded values fix for amd64.
+func TestCalibrateToDAMBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bits were recorded on amd64; float rounding on %s may differ", runtime.GOARCH)
+	}
+	for _, c := range []struct {
+		d    int
+		eps  float64
+		want uint64
+	}{
+		{15, 3.5, 0x3fea0d072633c5f6},
+		{15, 1.5, 0x3fd28edfe0dddf68},
+		{10, 3.5, 0x3ff39ad76d80dc63},
+	} {
+		got, err := CalibrateToDAM(c.d, c.eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != c.want {
+			t.Errorf("d=%d ε=%v: ε' = %v (%#x), want %#x", c.d, c.eps, got, math.Float64bits(got), c.want)
+		}
 	}
 }
