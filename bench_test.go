@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"dpspatial/internal/em"
 	"dpspatial/internal/experiments"
 	"dpspatial/internal/fo"
+	"dpspatial/internal/localprivacy"
 	"dpspatial/internal/lp"
 	"dpspatial/internal/rng"
 	"dpspatial/internal/sam"
@@ -858,13 +860,56 @@ func BenchmarkFleetPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalPrivacyCalibration measures the LDP↔Geo-I budget
-// calibration of Section VII-B at d=10.
+// semGeoIChannel builds SEM-Geo-I's dense channel at budget x, as
+// semgeoi.CalibrateToDAM's bisection does.
+func semGeoIChannel(dom dpspatial.Domain, x float64) (*fo.Channel, error) {
+	m, err := semgeoi.New(dom, x)
+	if err != nil {
+		return nil, err
+	}
+	return m.Channel(), nil
+}
+
+// BenchmarkLocalPrivacyCalibration measures one uncached LDP↔Geo-I
+// budget calibration of Section VII-B at the served d=15, ε=3.5: the DAM
+// target and the bisection that semgeoi.CalibrateToDAM runs on a memo
+// miss, which a SEM-Geo-I daemon runs before it listens.
 func BenchmarkLocalPrivacyCalibration(b *testing.B) {
-	dom := benchDomain(b, 10)
+	dom := benchDomain(b, 15)
+	build := func(x float64) (*fo.Channel, error) { return semGeoIChannel(dom, x) }
 	for i := 0; i < b.N; i++ {
-		if _, err := dpspatial.CalibrateSEMGeoI(dom, 3.5); err != nil {
+		dam, err := sam.NewDAM(dom, 3.5)
+		if err != nil {
 			b.Fatal(err)
 		}
+		target, err := localprivacy.Compute(dom, dam.Channel())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := localprivacy.Calibrate(dom, target, build, 1e-2, 60); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLocalPrivacyCompute measures one LP evaluation, the step the
+// calibration repeats, on a SEM-Geo-I channel. The budget is near the
+// ε′ calibrated at d=15, ε=3.5; the dense evaluation's cost does not
+// depend on it.
+func BenchmarkLocalPrivacyCompute(b *testing.B) {
+	for _, d := range []int{15, 20} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			dom := benchDomain(b, d)
+			ch, err := semGeoIChannel(dom, 0.8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := localprivacy.Compute(dom, ch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -70,7 +70,6 @@ var testOnlyDecls = []string{
 	"internal/fo/fo.go: method (*Channel).Apply",
 	"internal/fo/fo.go: method (*Channel).MaxRatio",
 	"internal/fo/fo.go: method (*Channel).Samplers",
-	"internal/fo/fo.go: method (*Channel).Validate",
 	"internal/fo/grr.go: method (*GRR).Channel",
 	"internal/fo/linear.go: func maxRatioByRows",
 	"internal/fo/linear.go: method (*UniformSparse).NNZ",

@@ -11,14 +11,18 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
 
 	"dpspatial/internal/collector"
 	"dpspatial/internal/fo"
+	"dpspatial/internal/geom"
+	"dpspatial/internal/grid"
+	"dpspatial/internal/rangequery"
 	"dpspatial/internal/rng"
-	"dpspatial/internal/sam"
+	"dpspatial/internal/trajectory"
 )
 
 // serve sends one request straight through the collector's handler.
@@ -57,7 +61,7 @@ func accepted(t *testing.T, rec *httptest.ResponseRecorder) collector.SubmitResp
 
 // reportLines renders n reports of mech, drawn over its inputs in turn,
 // as NDJSON lines.
-func reportLines(t *testing.T, mech *sam.Mechanism, n int, seed uint64) []string {
+func reportLines(t *testing.T, mech fo.Reporter, n int, seed uint64) []string {
 	t.Helper()
 	r := rng.New(seed)
 	lines := make([]string, n)
@@ -340,6 +344,10 @@ func FuzzReportStream(f *testing.F) {
 		"{\"planes\":[[1]]}\n{\"planes\":[[2]]}",
 		hdr(1000) + "{\"planes\":[[3]]}\n{\"planes\": [[4]]}\n{\"planes\":[[5]]}\n{\"planes\":[[6]]}\n",
 		hdr(1000) + "{\"planes\":[[3]]}\n{\"planes\":[[4]]}\n{\"planes\":[[5",
+		hdr(3, 4, 16, 64) + "{\"planes\":[[1],null,[2,9],null]}\n{\"planes\":[[2],null,null,[7,40]]}\n{\"planes\":[[0],[3],null,null]}\n",
+		hdr(64, 8, 512, 1) + "{\"planes\":[[0,1,2],[2],null,null]}\n{\"planes\":[[5],[1],[17,300],[0]]}\n{\"planes\":[[0,1,2],[2],null,null]}\n",
+		"{\"planes\":[null]}\n{\"planes\":[null]}\n{\"planes\":[[1]]}\n{\"planes\":[nul]}\n",
+		"{\"planes\":[[1],null]}\n{\"planes\":[null,null]}\n{\"planes\":[nullnull]}\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -404,10 +412,48 @@ func FuzzReportStream(f *testing.F) {
 // value, so a stream allocates the same whatever its length.
 func TestReadReportsAllocations(t *testing.T) {
 	mech := newDAM(t, 15, 3.5)
-	agg := mech.NewAggregate()
-	var allocs [2]float64
-	for i, n := range []int{200, 2000} {
-		stream := []byte(strings.Join(reportLines(t, mech, n, 5), ""))
+	short, long := reportLines(t, mech, 200, 5), reportLines(t, mech, 2000, 5)
+	allocs := readReportsAllocs(t, mech, short, long)
+	if allocs[0] != allocs[1] || allocs[1] > 4 {
+		t.Fatalf("ReadReports allocated %v times for 200 lines and %v for 2,000, want the same and at most 4", allocs[0], allocs[1])
+	}
+}
+
+// TestReadReportsNullPlaneAllocations is TestReadReportsAllocations over
+// streams with null planes: AHEAD reports of 3 or more levels, and
+// LDPTrace reports without a sampled transition. Their planes vary in
+// length and the reused value grows to the longest once, so the long
+// stream repeats the short one, and both hold the same longest plane.
+func TestReadReportsNullPlaneAllocations(t *testing.T) {
+	dom, err := grid.NewDomain(0, 0, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead, err := rangequery.NewAHEAD(dom, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldp, err := trajectory.NewLDPTrace(dom, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mech := range []fo.Reporter{ahead, ldpTraceSteps{ldp, dom}} {
+		short := reportLines(t, mech, 200, 5)
+		long := slices.Concat(slices.Repeat([][]string{short}, 10)...)
+		if allocs := readReportsAllocs(t, mech, short, long); allocs[0] != allocs[1] {
+			t.Errorf("%s: ReadReports allocated %v times for 200 lines and %v for 2,000, want the same", mech.Scheme(), allocs[0], allocs[1])
+		}
+	}
+}
+
+// readReportsAllocs returns the allocations of one ReadReports call
+// over each stream of report lines, counted into one aggregate.
+func readReportsAllocs(t *testing.T, mech fo.Reporter, streams ...[]string) []float64 {
+	t.Helper()
+	agg := fo.NewAggregateFor(mech)
+	allocs := make([]float64, len(streams))
+	for i, lines := range streams {
+		stream := []byte(strings.Join(lines, ""))
 		src := bytes.NewReader(nil)
 		br := bufio.NewReader(src)
 		allocs[i] = testing.AllocsPerRun(20, func() {
@@ -418,7 +464,22 @@ func TestReadReportsAllocations(t *testing.T) {
 			}
 		})
 	}
-	if allocs[0] != allocs[1] || allocs[1] > 4 {
-		t.Fatalf("ReadReports allocated %v times for 200 lines and %v for 2,000, want the same and at most 4", allocs[0], allocs[1])
+	return allocs
+}
+
+// ldpTraceSteps reports an odd input cell as LDPTrace's one-point
+// trajectory, whose transition planes are null, and an even one as a
+// step to the cell on its right, whose are not.
+type ldpTraceSteps struct {
+	*trajectory.LDPTrace
+	dom grid.Domain
+}
+
+func (l ldpTraceSteps) Report(input int, r *rng.RNG) (fo.Report, error) {
+	c := l.dom.CellAt(input)
+	if input%2 == 1 || c.X+1 == l.dom.D {
+		return l.LDPTrace.Report(input, r)
 	}
+	right := c.Add(geom.Cell{X: 1})
+	return l.ReportTrajectory(trajectory.Trajectory{l.dom.CellCenter(c), l.dom.CellCenter(right)}, r)
 }

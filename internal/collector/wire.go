@@ -139,12 +139,11 @@ func ParseStreamHead(line []byte) (hdr *Pipeline, first *fo.Report, err error) {
 
 // ReadReports counts the report lines after a stream's head into agg.
 // A byte scanner counts each line in the exact form json.Marshal writes
-// for a fo.Report with no nil plane. The first line that is in another
-// form (a null plane's included), is longer than r's buffer or ends in
-// a read error goes to a json.Decoder with the rest of the stream. The
-// decoder reads the bytes it would have read from the stream's start,
-// so it answers as it would have. An error of r itself is wrapped in
-// its "bad report line" error.
+// for a fo.Report. The first line that is in another form, is longer
+// than r's buffer or ends in a read error goes to a json.Decoder with
+// the rest of the stream. The decoder reads the bytes it would have
+// read from the stream's start, so it answers as it would have. An
+// error of r itself is wrapped in its "bad report line" error.
 func ReadReports(r *bufio.Reader, agg *fo.Aggregate) error {
 	var rep fo.Report // scans every line: Add keeps nothing of it
 	for {
@@ -197,11 +196,10 @@ const maxIndexDigits = strconv.IntSize / 32 * 9
 
 // scanReport reads line into rep, reusing rep's slices, when line is
 // `{"planes":[` + planes + `]}` and at most one '\n': the bytes
-// json.Marshal writes for a fo.Report with no nil plane. The planes are
-// comma-separated arrays of comma-separated indices, and an index is 0
+// json.Marshal writes for a fo.Report. The planes are comma-separated,
+// each null or an array of comma-separated indices, and an index is 0
 // or a nonzero digit and more digits, at most maxIndexDigits in all. It
-// reports false, leaving rep unspecified, for any other line, one with
-// a null plane (json.Marshal's nil plane) among them.
+// reports false, leaving rep unspecified, for any other line.
 func scanReport(line []byte, rep *fo.Report) bool {
 	line = bytes.TrimSuffix(line, []byte("\n"))
 	line, ok := bytes.CutPrefix(line, []byte(`{"planes":[`))
@@ -223,7 +221,16 @@ func scanReport(line []byte, rep *fo.Report) bool {
 			line = line[1:]
 		}
 		if len(line) == 0 || line[0] != '[' {
-			return false
+			// json.Marshal's nil plane. Add reads an empty plane as a nil
+			// one, so a reused slot keeps its plane's storage; a fresh
+			// slot stays nil, as json.Unmarshal reads it.
+			if line, ok = bytes.CutPrefix(line, []byte("null")); !ok {
+				return false
+			}
+			p := len(planes)
+			planes = slices.Grow(planes, 1)[:p+1]
+			planes[p] = planes[p][:0]
+			continue
 		}
 		line = line[1:]
 		p := len(planes)

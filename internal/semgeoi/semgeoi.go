@@ -77,8 +77,9 @@ var (
 
 // CalibrateToDAM returns the Geo-I budget ε' at which SEM-Geo-I's LP
 // on a d×d grid equals that of DAM with budget eps — the paper's
-// apples-to-apples comparison setting. The bisection (60 iterations,
-// each building a full channel) runs once per (d, ε); repeated calls
+// apples-to-apples comparison setting. The bisection (at most 62
+// evaluations, 28 at d = 15, ε = 3.5, each building a dense channel and
+// computing its LP in O(d⁶)) runs once per (d, ε); repeated calls
 // return the memoized budget. On a grid where DAM leaks nothing (d = 1:
 // every mechanism is the constant channel) there is no target to match,
 // so eps itself is returned.
