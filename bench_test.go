@@ -22,6 +22,7 @@ import (
 
 	"dpspatial"
 	"dpspatial/internal/collector"
+	"dpspatial/internal/durable"
 	"dpspatial/internal/em"
 	"dpspatial/internal/experiments"
 	"dpspatial/internal/fo"
@@ -857,6 +858,114 @@ func BenchmarkFleetPipeline(b *testing.B) {
 		for _, srv := range memberSrvs {
 			srv.Close()
 		}
+	}
+}
+
+// BenchmarkDurableRecovery measures what a durable `damctl serve`
+// does before it listens: durable.Open plus collector.New, on a DAM
+// collector at d=15, ε=3.5 with tracing off, whose snapshot holds a
+// full ack log of one-report acks with 32-hex trace IDs (as a traced
+// daemon writes them) and whose WAL holds a 100-record tail. Every
+// iteration recovers the same directory: nothing is closed gracefully,
+// which would snapshot and empty the WAL.
+func BenchmarkDurableRecovery(b *testing.B) {
+	dom := benchDomain(b, 15)
+	pipeline, rm, err := dpspatial.NewCollectorPipeline("DAM", dom, 3.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := collector.Config{Mechanism: rm, Pipeline: pipeline, DisableTraces: true, SnapshotEvery: -1}
+	dir := b.TempDir()
+	st, err := durable.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	truth := dpspatial.HistFromPoints(dom, nil)
+	r := rng.New(12)
+	for i := 0; i < collector.DedupWindow; i++ {
+		truth.Mass[r.Intn(len(truth.Mass))]++
+	}
+	agg := rm.NewAggregate()
+	rr := dpspatial.NewRand(13)
+	if err := dpspatial.AccumulateHist(rm, agg, truth, rr); err != nil {
+		b.Fatal(err)
+	}
+	state, err := agg.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta, err := json.Marshal(map[string]any{
+		"scheme": rm.Scheme(), "pipeline": pipeline,
+		"generation": collector.DedupWindow, "aggregateShards": collector.DedupWindow,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	acks := make([]durable.AckEntry, collector.DedupWindow)
+	for i := range acks {
+		ack, err := json.Marshal(&collector.SubmitResponse{
+			Scheme: rm.Scheme(), Reports: 1, TotalReports: float64(i + 1),
+			Generation: uint64(i + 1), TraceID: fmt.Sprintf("%032x", r.Uint64()),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		acks[i] = durable.AckEntry{ID: fmt.Sprintf("%032x", i), Ack: ack}
+	}
+	if err := st.WriteSnapshot(meta, state, acks); err != nil {
+		b.Fatal(err)
+	}
+	st.Close()
+
+	// The tail: 100 one-report shards submitted to the recovered
+	// collector, which is then abandoned as a killed daemon would be.
+	if st, err = durable.Open(dir); err != nil {
+		b.Fatal(err)
+	}
+	tailCfg := cfg
+	tailCfg.Store = st
+	c, err := collector.New(tailCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	client := dpspatial.NewCollectorClient(srv.URL)
+	one := dpspatial.HistFromPoints(dom, nil)
+	for i := 0; i < 100; i++ {
+		clear(one.Mass)
+		one.Mass[r.Intn(len(one.Mass))] = 1
+		shard := rm.NewAggregate()
+		if err := dpspatial.AccumulateHist(rm, shard, one, rr); err != nil {
+			b.Fatal(err)
+		}
+		blob, err := shard.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := client.SubmitAggregateBlobWithID(context.Background(), blob, nil, fmt.Sprintf("tail-%028d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv.Close()
+	st.Close()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := durable.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Store = st
+		if _, err := collector.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := st.Stats().RecordsReplayed; n != 100 {
+			b.Fatalf("recovery replayed %d WAL records, want 100", n)
+		}
+		st.Close()
+		b.StartTimer()
 	}
 }
 

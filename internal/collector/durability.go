@@ -20,7 +20,9 @@ import (
 //     deterministic, so a recovered aggregate is byte-identical to the
 //     one that was snapshotted;
 //   - snapshot Acks  = the idempotency log, each ack a SubmitResponse
-//     JSON, oldest first so FIFO eviction resumes in order;
+//     JSON, oldest first so FIFO eviction resumes in order. Recovery
+//     checks each ack, not decodes it: one that json.Unmarshal would
+//     refuse refuses recovery, so a replay's decode cannot fail;
 //   - RecordPipeline Meta = Pipeline JSON, written once when the
 //     pipeline is first pinned (and again after every WAL reset until a
 //     snapshot covers it);
@@ -141,12 +143,11 @@ func (c *Collector) recoverFromStore() error {
 		c.stats.AggregateShards = meta.AggregateShards
 		c.stats.DuplicateShards = meta.DuplicateShards
 		for _, e := range snap.Acks {
-			var ack SubmitResponse
-			if err := json.Unmarshal(e.Ack, &ack); err != nil {
+			if err := checkAck(e.Ack); err != nil {
 				return fmt.Errorf("snapshot ack %q: %w", e.ID, err)
 			}
-			c.acks.Put(e.ID, e.Ack)
 		}
+		c.acks.restore(snap.Acks)
 	}
 	for _, r := range rec.Records {
 		switch r.Type {
@@ -197,6 +198,101 @@ func (c *Collector) recoverFromStore() error {
 	}
 	c.store.NoteRecovered()
 	return nil
+}
+
+// checkAck returns the error of json.Unmarshal of ack into a
+// SubmitResponse, which AckLog.Get runs on a replay. An ack in the form
+// json.Marshal writes is accepted without decoding it: scanAck accepts
+// only bytes that json.Unmarshal accepts.
+func checkAck(ack []byte) error {
+	if scanAck(ack) {
+		return nil
+	}
+	var resp SubmitResponse
+	return json.Unmarshal(ack, &resp)
+}
+
+// Longest numbers scanAck reads: every count of 15 digits is an exact
+// float64, and every generation of 19 digits is below 2^64.
+const (
+	maxCountDigits      = 15
+	maxGenerationDigits = 19
+)
+
+// scanAck reports whether b is `{"scheme":`S`,"reports":`N
+// `,"totalReports":`N`,"generation":`G, then optionally and in this
+// order `,"traceId":`S, `,"member":`S and `,"duplicate":true`, then `}`:
+// the bytes json.Marshal writes for a SubmitResponse whose strings need
+// no escape. S is a string of bytes from 0x20 up other than '"' and
+// '\', N and G are 0 or a nonzero digit and more digits, at most
+// maxCountDigits and maxGenerationDigits in all. It reports false for
+// any other b, which json.Unmarshal may still accept.
+func scanAck(b []byte) bool {
+	b, ok := cutString(b, `{"scheme":`)
+	if ok {
+		b, ok = cutNumber(b, `,"reports":`, maxCountDigits)
+	}
+	if ok {
+		b, ok = cutNumber(b, `,"totalReports":`, maxCountDigits)
+	}
+	if ok {
+		b, ok = cutNumber(b, `,"generation":`, maxGenerationDigits)
+	}
+	if !ok {
+		return false
+	}
+	// An optional field that is there but not scanned stays in b, so b
+	// does not end as "}" below.
+	if rest, ok := cutString(b, `,"traceId":`); ok {
+		b = rest
+	}
+	if rest, ok := cutString(b, `,"member":`); ok {
+		b = rest
+	}
+	if rest, ok := cutKey(b, `,"duplicate":true`); ok {
+		b = rest
+	}
+	return string(b) == "}"
+}
+
+// cutKey cuts key off the front of b.
+func cutKey(b []byte, key string) ([]byte, bool) {
+	if len(b) < len(key) || string(b[:len(key)]) != key {
+		return nil, false
+	}
+	return b[len(key):], true
+}
+
+// cutString cuts key and a JSON string without escapes off the front
+// of b.
+func cutString(b []byte, key string) ([]byte, bool) {
+	b, ok := cutKey(b, key)
+	if !ok || len(b) == 0 || b[0] != '"' {
+		return nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return b[i+1:], true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// cutNumber cuts key and a JSON integer of at most max digits, with no
+// sign and no leading zero, off the front of b.
+func cutNumber(b []byte, key string, max int) ([]byte, bool) {
+	b, ok := cutKey(b, key)
+	k := 0
+	for k < len(b) && '0' <= b[k] && b[k] <= '9' {
+		k++
+	}
+	if !ok || k == 0 || k > max || k > 1 && b[0] == '0' {
+		return nil, false
+	}
+	return b[k:], true
 }
 
 // installRecoveredMechanism reconciles recovered metadata with the

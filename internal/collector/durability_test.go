@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -409,23 +410,12 @@ func TestDurableRefusesCorruptState(t *testing.T) {
 	})
 
 	t.Run("undecodable snapshot ack", func(t *testing.T) {
-		dir := t.TempDir()
-		st, err := durable.Open(dir)
-		if err != nil {
-			t.Fatal(err)
+		for _, tc := range undecodableAcks {
+			t.Run(tc.name, func(t *testing.T) {
+				dir := ackSnapshotDir(t, pip, blob, []durable.AckEntry{{ID: "s1", Ack: []byte(tc.ack)}})
+				mustRefuse(t, dir, collector.Config{Build: durBuild(t)}, "snapshot ack")
+			})
 		}
-		meta, err := json.Marshal(map[string]any{
-			"scheme": mech.Scheme(), "pipeline": pip, "generation": 1, "aggregateShards": 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		acks := []durable.AckEntry{{ID: "s1", Ack: []byte(`{"generation":"one"}`)}}
-		if err := st.WriteSnapshot(meta, blob, acks); err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-		mustRefuse(t, dir, collector.Config{Build: durBuild(t)}, "snapshot ack")
 	})
 
 	t.Run("torn final record is tolerated", func(t *testing.T) {
@@ -449,6 +439,127 @@ func TestDurableRefusesCorruptState(t *testing.T) {
 		}
 		if resp.Duplicate || resp.Generation != 1 {
 			t.Fatalf("torn submission replay: %+v", resp)
+		}
+	})
+}
+
+// ackCase is a named snapshot ack body.
+type ackCase struct{ name, ack string }
+
+// undecodableAcks are snapshot acks that json.Unmarshal refuses into a
+// SubmitResponse, each of which must refuse recovery.
+var undecodableAcks = []ackCase{
+	{"string generation", `{"generation":"one"}`},
+	{"reports out of range", `{"scheme":"s","reports":1e999,"totalReports":1,"generation":1}`},
+	{"negative generation", `{"scheme":"s","reports":1,"totalReports":1,"generation":-1}`},
+	{"fractional generation", `{"scheme":"s","reports":1,"totalReports":1,"generation":1.5}`},
+	{"generation past 2^64", `{"scheme":"s","reports":1,"totalReports":1,"generation":18446744073709551616}`},
+	{"truncated", `{"scheme":"s"`},
+	{"array", `[]`},
+}
+
+// otherFormAcks are snapshot acks that json.Unmarshal reads into a
+// SubmitResponse but that are not in the form json.Marshal writes.
+var otherFormAcks = []ackCase{
+	{"spaced", `{"scheme": "s", "reports": 2, "totalReports": 3, "generation": 4}`},
+	{"reordered keys", `{"generation":4,"totalReports":3,"reports":2,"scheme":"s"}`},
+	{"escaped scheme", `{"scheme":"a\u003cb","reports":2,"totalReports":3,"generation":4}`},
+	{"unknown field", `{"scheme":"s","reports":2,"totalReports":3,"generation":4,"extra":[1,{"x":null}]}`},
+	{"null", `null`},
+	{"largest generation", `{"scheme":"s","reports":2,"totalReports":3,"generation":18446744073709551615}`},
+	{"fractional reports", `{"scheme":"s","reports":0.5,"totalReports":3,"generation":4}`},
+	{"exponent reports", `{"scheme":"s","reports":1e3,"totalReports":3,"generation":4}`},
+	{"trailing space", `{"scheme":"s","reports":2,"totalReports":3,"generation":4} `},
+}
+
+// ackSnapshotDir writes a data directory whose snapshot holds one
+// aggregate shard under pip and the given acks.
+func ackSnapshotDir(t *testing.T, pip *collector.Pipeline, blob []byte, acks []durable.AckEntry) string {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	meta, err := json.Marshal(map[string]any{
+		"scheme": pip.Scheme, "pipeline": pip, "generation": 1, "aggregateShards": 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteSnapshot(meta, blob, acks); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestDurableRecoversOtherFormSnapshotAcks: a snapshot ack that
+// json.Unmarshal reads but that is not in json.Marshal's form still
+// recovers, and a replay of its ID answers what json.Unmarshal of the
+// stored bytes gives, marked duplicate.
+func TestDurableRecoversOtherFormSnapshotAcks(t *testing.T) {
+	const d, eps = 6, 2.0
+	mech := newDAM(t, d, eps)
+	pip := durPipeline(mech, d, eps)
+	blob, err := accumulateShards(t, mech, 1, 7)[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acks []durable.AckEntry
+	for _, tc := range otherFormAcks {
+		acks = append(acks, durable.AckEntry{ID: tc.name, Ack: []byte(tc.ack)})
+	}
+	client, _, _ := startDurable(t, ackSnapshotDir(t, pip, blob, acks), collector.Config{Build: durBuild(t)})
+	for _, e := range acks {
+		var want collector.SubmitResponse
+		if err := json.Unmarshal(e.Ack, &want); err != nil {
+			t.Fatal(err)
+		}
+		want.Duplicate = true
+		got, err := client.SubmitAggregateBlobWithID(context.Background(), blob, pip, e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want {
+			t.Fatalf("replay of %q = %+v, want %+v", e.ID, *got, want)
+		}
+	}
+}
+
+// FuzzSnapshotAck pins recovery's check of a snapshot ack to
+// json.Unmarshal into a SubmitResponse: it accepts exactly what
+// json.Unmarshal accepts, and otherwise fails with json.Unmarshal's
+// error text.
+func FuzzSnapshotAck(f *testing.F) {
+	for _, resp := range []collector.SubmitResponse{
+		{Scheme: "DAM/d=15", Reports: 1, TotalReports: 10000001, Generation: 65536},
+		{Scheme: "DAM/d=15", Reports: 200, TotalReports: 1e6, Generation: 7, TraceID: "0af7651916cd43dd8448eb211c80319c"},
+		{Scheme: "DAM/d=15", Reports: 200, TotalReports: 1e6, Generation: 7, TraceID: "0af7651916cd43dd8448eb211c80319c", Member: "http://10.0.0.1:9311"},
+		{Scheme: "DAM/d=15", Reports: 0.25, TotalReports: 1e21, Generation: 1 << 63, Member: "http://m", Duplicate: true},
+		{Scheme: "a<b>&c\u2028", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", Duplicate: true},
+		{},
+	} {
+		ack, err := json.Marshal(&resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ack)
+	}
+	for _, tc := range slices.Concat(undecodableAcks, otherFormAcks) {
+		f.Add([]byte(tc.ack))
+	}
+	// The longest numbers the check reads without decoding, one digit
+	// more, and a leading zero.
+	f.Add([]byte(`{"scheme":"s","reports":999999999999999,"totalReports":0,"generation":9999999999999999999}`))
+	f.Add([]byte(`{"scheme":"s","reports":1000000000000000,"totalReports":0,"generation":10000000000000000000}`))
+	f.Add([]byte(`{"scheme":"s","reports":1,"totalReports":1,"generation":01}`))
+	f.Fuzz(func(t *testing.T, ack []byte) {
+		var resp collector.SubmitResponse
+		want := json.Unmarshal(ack, &resp)
+		got := collector.CheckAck(ack)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Fatalf("check of %q = %v, json.Unmarshal gives %v", ack, got, want)
 		}
 	})
 }

@@ -5,7 +5,10 @@ import "dpspatial/internal/trace"
 // Snapshot and the two Tracer accessors are exported to the package's
 // external tests: they force a snapshot between submissions, which the
 // collector otherwise takes on its own schedule, and read the trace ring
-// in process.
+// in process. CheckAck is exported for FuzzSnapshotAck.
+
+// CheckAck is recovery's check of one snapshot ack.
+var CheckAck = checkAck
 
 // Snapshot forces an immediate durable snapshot of the collector state,
 // compacting the WAL. It is a no-op on a collector without a store or

@@ -324,7 +324,7 @@ func (l *AckLog) Get(id string) (SubmitResponse, bool) {
 	var resp SubmitResponse
 	if err := json.Unmarshal(l.entries[i-l.evicted].Ack, &resp); err != nil {
 		// Put's callers store json.Marshal output or bytes recovery
-		// already decoded, so this is corrupted memory.
+		// already checked decode, so this is corrupted memory.
 		panic(fmt.Sprintf("collector: stored ack %q does not decode: %v", id, err))
 	}
 	resp.Duplicate = true
@@ -354,6 +354,17 @@ func (l *AckLog) Put(id string, ack []byte) {
 		l.entries[0] = durable.AckEntry{}
 		l.entries = l.entries[1:]
 		l.evicted++
+	}
+}
+
+// restore fills an empty log with a snapshot's acks, oldest first, as
+// Put would one by one, but into an index and entries sized for them,
+// so a full log grows neither.
+func (l *AckLog) restore(acks []durable.AckEntry) {
+	l.index = make(map[string]int, len(acks))
+	l.entries = make([]durable.AckEntry, 0, len(acks))
+	for _, e := range acks {
+		l.Put(e.ID, e.Ack)
 	}
 }
 
