@@ -264,8 +264,8 @@ func BenchmarkDAMPerturb(b *testing.B) {
 }
 
 // BenchmarkEMEstimate measures the PostProcess (EM) step on DAM's
-// structured (uniform-plus-sparse) channel at d=15 — each sweep costs
-// O(In + Out + nnz) instead of the dense O(In·Out).
+// structured (translated-footprint) channel at d=15 — each sweep costs
+// O(d²·K) for a K-cell footprint instead of the dense O(In·Out).
 func BenchmarkEMEstimate(b *testing.B) {
 	dom := benchDomain(b, 15)
 	m, err := sam.NewDAM(dom, 3.5)
@@ -281,6 +281,34 @@ func BenchmarkEMEstimate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := em.Estimate(m.Linear(), counts, &em.Options{MaxIter: 100}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEMDecodeServed measures the decode a loadbench refresh
+// cycle's fresh read serves: DAM at d=15, ε=3.5 through the mechanism's
+// warm decode, started from the previous estimate, with the default
+// options, so EM runs all 1,000 iterations.
+func BenchmarkEMDecodeServed(b *testing.B) {
+	dom := benchDomain(b, 15)
+	m, err := sam.NewDAM(dom, 3.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(2)
+	agg := m.NewAggregate()
+	for i := range agg.Planes[0] {
+		agg.Planes[0][i] = float64(r.Intn(100))
+	}
+	init, _, err := m.EstimateFromAggregateWarm(agg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := m.EstimateFromAggregateWarm(agg, init); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -438,9 +466,9 @@ func BenchmarkChannelForwardConv(b *testing.B) {
 	}
 }
 
-// BenchmarkChannelForwardUniformSparse sweeps DAM's uniform-plus-sparse
-// d=40 channel once: the O(n + nnz) structured row of the comparison.
-func BenchmarkChannelForwardUniformSparse(b *testing.B) {
+// BenchmarkChannelForwardFootprint sweeps DAM's translated-footprint
+// d=40 channel once: the O(d²·K) structured row of the comparison.
+func BenchmarkChannelForwardFootprint(b *testing.B) {
 	dom := benchDomain(b, 40)
 	m, err := sam.NewDAM(dom, 3.5)
 	if err != nil {

@@ -12,9 +12,9 @@ import (
 
 // mechanismDigests pins every mechanism's outputs at ε = 2.1 on three
 // grids: one SHA-256 over the bits of EstimateHist's mass, the DPA2 blob
-// AccumulateHist fills and the scheme. At d = 1 CFO refuses to build (it
-// needs two cells) and AHEAD refuses to report (a one-level hierarchy has
-// no report scheme), so those two cases pin the error text instead.
+// AccumulateHist fills and the scheme. At d = 1 CFO and AHEAD refuse to
+// build (each needs two cells), so those two cases pin the error text
+// instead.
 var mechanismDigests = map[string]string{
 	"DAM d=1":           "13052ab94ec12d750b2badc1763b87a042a6db00ccc6a6c70c652458816882ad",
 	"DAM d=4":           "385edfde7624ee88b9f04ee739b5cbff2420069b9b3994ce21b23c47c27477ed",
@@ -37,7 +37,7 @@ var mechanismDigests = map[string]string{
 	"PlanarLaplace d=1": "f8ce96bae032cf799e5d5191cc4e73628581d8c290c65505c0e5a6c1e1c9805a",
 	"PlanarLaplace d=4": "edfdccc49d8315ac1fcd2fb6929aab9e38a425bfbfdab1f9be5ac5801a9d7ed1",
 	"PlanarLaplace d=9": "5242a780a1318e30629d5271b3c420dd3a6d87457152525518dbd971255543ed",
-	"AHEAD d=1":         "error: rangequery: 1-level hierarchy has no report scheme",
+	"AHEAD d=1":         "error: rangequery: AHEAD needs at least 2 cells",
 	"AHEAD d=4":         "dccb6eaf5694747e4a8d16f794ff967b4d5970f69d330458ca64e160aad4432d",
 	"AHEAD d=9":         "4db608a9b627b1c9dd8a5322f8369e8a207be194adc1e26d845ceaacf6741f33",
 	"LDPTrace d=1":      "a3ebecd7b13ba9730511fa283fb5273d282acabe62630cab93c17bdf33e801d5",

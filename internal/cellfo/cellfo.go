@@ -19,8 +19,8 @@ import (
 
 // Channel is a per-cell reporting channel in a structured form: the
 // linear operator EM sweeps, plus per-row alias tables for reporting and
-// the dense matrix for row-level inspection. fo.UniformSparse and
-// fo.ConvChannel implement it.
+// the dense matrix for row-level inspection. fo.Footprint (DAM, DAM-NS,
+// HUEM) and fo.ConvChannel (SEM-Geo-I, planar Laplace) implement it.
 type Channel interface {
 	fo.LinearChannel
 	Samplers() ([]*rng.Alias, error)

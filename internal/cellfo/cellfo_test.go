@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dpspatial/internal/fo"
+	"dpspatial/internal/geom"
 	"dpspatial/internal/grid"
 	"dpspatial/internal/rng"
 )
@@ -20,21 +21,24 @@ func testDomain(t *testing.T, d int) grid.Domain {
 	return dom
 }
 
-// uniformSparse is randomized response over n cells in
-// uniform-plus-sparse form: q everywhere, p on the diagonal.
-func uniformSparse(t *testing.T, n int, eps float64) *fo.UniformSparse {
+// footprint is randomized response over the d×d cells as a translated
+// footprint: q everywhere, p on the input cell.
+func footprint(t *testing.T, d int, eps float64) *fo.Footprint {
 	t.Helper()
+	n := d * d
 	ee := math.Exp(eps)
 	p, q := ee/(ee+float64(n)-1), 1/(ee+float64(n)-1)
-	b := fo.NewUniformSparseBuilder(n, n)
-	for i := 0; i < n; i++ {
-		b.Row(q, []int{i}, []float64{p})
+	cells := make([]geom.Cell, 0, n)
+	for y := 0; y < d; y++ {
+		for x := 0; x < d; x++ {
+			cells = append(cells, geom.Cell{X: x, Y: y})
+		}
 	}
-	u, err := b.Build()
+	f, err := fo.NewFootprint(d, q, []geom.Cell{{}}, []float64{p}, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return u
+	return f
 }
 
 // testOracles builds one oracle per channel family on a d×d grid.
@@ -46,8 +50,8 @@ func testOracles(t *testing.T, d int) map[string]*Oracle {
 		t.Fatal(err)
 	}
 	return map[string]*Oracle{
-		"uniform-sparse": New(dom, "test/us", uniformSparse(t, dom.NumCells(), 3.5), nil),
-		"conv":           New(dom, "test/conv", conv, nil),
+		"footprint": New(dom, "test/footprint", footprint(t, d, 3.5), nil),
+		"conv":      New(dom, "test/conv", conv, nil),
 	}
 }
 
@@ -125,7 +129,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 // scheme and a histogram of another grid are refused.
 func TestOracleRefusals(t *testing.T) {
 	oracles := testOracles(t, 4)
-	o, other := oracles["conv"], oracles["uniform-sparse"]
+	o, other := oracles["conv"], oracles["footprint"]
 	if _, err := o.Report(o.NumInputs(), rng.New(1)); err == nil || !strings.HasPrefix(err.Error(), "cellfo: input cell") {
 		t.Errorf("out-of-range input: %v", err)
 	}

@@ -6,9 +6,9 @@
 // spatial mechanisms.
 //
 // The engine consumes channels through fo.LinearChannel, so structured
-// channels (uniform-plus-sparse SAM/SW rows, two-valued GRR, FFT
-// convolutions) run each EM sweep in O(In + nnz) or O(n log n) instead
-// of the dense O(In·Out). Every channel runs the same iteration over its
+// channels (the SAM family's translated footprint, uniform-plus-sparse
+// SW rows, two-valued GRR, FFT convolutions) run each EM sweep in
+// O(In + nnz) or O(n log n) instead of the dense O(In·Out). Every channel runs the same iteration over its
 // Forward and Backward sweeps; Options.Init warm-starts the iteration
 // from a previous estimate for incremental re-estimation over growing
 // aggregates.

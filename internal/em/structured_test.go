@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpspatial/internal/fo"
+	"dpspatial/internal/geom"
 	"dpspatial/internal/rng"
 )
 
@@ -120,11 +121,24 @@ func TestEstimateIterationsAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := make([]geom.Cell, 0, 17*17)
+	for y := -1; y < 16; y++ {
+		for x := -1; x < 16; x++ {
+			cells = append(cells, geom.Cell{X: x, Y: y})
+		}
+	}
+	plus := []geom.Cell{{X: 0, Y: -1}, {X: -1, Y: 0}, {X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}}
+	q := 1 / float64(len(cells)-len(plus)+5*3)
+	footprint, err := fo.NewFootprint(15, q, plus, []float64{3 * q, 3 * q, 3 * q, 3 * q, 3 * q}, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
 	channels := []struct {
 		name string
 		ch   fo.LinearChannel
 	}{
 		{"uniform-sparse", randomUniformSparse(t, r, 225, 437)},
+		{"footprint", footprint},
 		{"two-value", g.Linear()},
 		{"dense", randomUniformSparse(t, r, 40, 30).Dense()},
 	}

@@ -11,9 +11,9 @@ import (
 // LinearChannel is the linear-operator view of a row-stochastic channel
 // M: everything estimation needs without committing to a dense In×Out
 // matrix. The EM engine consumes channels exclusively through this
-// interface, so a channel whose rows are uniform-plus-sparse (the DAM
-// family, Square Wave) or two-valued (GRR) can run its E and M sweeps in
-// O(In + nnz) instead of O(In·Out).
+// interface, so a channel whose rows are translates of one footprint
+// (the DAM family), uniform-plus-sparse (Square Wave) or two-valued
+// (GRR) can run its E and M sweeps in O(In + nnz) instead of O(In·Out).
 //
 // Forward and Backward are the two sweeps of one EM iteration:
 //
@@ -86,16 +86,16 @@ func (c *Channel) Backward(w, out []float64) {
 // --- UniformSparse ---
 
 // UniformSparse is a channel whose every row is a per-row base value plus
-// a handful of sparse overrides — the natural form of the SAM family
-// (every output cell reports at q̂ except the wave-offset cells) and of
-// Square Wave rows in 1-D. Rows are stored CSR-style: overrides for row i
-// live in idx/val[rowStart[i]:rowStart[i+1]], sorted by output index, and
-// carry the absolute probability (not a delta), so Row materialisation
-// and alias sampling reproduce the dense matrix bit for bit.
+// a handful of sparse overrides — the form of Square Wave rows in 1-D,
+// whose rows are not translates of one another. Rows are stored
+// CSR-style: overrides for row i live in idx/val[rowStart[i]:rowStart[i+1]],
+// sorted by output index, and carry the absolute probability (not a
+// delta), so Row materialisation and alias sampling reproduce the dense
+// matrix bit for bit. A channel whose rows are translates of one
+// footprint is a Footprint instead, which holds the overrides once.
 //
 // Forward and Backward cost O(In + Out + nnz) instead of O(In·Out), and
-// the whole structure occupies O(In + nnz) memory — for a d×d grid with a
-// fixed wave footprint that is O(d²) instead of the dense O(d⁴).
+// the whole structure occupies O(In + nnz) memory.
 type UniformSparse struct {
 	in, out  int
 	base     []float64 // len in: the uniform value of row i
@@ -106,10 +106,10 @@ type UniformSparse struct {
 	// Run-length view of idx, built once at Build: overrides at
 	// consecutive output indices collapse into runs, so the sweeps do
 	// contiguous-range accumulation over val (bounds-check-eliminated
-	// slice loops) instead of a per-element int32 index gather. Wave
-	// footprints are contiguous per grid row, so the DAM family averages
-	// a handful of runs per row. The sweep arithmetic visits the same
-	// entries in the same order either way — results are bit-identical.
+	// slice loops) instead of a per-element int32 index gather. A Square
+	// Wave row's overrides are its high-density window and clipped edges,
+	// a handful of runs. The sweep arithmetic visits the same entries in
+	// the same order either way — results are bit-identical.
 	runRowStart []int   // len in+1: run extent per row
 	runStart    []int32 // first output index of each run
 	runLen      []int32 // entries in each run (val stays the backing store)

@@ -46,32 +46,34 @@ type levelAssign struct {
 
 // NewAHEAD builds the estimator. The quadtree structure, per-level
 // frontiers and OUE oracles are precomputed here — they depend only on
-// the grid side, never on the data.
+// the grid side, never on the data. A one-cell grid has a one-level
+// hierarchy, which no user can report into, so it is refused.
 func NewAHEAD(dom grid.Domain, eps float64) (*AHEAD, error) {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, fmt.Errorf("rangequery: invalid epsilon %v", eps)
 	}
+	if dom.NumCells() < 2 {
+		return nil, fmt.Errorf("rangequery: AHEAD needs at least 2 cells")
+	}
 	a := &AHEAD{dom: dom, eps: eps}
 	tmpl := BuildQuadtree(grid.NewHist(dom))
 	a.levels = tmpl.Levels
-	if a.levels >= 2 {
-		a.infos = make([]levelAssign, a.levels)
-		for l := 1; l < a.levels; l++ {
-			nodes := tmpl.Frontier(l)
-			byCell := make([]int, dom.NumCells())
-			for pos, n := range nodes {
-				for y := n.Y0; y <= n.Y1; y++ {
-					for x := n.X0; x <= n.X1; x++ {
-						byCell[y*dom.D+x] = pos
-					}
+	a.infos = make([]levelAssign, a.levels)
+	for l := 1; l < a.levels; l++ {
+		nodes := tmpl.Frontier(l)
+		byCell := make([]int, dom.NumCells())
+		for pos, n := range nodes {
+			for y := n.Y0; y <= n.Y1; y++ {
+				for x := n.X0; x <= n.X1; x++ {
+					byCell[y*dom.D+x] = pos
 				}
 			}
-			oue, err := fo.NewOUE(maxInt(2, len(nodes)), eps)
-			if err != nil {
-				return nil, err
-			}
-			a.infos[l] = levelAssign{byCell: byCell, oracle: oue}
 		}
+		oue, err := fo.NewOUE(maxInt(2, len(nodes)), eps)
+		if err != nil {
+			return nil, err
+		}
+		a.infos[l] = levelAssign{byCell: byCell, oracle: oue}
 	}
 	return a, nil
 }
@@ -100,9 +102,6 @@ func (a *AHEAD) NumInputs() int { return a.dom.NumCells() }
 // exactly one support plane, so per-level user counts and supports merge
 // across shards like any other aggregate.
 func (a *AHEAD) ReportShape() []int {
-	if a.levels < 2 {
-		return []int{0}
-	}
 	shape := make([]int, a.levels)
 	shape[0] = a.levels - 1
 	for l := 1; l < a.levels; l++ {
@@ -116,9 +115,6 @@ func (a *AHEAD) ReportShape() []int {
 // under the full ε — the identical draw stream the monolithic collect
 // loop has always consumed.
 func (a *AHEAD) Report(input int, r *rng.RNG) (fo.Report, error) {
-	if a.levels < 2 {
-		return fo.Report{}, fmt.Errorf("rangequery: %d-level hierarchy has no report scheme", a.levels)
-	}
 	if input < 0 || input >= a.dom.NumCells() {
 		return fo.Report{}, fmt.Errorf("rangequery: input cell %d outside [0, %d)", input, a.dom.NumCells())
 	}
@@ -149,9 +145,6 @@ func (a *AHEAD) EstimateTree(truth *grid.Hist2D, r *rng.RNG) (*Quadtree, *grid.H
 	if truth.Dom.D != a.dom.D {
 		return nil, nil, fmt.Errorf("rangequery: histogram d=%d, estimator d=%d", truth.Dom.D, a.dom.D)
 	}
-	if a.levels < 2 {
-		return BuildQuadtree(truth), truth.Clone(), nil
-	}
 	agg := a.NewAggregate()
 	if err := fo.Accumulate(a, agg, truth.Mass, r); err != nil {
 		return nil, nil, err
@@ -166,9 +159,6 @@ func (a *AHEAD) EstimateTree(truth *grid.Hist2D, r *rng.RNG) (*Quadtree, *grid.H
 func (a *AHEAD) EstimateTreeFromAggregate(agg *fo.Aggregate) (*Quadtree, *grid.Hist2D, error) {
 	if err := agg.Compatible(a); err != nil {
 		return nil, nil, fmt.Errorf("rangequery: %w", err)
-	}
-	if a.levels < 2 {
-		return nil, nil, fmt.Errorf("rangequery: %d-level hierarchy has no report scheme", a.levels)
 	}
 	totalUsers := agg.N
 	if totalUsers == 0 {

@@ -239,20 +239,16 @@ func TestAHEADRecoversWithLargeBudget(t *testing.T) {
 	}
 }
 
+// TestAHEADSingleCellGrid: a one-cell grid has a one-level hierarchy
+// that no user can report into, so construction refuses it, as CFO's
+// does, instead of building a mechanism whose every report fails.
 func TestAHEADSingleCellGrid(t *testing.T) {
-	dom := testDomain(t, 1)
-	a, err := NewAHEAD(dom, 1)
-	if err != nil {
-		t.Fatal(err)
+	_, err := NewAHEAD(testDomain(t, 1), 1)
+	if err == nil || err.Error() != "rangequery: AHEAD needs at least 2 cells" {
+		t.Fatalf("d=1: error %v, want the two-cell refusal", err)
 	}
-	truth := grid.NewHist(dom)
-	truth.Mass[0] = 100
-	tree, leaves, err := a.EstimateTree(truth, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Root.Value != 100 || leaves.Mass[0] != 100 {
-		t.Fatalf("d=1 passthrough failed: %v / %v", tree.Root.Value, leaves.Mass[0])
+	if _, err := NewAHEAD(testDomain(t, 2), 1); err != nil {
+		t.Fatalf("d=2: %v", err)
 	}
 }
 

@@ -29,15 +29,14 @@ type Mechanism struct {
 	bHat    int
 	offsets []weightedOffset // wave profile: relative weight w ∈ [1, e^ε]
 	out     []geom.Cell      // output domain D̃, deterministic order
-	outIdx  map[geom.Cell]int
-	pHat    float64 // probability of a unit cell at weight e^ε
-	qHat    float64 // probability of a unit cell at weight 1
-	// linear is the exact channel in uniform-plus-sparse form: every row
-	// is q̂ everywhere except the wave-offset cells. It is the only
-	// representation reporting and estimation touch, so a large grid
-	// never pays for — or stores — the dense d²×|D̃| matrix. The Oracle
-	// holds it too; the warm decode runs on it here.
-	linear *fo.UniformSparse
+	pHat    float64          // probability of a unit cell at weight e^ε
+	qHat    float64          // probability of a unit cell at weight 1
+	// linear is the exact channel as one translated footprint: every row
+	// is q̂ everywhere except the wave-offset cells of its input cell. It
+	// is the only representation reporting and estimation touch, so a
+	// large grid never pays for — or stores — the dense d²×|D̃| matrix.
+	// The Oracle holds it too; the warm decode runs on it here.
+	linear *fo.Footprint
 	smooth bool
 }
 
@@ -189,9 +188,6 @@ func build(name string, dom grid.Domain, eps float64, wf weightsFunc, opts ...Op
 	if err := m.buildChannel(); err != nil {
 		return nil, err
 	}
-	if err := m.linear.Validate(); err != nil {
-		return nil, fmt.Errorf("sam: internal channel invalid: %w", err)
-	}
 	scheme := fmt.Sprintf("sam/%s d=%d eps=%g bhat=%d", name, dom.D, eps, bHat)
 	m.Oracle = cellfo.New(dom, scheme, m.linear, m.emOptions())
 	return m, nil
@@ -219,10 +215,6 @@ func (m *Mechanism) buildOutputDomain() {
 		}
 		return m.out[i].X < m.out[j].X
 	})
-	m.outIdx = make(map[geom.Cell]int, len(m.out))
-	for i, c := range m.out {
-		m.outIdx[c] = i
-	}
 }
 
 // computeProbabilities solves for q̂ from the normalisation
@@ -246,26 +238,20 @@ func (m *Mechanism) computeProbabilities() error {
 	return nil
 }
 
-// buildChannel assembles the channel directly in uniform-plus-sparse
-// form: row i is q̂ on all of D̃ with one override per wave offset. Memory
-// and build time are O(d²·|footprint|); the dense matrix is never formed.
+// buildChannel assembles the channel as one footprint — the wave offsets
+// with their probabilities w·q̂ — translated to every input cell, in
+// O(d·|footprint|) memory; neither the dense matrix nor a per-row form
+// is ever held.
 func (m *Mechanism) buildChannel() error {
-	nIn := m.dom.NumCells()
-	nOut := len(m.out)
-	b := fo.NewUniformSparseBuilder(nIn, nOut)
-	idx := make([]int, len(m.offsets))
+	offs := make([]geom.Cell, len(m.offsets))
 	val := make([]float64, len(m.offsets))
-	for i := 0; i < nIn; i++ {
-		base := m.dom.CellAt(i)
-		for k, wo := range m.offsets {
-			idx[k] = m.outIdx[base.Add(wo.off)]
-			val[k] = wo.weight * m.qHat
-		}
-		b.Row(m.qHat, idx, val)
+	for k, wo := range m.offsets {
+		offs[k] = wo.off
+		val[k] = wo.weight * m.qHat
 	}
-	linear, err := b.Build()
+	linear, err := fo.NewFootprint(m.dom.D, m.qHat, offs, val, m.out)
 	if err != nil {
-		return fmt.Errorf("sam: %w", err)
+		return fmt.Errorf("sam: internal channel invalid: %w", err)
 	}
 	m.linear = linear
 	return nil
