@@ -17,6 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -908,27 +910,8 @@ func BenchmarkDurableRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	truth := dpspatial.HistFromPoints(dom, nil)
-	r := rng.New(12)
-	for i := 0; i < collector.DedupWindow; i++ {
-		truth.Mass[r.Intn(len(truth.Mass))]++
-	}
-	agg := rm.NewAggregate()
-	rr := dpspatial.NewRand(13)
-	if err := dpspatial.AccumulateHist(rm, agg, truth, rr); err != nil {
-		b.Fatal(err)
-	}
-	state, err := agg.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	meta, err := json.Marshal(map[string]any{
-		"scheme": rm.Scheme(), "pipeline": pipeline,
-		"generation": collector.DedupWindow, "aggregateShards": collector.DedupWindow,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	r, rr := rng.New(12), dpspatial.NewRand(13)
+	meta, state := fullLogState(b, dom, pipeline, rm, r, rr)
 	acks := make([]durable.AckEntry, collector.DedupWindow)
 	for i := range acks {
 		ack, err := json.Marshal(&collector.SubmitResponse{
@@ -995,6 +978,78 @@ func BenchmarkDurableRecovery(b *testing.B) {
 		st.Close()
 		b.StartTimer()
 	}
+}
+
+// fullLogState returns the snapshot meta and aggregate state of a
+// collector that has merged collector.DedupWindow one-report shards,
+// their cells drawn from r and their reports from rr.
+func fullLogState(b *testing.B, dom dpspatial.Domain, pipeline *dpspatial.CollectorPipeline, rm dpspatial.ReportingMechanism, r, rr *dpspatial.Rand) (meta, state []byte) {
+	b.Helper()
+	truth := dpspatial.HistFromPoints(dom, nil)
+	for i := 0; i < collector.DedupWindow; i++ {
+		truth.Mass[r.Intn(len(truth.Mass))]++
+	}
+	agg := rm.NewAggregate()
+	if err := dpspatial.AccumulateHist(rm, agg, truth, rr); err != nil {
+		b.Fatal(err)
+	}
+	state, err := agg.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta, err = json.Marshal(map[string]any{
+		"scheme": rm.Scheme(), "pipeline": pipeline,
+		"generation": collector.DedupWindow, "aggregateShards": collector.DedupWindow,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return meta, state
+}
+
+// BenchmarkDurableSnapshot measures one snapshot of a full durable DAM
+// collector at d=15, ε=3.5: durable.WriteSnapshot of its aggregate and
+// a 65,536-ack log in the form an untraced ingest collector holds
+// (200-report acks without trace IDs), streamed to the temp file,
+// fsync'd and renamed into place, and the WAL reset. file-B/op is the
+// snapshot file's size, so B/op over it is what a snapshot allocates per
+// byte it writes.
+func BenchmarkDurableSnapshot(b *testing.B) {
+	dom := benchDomain(b, 15)
+	pipeline, rm, err := dpspatial.NewCollectorPipeline("DAM", dom, 3.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	meta, state := fullLogState(b, dom, pipeline, rm, rng.New(14), dpspatial.NewRand(15))
+	acks := make([]durable.AckEntry, collector.DedupWindow)
+	for i := range acks {
+		ack, err := json.Marshal(&collector.SubmitResponse{
+			Scheme: rm.Scheme(), Reports: 200, TotalReports: float64(200 * (i + 1)), Generation: uint64(i + 1),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		acks[i] = durable.AckEntry{ID: fmt.Sprintf("run-%012x-%015d", 14, i), Ack: ack}
+	}
+	dir := b.TempDir()
+	st, err := durable.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.WriteSnapshot(meta, state, acks); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	fi, err := os.Stat(filepath.Join(dir, durable.SnapshotFile))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(fi.Size()), "file-B/op")
 }
 
 // semGeoIChannel builds SEM-Geo-I's dense channel at budget x, as

@@ -179,3 +179,78 @@ func TestRecoveryAllocsIndependentOfAckCount(t *testing.T) {
 		t.Fatalf("collector.New made %d allocations over 16,384 acks, %d over 1,024: per-ack work is back in recovery", large, small)
 	}
 }
+
+// TestAckLogRestoreMatchesPuts holds restore to the log Put builds from
+// the same acks one by one: the same entries, the same Get answers for
+// every ID, and the same entries and answers after each further Put
+// evicts the oldest. The cases cover restore's one-insert path (unique
+// IDs, at and below the cap) and Put's rules (a duplicate ID, an empty
+// ID, more acks than the cap).
+func TestAckLogRestoreMatchesPuts(t *testing.T) {
+	entry := func(id string, gen int) durable.AckEntry {
+		ack, err := json.Marshal(&SubmitResponse{Scheme: "s", Reports: 1, TotalReports: float64(gen), Generation: uint64(gen)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return durable.AckEntry{ID: id, Ack: ack}
+	}
+	log := func(ids ...string) []durable.AckEntry {
+		acks := make([]durable.AckEntry, len(ids))
+		for i, id := range ids {
+			acks[i] = entry(id, i+1)
+		}
+		return acks
+	}
+	for _, c := range []struct {
+		name string
+		cap  int
+		acks []durable.AckEntry
+	}{
+		{"unique IDs", 8, log("a", "b", "c", "d", "e")},
+		{"unique IDs filling the cap", 5, log("a", "b", "c", "d", "e")},
+		{"no acks", 4, nil},
+		{"duplicate ID", 8, log("a", "b", "a", "c")},
+		{"empty ID", 8, log("a", "", "b")},
+		{"more acks than the cap", 4, log("a", "b", "c", "d", "e", "f", "g")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := NewAckLog(c.cap)
+			for _, e := range c.acks {
+				want.Put(e.ID, e.Ack)
+			}
+			got := NewAckLog(c.cap)
+			got.restore(append([]durable.AckEntry(nil), c.acks...))
+			ids := map[string]bool{}
+			for _, e := range c.acks {
+				ids[e.ID] = true
+			}
+			same := func(when string) {
+				t.Helper()
+				ge, we := got.Entries(), want.Entries()
+				if len(ge) != len(we) || len(got.index) != len(want.index) {
+					t.Fatalf("%s: %d entries and %d indexed, want %d and %d", when, len(ge), len(got.index), len(we), len(want.index))
+				}
+				for i := range we {
+					if ge[i].ID != we[i].ID || !bytes.Equal(ge[i].Ack, we[i].Ack) {
+						t.Fatalf("%s: entry %d = %s %s, want %s %s", when, i, ge[i].ID, ge[i].Ack, we[i].ID, we[i].Ack)
+					}
+				}
+				for id := range ids {
+					gr, gok := got.Get(id)
+					wr, wok := want.Get(id)
+					if gok != wok || gr != wr {
+						t.Fatalf("%s: Get(%q) = %+v %v, want %+v %v", when, id, gr, gok, wr, wok)
+					}
+				}
+			}
+			same("restored")
+			for k := 0; k < c.cap+2; k++ {
+				e := entry(fmt.Sprintf("new-%d", k), 100+k)
+				ids[e.ID] = true
+				got.Put(e.ID, e.Ack)
+				want.Put(e.ID, e.Ack)
+				same(fmt.Sprintf("after Put %d", k))
+			}
+		})
+	}
+}

@@ -358,10 +358,27 @@ func (l *AckLog) Put(id string, ack []byte) {
 }
 
 // restore fills an empty log with a snapshot's acks, oldest first, as
-// Put would one by one, but into an index and entries sized for them,
-// so a full log grows neither.
+// Put would one by one, but into an index sized for them, so a full log
+// does not grow it. A snapshot's IDs are normally non-empty, distinct
+// and no more than the cap, as Put left them; then each costs one map
+// insert, and the log takes the snapshot's slice as its entries. Any
+// other snapshot goes through Put's rules.
 func (l *AckLog) restore(acks []durable.AckEntry) {
 	l.index = make(map[string]int, len(acks))
+	if len(acks) <= l.cap {
+		for i, e := range acks {
+			if e.ID == "" {
+				break
+			}
+			l.index[e.ID] = i
+		}
+		// A duplicate or an empty ID leaves the index short.
+		if len(l.index) == len(acks) {
+			l.entries = acks
+			return
+		}
+		clear(l.index)
+	}
 	l.entries = make([]durable.AckEntry, 0, len(acks))
 	for _, e := range acks {
 		l.Put(e.ID, e.Ack)

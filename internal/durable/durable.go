@@ -353,11 +353,10 @@ func (s *Store) WriteSnapshot(meta, state []byte, acks []AckEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := &Snapshot{Seq: s.seq, TakenAt: time.Now(), Meta: meta, State: state, Acks: acks}
-	data := encodeSnapshot(snap)
 
 	tmp := filepath.Join(s.dir, SnapshotTmpFile)
 	final := filepath.Join(s.dir, SnapshotFile)
-	if err := s.writeSnapshotFile(tmp, data); err != nil {
+	if err := s.writeSnapshotFile(tmp, snap); err != nil {
 		s.stats.LastError = err.Error()
 		return err
 	}
@@ -391,12 +390,12 @@ func (s *Store) WriteSnapshot(meta, state []byte, acks []AckEntry) error {
 	return nil
 }
 
-func (s *Store) writeSnapshotFile(path string, data []byte) error {
+func (s *Store) writeSnapshotFile(path string, snap *Snapshot) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := writeSnapshot(f, snap); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: writing snapshot: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -39,10 +40,10 @@ func TestGoldenSnapshotEncoding(t *testing.T) {
 		Acks:    []AckEntry{{ID: "a", Ack: []byte(`{"ok":true}`)}},
 	}
 	const want = "4450534e415030310300002a36fe9c9717077b226d223a327d02beef0101610b7b226f6b223a747275657d8a6aa849"
-	if got := hex.EncodeToString(encodeSnapshot(snap)); got != want {
+	if got := hex.EncodeToString(streamSnapshot(t, snap)); got != want {
 		t.Fatalf("snapshot encoding changed:\n got %s\nwant %s", got, want)
 	}
-	back, err := decodeSnapshot(encodeSnapshot(snap))
+	back, err := decodeSnapshot(streamSnapshot(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	f.Add(encodeSnapshot(&Snapshot{Seq: 1 << 40, TakenAt: time.Unix(0, 42), Meta: []byte(`{}`), State: []byte{1, 2, 3}}))
+	f.Add(streamSnapshot(f, &Snapshot{Seq: 1 << 40, TakenAt: time.Unix(0, 42), Meta: []byte(`{}`), State: []byte{1, 2, 3}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = bytes.Clone(data)
 		if n := len(data); n >= 4 {
@@ -78,7 +79,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if cap(snap.Acks) > len(data) {
 			t.Fatalf("%d-byte input sized an ack log of %d", len(data), cap(snap.Acks))
 		}
-		back, err := decodeSnapshot(encodeSnapshot(snap))
+		back, err := decodeSnapshot(streamSnapshot(t, snap))
 		if err != nil {
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
@@ -92,6 +93,168 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("re-encoded snapshot decodes to different fields:\n got %+v\nwant %+v", back, snap)
 		}
 	})
+}
+
+// streamSnapshot encodes snap through writeSnapshot, the encoder
+// WriteSnapshot streams a file through.
+func streamSnapshot(tb testing.TB, snap *Snapshot) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, snap); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// referenceEncodeSnapshot is the encoder that built each snapshot whole
+// in one presized buffer before snapshots were streamed, kept verbatim:
+// writeSnapshot must produce its bytes exactly.
+func referenceEncodeSnapshot(snap *Snapshot) []byte {
+	size := len(snapshotMagic) + uvarintLen(snap.Seq) + 8 +
+		uvarintLen(uint64(len(snap.Meta))) + len(snap.Meta) +
+		uvarintLen(uint64(len(snap.State))) + len(snap.State) +
+		uvarintLen(uint64(len(snap.Acks))) + 4
+	for _, e := range snap.Acks {
+		size += uvarintLen(uint64(len(e.ID))) + len(e.ID) + uvarintLen(uint64(len(e.Ack))) + len(e.Ack)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, snapshotMagic...)
+	out = binary.AppendUvarint(out, snap.Seq)
+	out = binary.LittleEndian.AppendUint64(out, uint64(snap.TakenAt.UnixNano()))
+	out = binary.AppendUvarint(out, uint64(len(snap.Meta)))
+	out = append(out, snap.Meta...)
+	out = binary.AppendUvarint(out, uint64(len(snap.State)))
+	out = append(out, snap.State...)
+	out = binary.AppendUvarint(out, uint64(len(snap.Acks)))
+	for _, e := range snap.Acks {
+		out = binary.AppendUvarint(out, uint64(len(e.ID)))
+		out = append(out, e.ID...)
+		out = binary.AppendUvarint(out, uint64(len(e.Ack)))
+		out = append(out, e.Ack...)
+	}
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// filler returns n bytes of a pattern that depends on seed.
+func filler(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*7)
+	}
+	return b
+}
+
+// ingestAcks is an ack log of n entries shaped like a collector's
+// untraced acks: 32-byte submission IDs and 90-odd bytes of ack JSON.
+func ingestAcks(n int) []AckEntry {
+	acks := make([]AckEntry, n)
+	for i := range acks {
+		acks[i] = AckEntry{
+			ID:  fmt.Sprintf("fix-%012x-%015d", 0x5eed, i),
+			Ack: []byte(fmt.Sprintf(`{"scheme":"sam/DAM d=15 eps=3.5 bhat=4","reports":200,"totalReports":%d,"generation":%d}`, 200*(i+1), i+1)),
+		}
+	}
+	return acks
+}
+
+// TestSnapshotStreamMatchesReference requires the streamed encoding to
+// equal the whole-buffer encoder's byte for byte wherever the stream's
+// buffer boundaries can fall: fields larger than the buffer, an ack
+// larger than it, acks across its boundaries, and a full ack log.
+func TestSnapshotStreamMatchesReference(t *testing.T) {
+	at := time.Unix(0, 1700000000000000000)
+	straddling := make([]AckEntry, 3000)
+	for i := range straddling {
+		straddling[i] = AckEntry{ID: string(filler(1+i%150, byte(i))), Ack: filler(i*37%600, byte(i+1))}
+	}
+	cases := []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"no acks", &Snapshot{Seq: 9, TakenAt: at, Meta: []byte(`{"m":1}`), State: []byte{1, 2}}},
+		{"meta and state larger than the buffer", &Snapshot{
+			Seq: 1 << 40, TakenAt: at, Meta: filler(snapshotBufSize+17, 1), State: filler(3*snapshotBufSize+5, 2), Acks: ingestAcks(3),
+		}},
+		{"one ack larger than the buffer", &Snapshot{
+			Seq: 2, TakenAt: at, Meta: []byte(`{}`), State: []byte{3},
+			Acks: []AckEntry{{ID: "a", Ack: []byte(`{}`)}, {ID: "b", Ack: filler(2*snapshotBufSize+3, 3)}, {ID: string(filler(snapshotBufSize+1, 4)), Ack: []byte(`{}`)}},
+		}},
+		{"acks straddling buffer boundaries", &Snapshot{Seq: 3, TakenAt: at, Meta: []byte(`{}`), State: filler(1000, 5), Acks: straddling}},
+		{"full ack log", &Snapshot{Seq: 14000, TakenAt: at, Meta: []byte(`{"m":2}`), State: filler(40000, 6), Acks: ingestAcks(65536)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got, want := streamSnapshot(t, c.snap), referenceEncodeSnapshot(c.snap); !bytes.Equal(got, want) {
+				t.Fatalf("streamed %d bytes differ from the reference's %d", len(got), len(want))
+			}
+		})
+	}
+	// Walk the first buffer boundary through every byte of one ack: its
+	// two-byte ID length, its ID, its two-byte ack length and its ack.
+	one := []AckEntry{{ID: string(filler(130, 7)), Ack: filler(200, 8)}}
+	for pad := 0; pad < 340; pad++ {
+		snap := &Snapshot{Seq: 4, TakenAt: at, State: filler(snapshotBufSize-40+pad, 9), Acks: one}
+		if got, want := streamSnapshot(t, snap), referenceEncodeSnapshot(snap); !bytes.Equal(got, want) {
+			t.Fatalf("state of %d bytes: streamed %d bytes differ from the reference's %d", len(snap.State), len(got), len(want))
+		}
+	}
+}
+
+// failOnce accepts n bytes, fails the write that would pass them with
+// err, and accepts every write after that: only a writer that keeps the
+// first error can report it.
+type failOnce struct {
+	n   int
+	err error // nil once returned
+}
+
+func (f *failOnce) Write(p []byte) (int, error) {
+	if f.err == nil || len(p) <= f.n {
+		f.n -= len(p)
+		return len(p), nil
+	}
+	n, err := f.n, f.err
+	f.err = nil
+	return n, err
+}
+
+// TestWriteSnapshotReturnsWriterError: a writer that fails part way,
+// in the header, in an ack or in the trailing CRC, gets its own error
+// back, even when it accepts the writes after the failing one.
+func TestWriteSnapshotReturnsWriterError(t *testing.T) {
+	snap := &Snapshot{Seq: 5, TakenAt: time.Unix(0, 42), Meta: []byte(`{}`), State: []byte{1}, Acks: ingestAcks(4000)}
+	size := len(referenceEncodeSnapshot(snap))
+	boom := errors.New("disk full")
+	for _, k := range []int{0, 5, size / 2, size - 4, size - 2} {
+		if err := writeSnapshot(&failOnce{n: k, err: boom}, snap); !errors.Is(err, boom) {
+			t.Errorf("writer failing after %d of %d bytes: got %v, want %v", k, size, err, boom)
+		}
+	}
+}
+
+// TestWriteSnapshotMemoryIndependentOfAckLog pins what one snapshot
+// allocates: the ack log streams to the file through one fixed buffer,
+// so a 65,536-ack log (about 8 MB on disk) costs well under 256 KiB.
+// Built whole, the encoding alone allocated the file's size.
+func TestWriteSnapshotMemoryIndependentOfAckLog(t *testing.T) {
+	st := mustOpen(t, t.TempDir())
+	defer st.Close()
+	st.TakeRecovery()
+	meta, state, acks := []byte(`{"m":3}`), filler(40000, 10), ingestAcks(65536)
+	var werr error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N && werr == nil; i++ {
+			werr = st.WriteSnapshot(meta, state, acks)
+		}
+	})
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	t.Logf("WriteSnapshot of %d acks: %d B allocated per call over %d calls", len(acks), res.AllocedBytesPerOp(), res.N)
+	if got := res.AllocedBytesPerOp(); got > 256<<10 {
+		t.Fatalf("WriteSnapshot of %d acks allocated %d B per call, want at most %d", len(acks), got, 256<<10)
+	}
 }
 
 // FuzzParseWAL feeds parseWAL arbitrary logs, each raw and again with

@@ -1,9 +1,11 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"time"
 )
 
@@ -20,33 +22,42 @@ import (
 // mismatch refuses recovery.
 var snapshotMagic = []byte("DPSNAP01")
 
-// encodeSnapshot sizes its buffer once: a full ack log makes the
-// snapshot about 11 MB, and growing that by append copies it over and
-// over.
-func encodeSnapshot(snap *Snapshot) []byte {
-	size := len(snapshotMagic) + uvarintLen(snap.Seq) + 8 +
-		uvarintLen(uint64(len(snap.Meta))) + len(snap.Meta) +
-		uvarintLen(uint64(len(snap.State))) + len(snap.State) +
-		uvarintLen(uint64(len(snap.Acks))) + 4
+// snapshotBufSize is the one buffer a snapshot streams through. A full
+// ack log makes the snapshot about 8–11 MB; built whole, each snapshot
+// would allocate and copy all of it, and that garbage sets the
+// collector's heap goal.
+const snapshotBufSize = 64 << 10
+
+// writeSnapshot streams snap's encoding to w through one buffer of
+// snapshotBufSize bytes, adding each chunk it flushes to the CRC-32C, so
+// it never holds a copy of the ack log. The first error w returns is
+// the one it returns.
+func writeSnapshot(w io.Writer, snap *Snapshot) error {
+	crc := crc32.New(crcTable)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), snapshotBufSize)
+	// bufio.Writer keeps its first error and refuses every later write,
+	// so only Flush needs checking.
+	var num [binary.MaxVarintLen64]byte
+	putUvarint := func(v uint64) { bw.Write(binary.AppendUvarint(num[:0], v)) }
+	bw.Write(snapshotMagic)
+	putUvarint(snap.Seq)
+	bw.Write(binary.LittleEndian.AppendUint64(num[:0], uint64(snap.TakenAt.UnixNano())))
+	putUvarint(uint64(len(snap.Meta)))
+	bw.Write(snap.Meta)
+	putUvarint(uint64(len(snap.State)))
+	bw.Write(snap.State)
+	putUvarint(uint64(len(snap.Acks)))
 	for _, e := range snap.Acks {
-		size += uvarintLen(uint64(len(e.ID))) + len(e.ID) + uvarintLen(uint64(len(e.Ack))) + len(e.Ack)
+		putUvarint(uint64(len(e.ID)))
+		bw.WriteString(e.ID)
+		putUvarint(uint64(len(e.Ack)))
+		bw.Write(e.Ack)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, snapshotMagic...)
-	out = binary.AppendUvarint(out, snap.Seq)
-	out = binary.LittleEndian.AppendUint64(out, uint64(snap.TakenAt.UnixNano()))
-	out = binary.AppendUvarint(out, uint64(len(snap.Meta)))
-	out = append(out, snap.Meta...)
-	out = binary.AppendUvarint(out, uint64(len(snap.State)))
-	out = append(out, snap.State...)
-	out = binary.AppendUvarint(out, uint64(len(snap.Acks)))
-	for _, e := range snap.Acks {
-		out = binary.AppendUvarint(out, uint64(len(e.ID)))
-		out = append(out, e.ID...)
-		out = binary.AppendUvarint(out, uint64(len(e.Ack)))
-		out = append(out, e.Ack...)
+	if err := bw.Flush(); err != nil {
+		return err
 	}
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+	_, err := w.Write(binary.LittleEndian.AppendUint32(num[:0], crc.Sum32()))
+	return err
 }
 
 func decodeSnapshot(data []byte) (*Snapshot, error) {

@@ -29,8 +29,11 @@ type Options struct {
 	// falls below it (default 1e-9).
 	Tol float64
 	// Smoothing, if non-nil, is applied to the estimate after every EM
-	// step (the "S" in EMS). It must preserve total mass.
-	Smoothing func(p []float64)
+	// step (the "S" in EMS): it writes the smoothing of p into dst, a
+	// buffer as long as p that the decode owns and that holds stale
+	// values. It must preserve total mass. Decodes that share Options
+	// call it at once, so it keeps no buffer of its own.
+	Smoothing func(dst, p []float64)
 	// Init, if non-nil, warm-starts the iteration from this input
 	// distribution (length NumInputs) instead of uniform. The slice is
 	// copied; entries must be non-negative and are renormalised. Zero
@@ -110,6 +113,10 @@ func EstimateWithStats(ch fo.LinearChannel, counts []float64, opts *Options) ([]
 	outMix := make([]float64, out)
 	w := make([]float64, out)
 	next := make([]float64, in)
+	var smoothed []float64
+	if o.Smoothing != nil {
+		smoothed = make([]float64, in)
+	}
 	var stats Stats
 	for iter := 0; iter < o.MaxIter; iter++ {
 		ch.Forward(p, outMix)
@@ -126,7 +133,8 @@ func EstimateWithStats(ch fo.LinearChannel, counts []float64, opts *Options) ([]
 		}
 		normalize(next)
 		if o.Smoothing != nil {
-			o.Smoothing(next)
+			o.Smoothing(smoothed, next)
+			next, smoothed = smoothed, next
 			normalize(next)
 		}
 		delta := 0.0
@@ -192,14 +200,15 @@ func normalize(p []float64) {
 // Smoother1D returns a binomial [1,2,1]/4 smoothing kernel over a 1-D
 // domain, the EMS smoothing of Li et al. Mass that would leave the domain
 // at the borders stays in the border cell, so total mass is conserved
-// exactly.
-func Smoother1D() func(p []float64) {
-	return func(p []float64) {
+// exactly. A slice shorter than 3 is copied unchanged.
+func Smoother1D() func(dst, p []float64) {
+	return func(dst, p []float64) {
 		n := len(p)
 		if n < 3 {
+			copy(dst, p)
 			return
 		}
-		out := make([]float64, n)
+		clear(dst)
 		for i, v := range p {
 			left, right := i-1, i+1
 			if left < 0 {
@@ -208,24 +217,24 @@ func Smoother1D() func(p []float64) {
 			if right >= n {
 				right = n - 1
 			}
-			out[i] += v / 2
-			out[left] += v / 4
-			out[right] += v / 4
+			dst[i] += v / 2
+			dst[left] += v / 4
+			dst[right] += v / 4
 		}
-		copy(p, out)
 	}
 }
 
 // Smoother2D returns the 2-D analogue: each cell spreads its mass with a
 // 3×3 binomial kernel (centre 4, edges 2, corners 1, total 16) over a d×d
 // row-major grid. Out-of-grid shares stay at the source cell, conserving
-// total mass exactly.
-func Smoother2D(d int) func(p []float64) {
-	return func(p []float64) {
+// total mass exactly. A slice that is not d×d is copied unchanged.
+func Smoother2D(d int) func(dst, p []float64) {
+	return func(dst, p []float64) {
 		if d < 2 || len(p) != d*d {
+			copy(dst, p)
 			return
 		}
-		out := make([]float64, len(p))
+		clear(dst)
 		for y := 0; y < d; y++ {
 			for x := 0; x < d; x++ {
 				v := p[y*d+x]
@@ -245,11 +254,10 @@ func Smoother2D(d int) func(p []float64) {
 						if nx < 0 || nx >= d || ny < 0 || ny >= d {
 							nx, ny = x, y // reflect leakage back to source
 						}
-						out[ny*d+nx] += v * w / 16
+						dst[ny*d+nx] += v * w / 16
 					}
 				}
 			}
 		}
-		copy(p, out)
 	}
 }

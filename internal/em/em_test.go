@@ -164,10 +164,21 @@ func TestEstimateErrors(t *testing.T) {
 	}
 }
 
+// smooth returns s's smoothing of p, written into a slice of NaNs: a
+// smoother must not read what its destination held before.
+func smooth(s func(dst, p []float64), p []float64) []float64 {
+	dst := make([]float64, len(p))
+	for i := range dst {
+		dst[i] = math.NaN()
+	}
+	s(dst, p)
+	return dst
+}
+
 func TestSmoother1DConservesMass(t *testing.T) {
 	s := Smoother1D()
 	p := []float64{0.5, 0.1, 0.1, 0.1, 0.2}
-	s(p)
+	p = smooth(s, p)
 	total := 0.0
 	for _, v := range p {
 		total += v
@@ -180,7 +191,7 @@ func TestSmoother1DConservesMass(t *testing.T) {
 func TestSmoother1DFlattensSpike(t *testing.T) {
 	s := Smoother1D()
 	p := []float64{0, 0, 1, 0, 0}
-	s(p)
+	p = smooth(s, p)
 	if p[2] >= 1 {
 		t.Fatal("spike not smoothed")
 	}
@@ -192,12 +203,12 @@ func TestSmoother1DFlattensSpike(t *testing.T) {
 func TestSmoother1DShortSlices(t *testing.T) {
 	s := Smoother1D()
 	p := []float64{1}
-	s(p)
+	p = smooth(s, p)
 	if p[0] != 1 {
 		t.Fatal("length-1 slice modified")
 	}
 	q := []float64{0.4, 0.6}
-	s(q)
+	q = smooth(s, q)
 	if q[0] != 0.4 {
 		t.Fatal("length-2 slice modified")
 	}
@@ -215,7 +226,7 @@ func TestSmoother2DConservesMass(t *testing.T) {
 	for _, v := range p {
 		total += v
 	}
-	s(p)
+	p = smooth(s, p)
 	after := 0.0
 	for _, v := range p {
 		after += v
@@ -230,7 +241,7 @@ func TestSmoother2DSpreadsSpike(t *testing.T) {
 	s := Smoother2D(d)
 	p := make([]float64, d*d)
 	p[2*d+2] = 1
-	s(p)
+	p = smooth(s, p)
 	if p[2*d+2] >= 1 {
 		t.Fatal("spike not smoothed")
 	}
@@ -242,7 +253,7 @@ func TestSmoother2DSpreadsSpike(t *testing.T) {
 func TestSmoother2DIgnoresWrongSize(t *testing.T) {
 	s := Smoother2D(4)
 	p := []float64{1, 2, 3}
-	s(p)
+	p = smooth(s, p)
 	if p[0] != 1 || p[1] != 2 || p[2] != 3 {
 		t.Fatal("wrong-size slice modified")
 	}

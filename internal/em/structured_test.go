@@ -112,9 +112,10 @@ func TestEstimateTwoValueMatchesDense(t *testing.T) {
 
 // TestEstimateIterationsAllocateNothing pins the steady state of the EM
 // loop: once a decode has set up its buffers, further iterations allocate
-// nothing, so a 10-iteration decode allocates exactly as often as a
-// 200-iteration one. ConvChannel is left out: its FFT scratch lives in a
-// sync.Pool, which may drop items at any time (and does under -race).
+// nothing, smoothed or not, so a 10-iteration decode allocates exactly as
+// often as a 200-iteration one. ConvChannel is left out: its FFT scratch
+// lives in a sync.Pool, which may drop items at any time (and does under
+// -race).
 func TestEstimateIterationsAllocateNothing(t *testing.T) {
 	r := rng.New(61)
 	g, err := fo.NewGRR(12, 1)
@@ -133,21 +134,25 @@ func TestEstimateIterationsAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	uniformSparse := randomUniformSparse(t, r, 225, 437)
 	channels := []struct {
-		name string
-		ch   fo.LinearChannel
+		name      string
+		ch        fo.LinearChannel
+		smoothing func(dst, p []float64)
 	}{
-		{"uniform-sparse", randomUniformSparse(t, r, 225, 437)},
-		{"footprint", footprint},
-		{"two-value", g.Linear()},
-		{"dense", randomUniformSparse(t, r, 40, 30).Dense()},
+		{"uniform-sparse", uniformSparse, nil},
+		{"uniform-sparse smoothed", uniformSparse, Smoother1D()},
+		{"footprint", footprint, nil},
+		{"footprint smoothed", footprint, Smoother2D(15)},
+		{"two-value", g.Linear(), nil},
+		{"dense", randomUniformSparse(t, r, 40, 30).Dense(), nil},
 	}
 	for _, c := range channels {
 		counts := randomCounts(r, c.ch.NumOutputs())
 		allocs := func(iters int) float64 {
 			// A Tol no delta can undercut keeps every decode running for
 			// exactly iters iterations.
-			opts := &Options{MaxIter: iters, Tol: math.SmallestNonzeroFloat64}
+			opts := &Options{MaxIter: iters, Tol: math.SmallestNonzeroFloat64, Smoothing: c.smoothing}
 			if _, stats, err := EstimateWithStats(c.ch, counts, opts); err != nil || stats.Iterations != iters {
 				t.Fatalf("%s: %d-iteration decode ran %d iterations (err %v)", c.name, iters, stats.Iterations, err)
 			}

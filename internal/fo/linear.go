@@ -90,9 +90,9 @@ func (c *Channel) Backward(w, out []float64) {
 // whose rows are not translates of one another. Rows are stored
 // CSR-style: overrides for row i live in idx/val[rowStart[i]:rowStart[i+1]],
 // sorted by output index, and carry the absolute probability (not a
-// delta), so Row materialisation and alias sampling reproduce the dense
-// matrix bit for bit. A channel whose rows are translates of one
-// footprint is a Footprint instead, which holds the overrides once.
+// delta), so Row materialisation reproduces the dense matrix bit for
+// bit. A channel whose rows are translates of one footprint is a
+// Footprint instead, which holds the overrides once.
 //
 // Forward and Backward cost O(In + Out + nnz) instead of O(In·Out), and
 // the whole structure occupies O(In + nnz) memory.
@@ -358,11 +358,6 @@ func (u *UniformSparse) Validate() error {
 	}
 	return nil
 }
-
-// Samplers builds one alias table per materialised row for O(1)
-// perturbation — identical tables to the dense channel's, without ever
-// holding more than one dense row.
-func (u *UniformSparse) Samplers() ([]*rng.Alias, error) { return samplersByRows(u) }
 
 // Dense materialises the full dense channel (for callers that genuinely
 // need the matrix, e.g. the local-privacy adversary).

@@ -179,29 +179,6 @@ func TestUniformSparseValidateCatchesBadDistributions(t *testing.T) {
 	}
 }
 
-func TestUniformSparseSamplersMatchDense(t *testing.T) {
-	r := rng.New(31)
-	u := randomUniformSparse(t, r, 12, 9)
-	dense := u.Dense()
-	sparseTabs, err := u.Samplers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	denseTabs, err := dense.Samplers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical rows must yield identical draw sequences.
-	for i := range sparseTabs {
-		r1, r2 := rng.New(uint64(100+i)), rng.New(uint64(100+i))
-		for k := 0; k < 200; k++ {
-			if a, b := sparseTabs[i].Draw(r1), denseTabs[i].Draw(r2); a != b {
-				t.Fatalf("row %d draw %d: %d != %d", i, k, a, b)
-			}
-		}
-	}
-}
-
 func TestTwoValueMatchesDenseGRR(t *testing.T) {
 	g, err := NewGRR(7, 1.3)
 	if err != nil {

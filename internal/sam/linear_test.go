@@ -245,10 +245,11 @@ func checkDecodeBits(t *testing.T, name string, m *Mechanism, ref *fo.UniformSpa
 }
 
 // servedDecode builds the setting loadbench's refresh serves (DAM, d =
-// 15, ε = 3.5) and an aggregate of 20,000 reports from a skewed truth.
-func servedDecode(t *testing.T) (*Mechanism, *fo.Aggregate) {
+// 15, ε = 3.5), with opts, and an aggregate of 20,000 reports from a
+// skewed truth.
+func servedDecode(t *testing.T, opts ...Option) (*Mechanism, *fo.Aggregate) {
 	t.Helper()
-	m, err := NewDAM(testDomain(t, 15), 3.5)
+	m, err := NewDAM(testDomain(t, 15), 3.5, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +317,34 @@ func TestConcurrentDecodesMatchSolo(t *testing.T) {
 			want = warm
 		}
 		sameBits(t, fmt.Sprintf("goroutine %d", g), h.Mass, want.Mass)
+	}
+}
+
+// TestConcurrentSmoothedDecodesMatchSolo: four goroutines cold-decoding
+// through one WithSmoothing DAM, whose decodes share one smoother, each
+// return the bits of the same decode run alone.
+func TestConcurrentSmoothedDecodesMatchSolo(t *testing.T) {
+	m, agg := servedDecode(t, WithSmoothing())
+	solo, err := m.EstimateFromAggregate(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*grid.Hist2D, 4)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = m.EstimateFromAggregate(agg)
+		}()
+	}
+	wg.Wait()
+	for g, h := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		sameBits(t, fmt.Sprintf("goroutine %d", g), h.Mass, solo.Mass)
 	}
 }
 
