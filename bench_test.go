@@ -316,6 +316,35 @@ func BenchmarkEMDecodeServed(b *testing.B) {
 	}
 }
 
+// BenchmarkEMDecodeFleet measures the decode a loadbench fleet cycle's
+// fresh read serves: SEM-Geo-I at d=15, ε=3.5 over the unit square,
+// built through NewCollectorPipeline as a `--mech SEM-Geo-I` daemon
+// builds it (calibrated ε′), cold-decoding one fixed aggregate through
+// the FFT channel with the default options, so EM runs all 1,000
+// iterations.
+func BenchmarkEMDecodeFleet(b *testing.B) {
+	dom, err := dpspatial.NewDomain(0, 0, 1, 15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, rm, err := dpspatial.NewCollectorPipeline("SEM-Geo-I", dom, 3.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(2)
+	agg := rm.NewAggregate()
+	for i := range agg.Planes[0] {
+		agg.Planes[0][i] = float64(r.Intn(100))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rm.EstimateFromAggregate(agg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // semGeoIDecodeWorkload builds the SEM-Geo-I mechanism at side d with a
 // deterministic count vector — the shared workload of the dense-channel
 // EM benchmarks below.

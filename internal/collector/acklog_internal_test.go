@@ -254,3 +254,75 @@ func TestAckLogRestoreMatchesPuts(t *testing.T) {
 		})
 	}
 }
+
+// TestAckLogFullPutsKeepOneArray pins a full log to one backing array:
+// once the first Put that finds no room past the cap has made it, Puts
+// that evict never replace it, across the slides of the window back to
+// the array's front too, and the window stays the newest entries, oldest
+// first. It holds for a log restored full from a snapshot and for one
+// filled by Puts. (The index map's own tables still churn: Go's maps
+// rebuild a table when deletions have left it full of tombstones.)
+func TestAckLogFullPutsKeepOneArray(t *testing.T) {
+	const window = 256
+	ids := make([]string, 12*window)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("sub-%06d", i)
+	}
+	ack := []byte(`{}`)
+	restored := make([]durable.AckEntry, window)
+	for i := range restored {
+		restored[i] = durable.AckEntry{ID: ids[i], Ack: ack}
+	}
+	for _, c := range []struct {
+		name string
+		fill func(l *AckLog)
+	}{
+		{"restored", func(l *AckLog) { l.restore(restored) }},
+		{"filled by Puts", func(l *AckLog) {
+			for _, id := range ids[:window] {
+				l.Put(id, ack)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := NewAckLog(window)
+			c.fill(l)
+			next := window
+			// inBuf reports that the window is a subslice of buf: its
+			// capacity ends where buf ends.
+			inBuf := func() bool {
+				w := l.entries[:cap(l.entries)]
+				return len(w) > 0 && len(l.buf) > 0 && &w[len(w)-1] == &l.buf[len(l.buf)-1]
+			}
+			for !inBuf() {
+				if next == 3*window {
+					t.Fatalf("%d Puts past the cap and the window is not in its array yet", 2*window)
+				}
+				l.Put(ids[next], ack)
+				next++
+			}
+			array := &l.buf[0]
+			for ; next < len(ids); next++ {
+				l.Put(ids[next], ack)
+				if !inBuf() || &l.buf[0] != array {
+					t.Fatalf("Put %d moved the window out of its array", next)
+				}
+			}
+			got := l.Entries()
+			if len(got) != window {
+				t.Fatalf("%d entries, want %d", len(got), window)
+			}
+			for i, e := range got {
+				if want := ids[next-window+i]; e.ID != want {
+					t.Fatalf("entry %d is %s, want %s", i, e.ID, want)
+				}
+				if _, ok := l.Get(e.ID); !ok {
+					t.Fatalf("Get(%s) misses an entry the window holds", e.ID)
+				}
+			}
+			if _, ok := l.Get(ids[next-window-1]); ok {
+				t.Fatalf("Get(%s) finds an evicted entry", ids[next-window-1])
+			}
+		})
+	}
+}

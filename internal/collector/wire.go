@@ -304,10 +304,15 @@ type SubmitResponse struct {
 // durable snapshot writes those bytes as they are, and only a replay
 // decodes them.
 type AckLog struct {
-	entries []durable.AckEntry // oldest first
+	entries []durable.AckEntry // oldest first, a window of buf once full
 	index   map[string]int     // ID → position in entries plus evicted
 	evicted int                // entries dropped off the front so far
 	cap     int
+	// buf is a full log's one backing array, with a quarter of the cap
+	// spare: the window advances into the spare and slides back to the
+	// front when it reaches the end, so a full log's Puts never
+	// reallocate it.
+	buf []durable.AckEntry
 }
 
 // NewAckLog returns a log remembering the last windowSize acks.
@@ -347,6 +352,9 @@ func (l *AckLog) Put(id string, ack []byte) {
 		l.entries[i-l.evicted].Ack = ack
 		return
 	}
+	if len(l.entries) >= l.cap && len(l.entries) == cap(l.entries) {
+		l.slide()
+	}
 	l.index[id] = l.evicted + len(l.entries)
 	l.entries = append(l.entries, durable.AckEntry{ID: id, Ack: ack})
 	if len(l.entries) > l.cap {
@@ -355,6 +363,20 @@ func (l *AckLog) Put(id string, ack []byte) {
 		l.entries = l.entries[1:]
 		l.evicted++
 	}
+}
+
+// slide moves a full log's window, whose end has reached the end of its
+// array, to the front of buf, allocating buf the first time: the cap,
+// the one entry a Put holds before it evicts, and a quarter of the cap
+// spare, so a slide copies the window once per cap/4 Puts. Positions in
+// the index count from the first entry ever held, so they stay valid.
+func (l *AckLog) slide() {
+	if size := l.cap + 1 + l.cap/4; len(l.buf) < size {
+		l.buf = make([]durable.AckEntry, size)
+	}
+	n := copy(l.buf, l.entries)
+	clear(l.buf[n:]) // the slid-over entries, so their acks can be freed
+	l.entries = l.buf[:n]
 }
 
 // restore fills an empty log with a snapshot's acks, oldest first, as

@@ -115,7 +115,8 @@ func TestEstimateTwoValueMatchesDense(t *testing.T) {
 // nothing, smoothed or not, so a 10-iteration decode allocates exactly as
 // often as a 200-iteration one. ConvChannel is left out: its FFT scratch
 // lives in a sync.Pool, which may drop items at any time (and does under
-// -race).
+// -race); TestEstimateConvIterationsAllocateNothing pins it with the
+// garbage collector paused.
 func TestEstimateIterationsAllocateNothing(t *testing.T) {
 	r := rng.New(61)
 	g, err := fo.NewGRR(12, 1)

@@ -38,20 +38,13 @@ import (
 // read-only afterwards.
 type ConvChannel struct {
 	d, n int // grid side d; n = d² inputs = outputs
-	fftN int // circulant side, NextPow2(2d−1)
 	kern []float64
 	z    []float64
 	conv *fft.RealConv2D
-	pool sync.Pool
+	pool sync.Pool // *fft.ConvScratch
 }
 
 var _ LinearChannel = (*ConvChannel)(nil)
-
-// convScratch is one sweep's working memory.
-type convScratch struct {
-	buf []float64 // fftN×fftN embedding (convolved in place)
-	fs  *fft.ConvScratch
-}
 
 // DisplacementKernel tabulates f over every displacement (dx, dy) ∈
 // [−(d−1), d−1]², in the (2d−1)×(2d−1) row-major layout NewConvChannel
@@ -85,7 +78,7 @@ func NewConvChannel(d int, kern []float64) (*ConvChannel, error) {
 		}
 	}
 	n := d * d
-	c := &ConvChannel{d: d, n: n, fftN: fft.NextPow2(w), kern: kern}
+	c := &ConvChannel{d: d, n: n, kern: kern}
 
 	// Per-row normalisers, accumulated in row-major output order — the
 	// exact addend sequence of a dense row construction, so z (and hence
@@ -107,7 +100,7 @@ func NewConvChannel(d int, kern []float64) (*ConvChannel, error) {
 	}
 
 	// Embed the kernel in the circulant: displacement t lives at t mod N.
-	N := c.fftN
+	N := fft.NextPow2(w)
 	emb := make([]float64, N*N)
 	for dy := -(d - 1); dy <= d-1; dy++ {
 		ey := ((dy + N) % N) * N
@@ -115,7 +108,7 @@ func NewConvChannel(d int, kern []float64) (*ConvChannel, error) {
 			emb[ey+(dx+N)%N] = kern[(dy+d-1)*w+(dx+d-1)]
 		}
 	}
-	conv, err := fft.NewRealConv2D(N, emb)
+	conv, err := fft.NewRealConv2D(d, emb)
 	if err != nil {
 		return nil, err
 	}
@@ -130,49 +123,22 @@ func (c *ConvChannel) NumInputs() int { return c.n }
 func (c *ConvChannel) NumOutputs() int { return c.n }
 
 // scratch borrows per-sweep working memory from the pool.
-func (c *ConvChannel) scratch() *convScratch {
-	if s, ok := c.pool.Get().(*convScratch); ok {
+func (c *ConvChannel) scratch() *fft.ConvScratch {
+	if s, ok := c.pool.Get().(*fft.ConvScratch); ok {
 		return s
 	}
-	return &convScratch{
-		buf: make([]float64, c.fftN*c.fftN),
-		fs:  c.conv.NewScratch(),
-	}
-}
-
-// embed writes src (d×d, scaled entry-wise by 1/scale when scale ≠ nil)
-// into the top-left corner of the fftN×fftN buffer, zeroing the padding
-// columns of the occupied rows. Rows ≥ d are never read by the pruned
-// transform, so they need no zeroing.
-func (c *ConvChannel) embed(buf, src, scale []float64) {
-	d, N := c.d, c.fftN
-	for y := 0; y < d; y++ {
-		row := src[y*d : (y+1)*d]
-		dst := buf[y*N : y*N+N]
-		if scale != nil {
-			zr := scale[y*d : (y+1)*d]
-			for x, v := range row {
-				dst[x] = v / zr[x]
-			}
-		} else {
-			copy(dst, row)
-		}
-		for x := d; x < N; x++ {
-			dst[x] = 0
-		}
-	}
+	return c.conv.NewScratch()
 }
 
 // Forward implements LinearChannel: out = Mᵀp = K·(p/z), one FFT
-// convolution.
+// convolution of the grid p/z, staged in out.
 func (c *ConvChannel) Forward(p, out []float64) {
-	s := c.scratch()
-	c.embed(s.buf, p, c.z)
-	c.conv.Apply(s.buf, s.buf, c.d, s.fs, false)
-	d, N := c.d, c.fftN
-	for y := 0; y < d; y++ {
-		copy(out[y*d:(y+1)*d], s.buf[y*N:y*N+d])
+	out = out[:c.n]
+	for i, v := range p[:c.n] {
+		out[i] = v / c.z[i]
 	}
+	s := c.scratch()
+	c.conv.Apply(out, out, s, false)
 	c.pool.Put(s)
 }
 
@@ -180,13 +146,11 @@ func (c *ConvChannel) Forward(p, out []float64) {
 // correlation.
 func (c *ConvChannel) Backward(w, out []float64) {
 	s := c.scratch()
-	c.embed(s.buf, w, nil)
-	c.conv.Apply(s.buf, s.buf, c.d, s.fs, true)
-	d, N := c.d, c.fftN
-	for i := 0; i < c.n; i++ {
-		out[i] = s.buf[(i/d)*N+i%d] / c.z[i]
-	}
+	c.conv.Apply(w, out, s, true)
 	c.pool.Put(s)
+	for i, zi := range c.z {
+		out[i] /= zi
+	}
 }
 
 // Row implements LinearChannel, materialising row i into a fresh slice.
